@@ -1,11 +1,16 @@
 """Pointwise finite dimensional modules on a finite chain and their barcodes.
 
-The decomposition into interval summands is computed from the rank
-invariant by inclusion-exclusion: the multiplicity of the bar [i, j) is
-
-    r(i, j-1) - r(i, j) - r(i-1, j-1) + r(i-1, j)
-
-with the conventions r(-1, .) = 0 and r(., L) = 0.  Ranks are exact.
+One elder-rule sweep (Zomorodian-Carlsson, *Computing persistent homology*,
+2005) computes every barcode here and every kernel and cokernel in
+``fp_category``.  It walks a chain of vector spaces carrying a basis of
+explicit vectors, each tagged by the step it was born at.  At each step the
+carried vectors that became dependent lose their youngest member, whose bar
+ends there, and the survivors are extended to a basis of the new step; the
+added vectors are the births.  The engine is parameterised by the map that
+carries a vector one step on and by a basis of each step: ``decompose``
+carries by the structure maps and offers unit vectors, kernels and
+cokernels restrict to the alive summands and offer pointwise kernel bases.
+Ranks and nullspaces are exact.
 """
 
 from __future__ import annotations
@@ -96,45 +101,113 @@ def rank_invariant(m: ChainModule, i: int, j: int) -> int:
     return linalg.rank(m.field, comp)
 
 
-def _rank_table(m: ChainModule):
-    """r[i][j] for i <= j < L, with early cutoff once a composite hits rank 0."""
-    L = m.length
-    table = [dict() for _ in range(L)]
-    for i in range(L):
-        table[i][i] = m.dims[i]
-        comp = linalg.identity(m.field, m.dims[i])
-        r = m.dims[i]
-        for j in range(i + 1, L):
-            if r == 0 or m.dims[j] == 0:
-                r = 0
-                table[i][j] = 0
-                continue
-            comp = linalg.mat_mul(m.field, m.map_matrix(j - 1), comp)
-            r = linalg.rank(m.field, comp)
-            table[i][j] = r
-    return table
+class _Born:
+    """A carried vector: its birth step, tie-break sequence number, and its
+    value at every step since birth (``path[-1]`` is the current one)."""
+
+    __slots__ = ("birth", "path", "seq")
+
+    def __init__(self, birth, vec, seq):
+        self.birth = birth
+        self.path = [vec]
+        self.seq = seq
+
+
+def _vectors_matrix(field: Field, vecs: list[dict]):
+    coords = sorted(set().union(*[set(v) for v in vecs])) if vecs else []
+    return [[v.get(c, field.zero) for v in vecs] for c in coords]
+
+
+def _is_independent(field: Field, vecs: list[dict], cand: dict) -> bool:
+    if not cand:
+        return False
+    trial = vecs + [cand]
+    return linalg.rank(field, _vectors_matrix(field, trial)) == len(trial)
+
+
+def _sweep(field: Field, n_steps: int, carry, basis_at):
+    """The elder-rule sweep over the steps 0..n_steps-1 of a chain of spaces.
+
+    Vectors are sparse dicts without zero entries.  ``carry(s, vec)`` maps a
+    vector at step s-1 to step s; ``basis_at(s)`` is a basis of the space at
+    step s.  Vectors carried to zero end their bars.  While the carried
+    vectors are dependent, the dependency is pushed onto the vector of latest
+    birth in it (ties broken toward the newest), which dies in its place, so
+    the vectors born up to any step keep spanning that step's image.  The
+    survivors are then extended to a basis from ``basis_at(s)``; growth
+    happens only at the recorded births.  Returns (birth, death-or-None,
+    vector at birth) triples; a dying vector is replaced by the combination
+    that is carried to zero at its death.
+    """
+    active: list[_Born] = []
+    bars = []
+    seq = 0
+    for s in range(n_steps):
+        for rec in active:
+            rec.path.append(carry(s, rec.path[-1]))
+        for rec in [r for r in active if not r.path[-1]]:
+            bars.append((rec.birth, s, rec.path[0]))
+            active.remove(rec)
+        while active:
+            mat = _vectors_matrix(field, [r.path[-1] for r in active])
+            combos = linalg.nullspace(field, mat)
+            if not combos:
+                break
+            mu = combos[0]
+            support = [ix for ix, x in enumerate(mu) if not field.is_zero(x)]
+            victim_ix = max(support, key=lambda ix: (active[ix].birth, active[ix].seq))
+            victim = active[victim_ix]
+            comb: dict = {}
+            for ix in support:
+                rec = active[ix]
+                for i, v in rec.path[victim.birth - rec.birth].items():
+                    comb[i] = field.add(comb.get(i, field.zero), field.mul(mu[ix], v))
+            comb = {i: v for i, v in comb.items() if not field.is_zero(v)}
+            bars.append((victim.birth, s, comb))
+            active.pop(victim_ix)
+        basis = basis_at(s)
+        if len(active) < len(basis):
+            for vec in basis:
+                if len(active) == len(basis):
+                    break
+                if _is_independent(field, [r.path[-1] for r in active], vec):
+                    active.append(_Born(s, vec, seq))
+                    seq += 1
+        if len(active) != len(basis):
+            raise AssertionError(
+                f"dimension mismatch at step {s}: "
+                f"{len(active)} carried vs {len(basis)} expected"
+            )
+    for rec in active:
+        bars.append((rec.birth, None, rec.path[0]))
+    return bars
 
 
 def decompose(m: ChainModule) -> Barcode:
-    """The unique interval decomposition of a chain module."""
-    L = m.length
-    table = _rank_table(m)
+    """The unique interval decomposition of a chain module.
 
-    def r(i: int, j: int) -> int:
-        if i < 0 or j >= L:
-            return 0
-        return table[i][j]
+    Vectors are carried by the structure maps; the unit vectors of each slot
+    are the candidate births.
+    """
+    field = m.field
+
+    def carry(s, vec):
+        out = {}
+        for r, row in enumerate(m.maps[s - 1]):
+            acc = field.zero
+            for c, v in vec.items():
+                if not field.is_zero(row[c]):
+                    acc = field.add(acc, field.mul(row[c], v))
+            if not field.is_zero(acc):
+                out[r] = acc
+        return out
 
     bars = {}
-    for i in range(L):
-        for j in range(i + 1, L + 1):
-            mult = r(i, j - 1) - r(i, j) - r(i - 1, j - 1) + r(i - 1, j)
-            if mult < 0:
-                raise AssertionError(
-                    f"negative multiplicity for bar [{i},{j}): rank table is inconsistent"
-                )
-            if mult:
-                bars[(i, j)] = mult
+    for birth, death, _ in _sweep(
+        field, m.length, carry, lambda s: [{j: field.one} for j in range(m.dims[s])]
+    ):
+        key = (birth, m.length if death is None else death)
+        bars[key] = bars.get(key, 0) + 1
     return barcode(bars)
 
 

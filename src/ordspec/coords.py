@@ -182,7 +182,9 @@ class Coord:
         """Largest integer <= self, decided exactly."""
         if self.coef == 0:
             return math.floor(self.rat)
-        guess = math.floor(self.rat + float(self.coef) * math.sqrt(self.rad))
+        # isqrt(floor(x)) = floor(sqrt(x)) exactly, so the guess is off by at most one
+        root = math.isqrt(math.floor(self.coef * self.coef * self.rad))
+        guess = math.floor(self.rat) + (root if self.coef > 0 else -root)
         g = Coord(guess)
         while g > self:
             guess -= 1

@@ -71,6 +71,8 @@ class Field:
 
     def parse(self, s: str):
         """Parse a scalar from its string form ("p/q" or an integer)."""
+        if not isinstance(s, (str, int)):
+            raise SchemaError(f"a scalar is a string or an integer, got {s!r}")
         try:
             f = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:

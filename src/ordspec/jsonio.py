@@ -188,6 +188,8 @@ def encode_barcode(b: Barcode):
 def decode_barcode(obj) -> Barcode:
     if not isinstance(obj, dict) or set(obj) != {"bars"}:
         raise SchemaError("a barcode is {'bars': [{'start':i,'end':j,'mult':m}, ...]}")
+    if not isinstance(obj["bars"], list):
+        raise SchemaError("bars must be a list")
     bars = {}
     for e in obj["bars"]:
         if not isinstance(e, dict) or set(e) != {"start", "end", "mult"}:
@@ -262,6 +264,8 @@ def encode_region(model: IndexModel, r: SerreRegion):
 def decode_region(model: IndexModel, obj) -> SerreRegion:
     if not isinstance(obj, dict) or set(obj) != {"gaps"}:
         raise SchemaError("a region is {'gaps': [{'gap': ..., 'covered': ...}, ...]}")
+    if not isinstance(obj["gaps"], list):
+        raise SchemaError("gaps must be a list")
     gaps = []
     for g in obj["gaps"]:
         if not isinstance(g, dict) or set(g) != {"gap", "covered"}:

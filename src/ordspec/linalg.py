@@ -63,18 +63,6 @@ def mat_mul(field: Field, a, b):
     return out
 
 
-def mat_vec(field: Field, a, v):
-    return [_dot(field, row, v) for row in a]
-
-
-def _dot(field: Field, row, v):
-    s = field.zero
-    for x, y in zip(row, v):
-        if not field.is_zero(x) and not field.is_zero(y):
-            s = field.add(s, field.mul(x, y))
-    return s
-
-
 def _int_rank_bareiss(rows: list[list[int]]) -> int:
     a = [r[:] for r in rows]
     m = len(a)
@@ -189,33 +177,3 @@ def _unit(field: Field, n: int, j: int):
     v = [field.zero] * n
     v[j] = field.one
     return v
-
-
-def solve_columns(field: Field, a, b, n: int, k: int):
-    """Solve a X = b column by column; raises DomainError when inconsistent.
-
-    a is m x n, b is m x k; returns X of shape n x k (a particular solution,
-    free variables set to zero).  n and k are passed explicitly so empty
-    matrices keep their shapes.
-    """
-    m = len(a)
-    if m == 0:
-        return zeros(field, n, k)
-    if n == 0:
-        if any(not field.is_zero(v) for row in b for v in row):
-            raise DomainError("inconsistent_system", "no solution exists")
-        return zeros(field, 0, k)
-    aug = [a[i][:] + b[i][:] for i in range(m)]
-    r, pivots = rref(field, aug)
-    for ri in range(len(pivots)):
-        if pivots[ri] >= n:
-            raise DomainError("inconsistent_system", "no solution exists")
-    for ri in range(len(pivots), m):
-        if any(not field.is_zero(v) for v in r[ri][n:]):
-            raise DomainError("inconsistent_system", "no solution exists")
-    x = zeros(field, n, k)
-    for ri, pc in enumerate(pivots):
-        if pc < n:
-            for j in range(k):
-                x[pc][j] = r[ri][n + j]
-    return x

@@ -170,10 +170,6 @@ def cmp_d_unchecked(p: DPoint, q: DPoint) -> Ordering:
     return Ordering.LESS if fp < fq else Ordering.GREATER
 
 
-def leq_d(model: IndexModel, p: DPoint, q: DPoint) -> bool:
-    return cmp_d(model, p, q) is not Ordering.GREATER
-
-
 def contains(model: IndexModel, p: DPoint, t) -> bool:
     """Whether the element t of T lies in the ideal p."""
     validate_dpoint(model, p)

@@ -43,6 +43,23 @@ def frac_rank(rows) -> int:
     return r
 
 
+def modp_rank(rows, p: int) -> int:
+    a = [[v % p for v in row] for row in rows]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c] * inv % p
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
 def frac_nullity(rows, n_cols: int) -> int:
     return n_cols - frac_rank(rows)
 
@@ -89,6 +106,48 @@ def in_span(columns, vec) -> bool:
     base = [[col[i] for col in columns] for i in range(rows)]
     ext = [[col[i] for col in columns] + [vec[i]] for i in range(rows)]
     return frac_rank(base) == frac_rank(ext)
+
+
+# ---------------------------------------------------------------------------
+# Barcodes from the rank invariant
+
+
+def barcode_by_rank_table(m) -> dict:
+    """Bars {(i, j): multiplicity} of a chain module by inclusion-exclusion.
+
+    The multiplicity of the bar [i, j) is
+
+        r(i, j-1) - r(i, j) - r(i-1, j-1) + r(i-1, j)
+
+    with r(-1, .) = 0 and r(., L) = 0, where r(i, j) is the rank of the
+    composite of the structure maps from slot i to slot j.  Composites and
+    ranks are computed here from scratch, over the module's field.
+    """
+    p, L, dims = m.field.p, m.length, m.dims
+    table = {}
+    for i in range(L):
+        comp = [[int(r == c) for c in range(dims[i])] for r in range(dims[i])]
+        table[(i, i)] = dims[i]
+        for j in range(i + 1, L):
+            comp = [
+                [sum(row[t] * comp[t][c] for t in range(dims[j - 1])) for c in range(dims[i])]
+                for row in m.maps[j - 1]
+            ]
+            if p is not None:
+                comp = [[v % p for v in row] for row in comp]
+            table[(i, j)] = frac_rank(comp) if p is None else modp_rank(comp, p)
+
+    def r(i, j):
+        return table.get((i, j), 0)
+
+    bars = {}
+    for i in range(L):
+        for j in range(i + 1, L + 1):
+            mult = r(i, j - 1) - r(i, j) - r(i - 1, j - 1) + r(i - 1, j)
+            assert mult >= 0, f"negative multiplicity for bar [{i},{j})"
+            if mult:
+                bars[(i, j)] = mult
+    return bars
 
 
 # ---------------------------------------------------------------------------

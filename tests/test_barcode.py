@@ -6,7 +6,7 @@ from ordspec import DomainError, Field, QQ, barcode, chain_module, decompose, ra
 from ordspec import linalg
 
 from conftest import subseed
-from oracles import frac_rank, random_invertible_int_matrix
+from oracles import barcode_by_rank_table, frac_rank, random_invertible_int_matrix
 
 
 def F(x):
@@ -92,6 +92,7 @@ def test_dimension_conservation_and_monotonicity():
     for _ in range(60):
         m = random_chain(rng)
         b = decompose(m)
+        assert b.as_dict() == barcode_by_rank_table(m)
         for t in range(m.length):
             assert b.total_at(t) == m.dims[t]
         for i in range(m.length):
@@ -106,6 +107,7 @@ def test_isomorphism_invariance_under_basis_change():
     for _ in range(40):
         m = random_chain(rng, max_dim=4, max_len=6)
         before = decompose(m)
+        assert before.as_dict() == barcode_by_rank_table(m)
         bases = []
         for d in m.dims:
             mat, inv = random_invertible_int_matrix(rng, d)
@@ -132,6 +134,9 @@ def test_prime_field_cross_check():
         m_q = realize(b, length, QQ)
         m_p = realize(b, length, f5)
         assert decompose(m_p) == decompose(m_q) == b
+    for _ in range(40):
+        m = random_chain(rng, field=f5)
+        assert decompose(m).as_dict() == barcode_by_rank_table(m)
 
 
 def test_rank_agrees_with_independent_gaussian():

@@ -127,6 +127,17 @@ def test_exit_codes():
         ["ball", "--center", '{"coord":"0","flavor":"strict"}', "--eps", "0"]
     )
     assert code == 1
+    # wrong JSON types where a list or a scalar belongs are malformed input
+    for argv in (
+        ["realize", "--barcode", '{"bars":5}', "--length", "3"],
+        ["orthogonal", "--direction", "right", "--region", '{"gaps":7}'],
+        ["decompose", "--module", '{"dims":[1,1],"maps":[[[null]]]}'],
+        ["kernel", "--f", '{"source":{"summands":["[0,1)"]},"target":{"summands":["[0,1)"]},'
+         '"entries":[{"from":0,"to":0,"value":null}]}'],
+    ):
+        code, out = run_cli(argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"]["kind"] == "schema"
 
 
 def test_interval_shorthand_forms():

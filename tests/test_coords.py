@@ -75,6 +75,9 @@ def test_floor_exact_at_boundaries():
     assert Coord(4, 0, 0).floor() == 4
     # 3 - 2*sqrt(2) = 0.1715...
     assert Coord(3, -2, 2).floor() == 0
+    # far beyond float range: decided by integer square roots alone
+    assert Coord(0, 10**400, 2).floor() == math.isqrt(2 * 10**800)
+    assert Coord(0, -10**400, 2).floor() == -math.isqrt(2 * 10**800) - 1
 
 
 def test_rational_between_any_pair():

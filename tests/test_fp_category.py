@@ -220,6 +220,44 @@ def test_kernel_invariant_under_grid_refinement():
         assert i1 == i2 and p1 == p2
 
 
+def _corrupt_first_pair(real):
+    """Wrap a pointwise basis so that its first vector with two entries has
+    one entry doubled.  The support, and so every entry's legality, is kept,
+    but the vector leaves the kernel (the functional no longer vanishes on
+    the image)."""
+
+    def basis(f, t):
+        vecs = real(f, t)
+        for k, vec in enumerate(vecs):
+            if len(vec) > 1:
+                i = max(vec)
+                vecs[k] = {**vec, i: f.field.add(vec[i], vec[i])}
+                break
+        return vecs
+
+    return basis
+
+
+def test_certificate_rejects_corrupted_vector(monkeypatch):
+    from ordspec import fp_category
+
+    two = FpModule((iv(0, "inf"), iv(0, "inf")))
+    one = FpModule((iv(0, "inf"),))
+    summing = FpMorphism(two, one, {(0, 0): F(1), (1, 0): F(1)}, QQ)
+    diagonal = FpMorphism(one, two, {(0, 0): F(1), (0, 1): F(1)}, QQ)
+    for op, basis_name, f in (
+        (kernel, "_pointwise_kernel_basis", summing),
+        (cokernel, "_pointwise_coker_basis", diagonal),
+    ):
+        op(f)
+        with monkeypatch.context() as mp:
+            real = getattr(fp_category, basis_name)
+            mp.setattr(fp_category, basis_name, _corrupt_first_pair(real))
+            failure = f"^{op.__name__} certificate failed at end sample 0: "
+            with pytest.raises(AssertionError, match=failure):
+                op(f)
+
+
 # ---------------------------------------------------------------------------
 # Generator reduction
 
