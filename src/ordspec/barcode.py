@@ -16,10 +16,24 @@ Ranks and nullspaces are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 
 from .errors import DomainError
 from .fields import Field, QQ
 from . import linalg
+
+
+# The largest chain module accepted or built, as the sum of its squared
+# dimensions (a bound on the entries of any matrix on one or two slots), so
+# that no size given in the input can make a call allocate without bound.
+_MAX_CHAIN_SIZE = 10**6
+
+
+def _check_size(dims) -> None:
+    if sum(d * d for d in dims) > _MAX_CHAIN_SIZE:
+        raise DomainError(
+            "chain_too_large", f"the squared dimensions sum to more than {_MAX_CHAIN_SIZE}"
+        )
 
 
 @dataclass(frozen=True)
@@ -35,6 +49,7 @@ class ChainModule:
             raise DomainError("bad_chain", "a chain module needs positive length")
         if any(d < 0 for d in self.dims):
             raise DomainError("bad_chain", "dimensions must be non-negative")
+        _check_size(self.dims)
         if len(self.maps) != len(self.dims) - 1:
             raise DomainError("bad_chain", "expected one map per consecutive pair")
         for i, m in enumerate(self.maps):
@@ -215,12 +230,17 @@ def realize(b: Barcode, length: int, field: Field = QQ) -> ChainModule:
     """Block-diagonal chain module whose summands are exactly the given bars."""
     if length < 1:
         raise DomainError("bad_length", "length must be positive")
-    blocks = []
+    if length > _MAX_CHAIN_SIZE:
+        raise DomainError("chain_too_large", f"length {length} exceeds {_MAX_CHAIN_SIZE}")
+    change = [0] * (length + 1)
     for s, e, m in b:
         if e > length:
             raise DomainError("bar_out_of_range", f"bar [{s},{e}) exceeds length {length}")
-        blocks.extend([(s, e)] * m)
-    dims = [sum(1 for s, e in blocks if s <= t < e) for t in range(length)]
+        change[s] += m
+        change[e] -= m
+    dims = list(accumulate(change[:-1]))
+    _check_size(dims)
+    blocks = [(s, e) for s, e, m in b for _ in range(m)]
     maps = []
     for t in range(length - 1):
         rows = [ix for ix, (s, e) in enumerate(blocks) if s <= t + 1 < e]

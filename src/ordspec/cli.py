@@ -4,7 +4,9 @@ Inputs are inline JSON by default; an argument of the form ``@path`` reads
 the file at path and ``-`` reads standard input.  Interval arguments also
 accept the shorthand "[a,b)" and "[a,inf)".  On success a single canonical
 JSON document goes to stdout and the exit code is 0.  Domain errors exit 1
-with {"error": {...}}; malformed input exits 2.
+with {"error": {...}}; malformed input exits 2; a broken internal invariant
+(a failed certificate or consistency check) exits 3 with the error kind
+"internal_invariant".
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def _load_json(value: str):
     text = _load_text(value)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise SchemaError(f"malformed JSON: {exc}") from exc
 
 
@@ -380,18 +382,22 @@ def main(argv=None) -> int:
         field = _parse_field(field_spec)
         result = args.handler(args, model, field)
     except DomainError as exc:
-        doc = {"error": {"kind": exc.kind, "detail": exc.detail}}
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-        return 1
+        return _fail(exc.kind, exc.detail, 1)
     except SchemaError as exc:
-        doc = {"error": {"kind": "schema", "detail": str(exc)}}
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-        return 2
+        return _fail("schema", str(exc), 2)
+    except AssertionError as exc:
+        return _fail("internal_invariant", str(exc), 3)
     if args.format == "text":
         print(_render_text(result))
     else:
         print(json.dumps(result, sort_keys=True, separators=(",", ":")))
     return 0
+
+
+def _fail(kind: str, detail: str, code: int) -> int:
+    doc = {"error": {"kind": kind, "detail": detail}}
+    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    return code
 
 
 if __name__ == "__main__":

@@ -21,12 +21,21 @@ _SQUAREFREE_CACHE: dict[int, tuple[int, int]] = {}
 
 
 def _square_split(n: int) -> tuple[int, int]:
-    """Return (s, f) with n = s*s*f and f squarefree."""
+    """Return (s, f) with n = s*s*f and f squarefree.
+
+    Trial division runs only while d**3 <= m for the cofactor m; what is left
+    then has at most two prime factors, all above d, so it is 1, a prime, a
+    product of two distinct primes (all squarefree) or a prime square.
+    """
     if n in _SQUAREFREE_CACHE:
         return _SQUAREFREE_CACHE[n]
+    if n.bit_length() > 64:
+        raise DomainError(
+            "radicand_too_large", f"radicands are limited to 64 bits, got {n.bit_length()}"
+        )
     s, f, m = 1, 1, n
     d = 2
-    while d * d <= m:
+    while d * d * d <= m:
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -35,8 +44,12 @@ def _square_split(n: int) -> tuple[int, int]:
             s *= d ** (e // 2)
             if e % 2:
                 f *= d
-        d += 1
-    f *= m
+        d += 1 if d == 2 else 2
+    r = math.isqrt(m)
+    if m > 1 and r * r == m:
+        s *= r
+    else:
+        f *= m
     _SQUAREFREE_CACHE[n] = (s, f)
     return s, f
 

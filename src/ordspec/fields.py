@@ -7,15 +7,39 @@ from fractions import Fraction
 from .errors import DomainError, SchemaError
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below _MR_LIMIT, the least strong pseudoprime to all of them; the primes up
+# to 37 alone are fooled by 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_LIMIT:
+        raise DomainError("prime_too_large", f"primality is decided only below {_MR_LIMIT}")
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+# Fractions are immutable, so the rational field hands out these two shared.
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class Field:
@@ -34,11 +58,11 @@ class Field:
 
     @property
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return _ZERO if self.p is None else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return _ONE if self.p is None else 1
 
     def of_int(self, n: int):
         return Fraction(n) if self.p is None else n % self.p
@@ -71,7 +95,7 @@ class Field:
 
     def parse(self, s: str):
         """Parse a scalar from its string form ("p/q" or an integer)."""
-        if not isinstance(s, (str, int)):
+        if isinstance(s, bool) or not isinstance(s, (str, int)):
             raise SchemaError(f"a scalar is a string or an integer, got {s!r}")
         try:
             f = Fraction(s)

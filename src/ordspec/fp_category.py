@@ -8,23 +8,29 @@ only where a nonzero natural transformation exists (the pair criterion
 Kernels and cokernels are computed by sampling a critical grid: all finite
 summand endpoints, one interior sample per open cell, and one sample beyond
 the largest endpoint.  Interval modules are constant on grid cells, so
-pointwise exact linear algebra on these samples determines everything.  The
-elder-rule sweep of ``barcode`` runs along the grid, restricting carried
-vectors to the alive summands: pointwise kernel vectors for the kernel and,
-on the reversed grid with transposed matrices, functionals vanishing on the
-image for the cokernel.
+pointwise exact linear algebra on these samples determines everything.  Each
+endpoint is an endpoint sample, so [a, b) is alive at sample s exactly when
+pos(a) <= s < pos(b) for the grid positions pos; which summands are alive is
+read once per module by integer comparison.  One computation serves both
+operations.  The elder-rule sweep of ``barcode`` runs along the grid,
+restricting carried vectors to the alive summands: pointwise kernel vectors
+of f for the kernel; for the cokernel, the kernel of the transposed f along
+the reversed grid, whose vectors are functionals vanishing on the image.
 
 Bars produced on the grid lift back to intervals: a bar must start at an
 endpoint sample, a bar ending after the interior sample of cell (u, v)
 ends at v, and a bar alive at the beyond-grid sample never ends.  Anything
 else would contradict half-openness and raises AssertionError.
 
-Every answer is then certified at each grid sample t: the embedding (or
-projection) is injective (surjective) at t, its composite with f_t
-vanishes, and the new module has the dimension that rank f_t dictates.
-The embedding and projection are legal morphisms and every module involved
-is constant on grid cells, so pointwise exactness on the grid proves the
-universal property.  A failed check raises AssertionError naming the sample.
+Every answer is then certified at each grid sample t by the kernel
+conditions on the (for a cokernel, transposed) matrices: the embedding is
+injective at t (the projection surjective), its composite with f_t
+vanishes, and the new module has the dimension that rank f_t dictates.  The
+result is evaluated from the grid positions of its own summand endpoints,
+and an endpoint off the grid fails the certificate.  The embedding and
+projection are legal morphisms and every module involved is constant on
+grid cells, so pointwise exactness on the grid proves the universal
+property.  A failed check raises AssertionError naming the sample.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .order_core import DPoint, Flavor, IndexModel, cmp_d, Ordering, validate_dp
 # Objects and morphisms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FpInterval:
     """The interval module supported on [start, end)."""
 
@@ -183,21 +189,6 @@ class FpMorphism:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def pointwise_matrix(self, t: Coord):
-        """The matrix of the induced map at index t, rows/cols over alive summands.
-
-        Returns (matrix, alive_source_indices, alive_target_indices).
-        """
-        src_alive = [i for i, iv in enumerate(self.source.summands) if _alive(iv, t)]
-        tgt_alive = [j for j, iv in enumerate(self.target.summands) if _alive(iv, t)]
-        pos_s = {i: k for k, i in enumerate(src_alive)}
-        pos_t = {j: k for k, j in enumerate(tgt_alive)}
-        mat = linalg.zeros(self.field, len(tgt_alive), len(src_alive))
-        for (i, j), v in self.entries.items():
-            if i in pos_s and j in pos_t:
-                mat[pos_t[j]][pos_s[i]] = v
-        return mat, src_alive, tgt_alive
-
 
 def identity_morphism(m: FpModule, field: Field = QQ) -> FpMorphism:
     return FpMorphism(m, m, {(i, i): field.one for i in range(len(m.summands))}, field)
@@ -289,138 +280,99 @@ def _lift_bar(samples: list[Sample], p: int, q: int) -> FpInterval:
 # Kernel and cokernel
 
 
-def _pointwise_kernel_basis(f: FpMorphism, t: Coord):
-    mat, src_alive, tgt_alive = f.pointwise_matrix(t)
-    if not src_alive:
-        return []
-    if not tgt_alive:
-        return [{i: f.field.one} for i in src_alive]
-    null = linalg.nullspace(f.field, mat)
-    out = []
-    for vec in null:
-        out.append({src_alive[k]: v for k, v in enumerate(vec) if not f.field.is_zero(v)})
-    return out
+# op -> (what its map must be at every sample, whether f is transposed and
+# the grid reversed)
+_SIDES = {"kernel": ("injective", False), "cokernel": ("surjective", True)}
 
 
-def _pointwise_coker_basis(f: FpMorphism, t: Coord):
-    """Functionals on the target that vanish on the image at t."""
-    mat, _, tgt_alive = f.pointwise_matrix(t)
-    rows, cols = len(mat), len(mat[0]) if mat else 0
-    if rows == 0:
-        return []
-    if cols == 0:
-        return [{tgt_alive[j]: f.field.one} for j in range(rows)]
-    mat_t = _transpose(mat, rows, cols)
-    null = linalg.nullspace(f.field, mat_t)
-    out = []
-    for vec in null:
-        out.append({tgt_alive[k]: v for k, v in enumerate(vec) if not f.field.is_zero(v)})
-    return out
+def _swap(entries):
+    return {(j, i): v for (i, j), v in entries.items()}
 
 
-def _assemble(f: FpMorphism, lifted, ambient: FpModule, into_ambient: bool):
-    lifted.sort(key=lambda pair: _iv_key(pair[0]))
-    mod = FpModule(tuple(iv for iv, _ in lifted))
-    entries = {}
-    for ell, (_, vec) in enumerate(lifted):
-        for i, v in vec.items():
-            if into_ambient:
-                entries[(ell, i)] = v
-            else:
-                entries[(i, ell)] = v
-    if into_ambient:
-        mor = FpMorphism(mod, ambient, entries, f.field)
-    else:
-        mor = FpMorphism(ambient, mod, entries, f.field)
-    return mod, mor
+def _alive_lists(m: FpModule, pos: dict, n: int):
+    """For each of the n grid samples, the indices of the summands of m alive
+    there: [a, b) is alive at sample s exactly when pos(a) <= s < pos(b)."""
+    spans = [(pos[iv.start], n if is_inf(iv.end) else pos[iv.end]) for iv in m.summands]
+    return [[i for i, (lo, hi) in enumerate(spans) if lo <= s < hi] for s in range(n)]
 
 
-def _restrict_to(alive_sets):
-    """The sweep's carry map: keep the coordinates of summands alive at the step."""
-    return lambda s, vec: {i: v for i, v in vec.items() if i in alive_sets[s]}
+def _matrix(field: Field, entries, cols, rows):
+    """The matrix at one sample of a map with entries (col -> row)."""
+    return [[entries.get((c, r), field.zero) for c in cols] for r in rows]
+
+
+def _null_basis(field: Field, mat, cols):
+    """A nullspace basis of mat as sparse vectors keyed by the summands cols."""
+    if not mat:
+        return [{c: field.one} for c in cols]
+    return [
+        {c: v for c, v in zip(cols, vec) if not field.is_zero(v)}
+        for vec in linalg.nullspace(field, mat)
+    ]
 
 
 def kernel(f: FpMorphism, refine=()) -> tuple[FpModule, FpMorphism]:
     """The kernel of f with its embedding into the source."""
-    samples = critical_grid([f.source, f.target], refine)
-    field = f.field
-    if not samples:
-        return ZERO_MODULE, zero_morphism(ZERO_MODULE, f.source, field)
-    src = f.source.summands
-    alive_sets = [
-        frozenset(i for i, iv in enumerate(src) if _alive(iv, s.coord)) for s in samples
-    ]
-    bars = _sweep(
-        field,
-        len(samples),
-        _restrict_to(alive_sets),
-        lambda s: _pointwise_kernel_basis(f, samples[s].coord),
-    )
-    lifted = []
-    for birth, death, vec in bars:
-        q = (death - 1) if death is not None else len(samples) - 1
-        lifted.append((_lift_bar(samples, birth, q), vec))
-    mod, iota = _assemble(f, lifted, f.source, into_ambient=True)
-    _certify("kernel", f, samples, iota)
-    return mod, iota
+    return _exact("kernel", f, refine)
 
 
 def cokernel(f: FpMorphism, refine=()) -> tuple[FpModule, FpMorphism]:
     """The cokernel of f with the projection from the target."""
-    samples = critical_grid([f.source, f.target], refine)
+    return _exact("cokernel", f, refine)
+
+
+def _exact(op: str, f: FpMorphism, refine) -> tuple[FpModule, FpMorphism]:
+    """The kernel of f, or the cokernel as the kernel of the transposed f
+    along the reversed grid, with its certified embedding or projection."""
+    transposed = _SIDES[op][1]
+    flip = _swap if transposed else dict
+    dom, cod = (f.target, f.source) if transposed else (f.source, f.target)
     field = f.field
-    if not samples:
-        return ZERO_MODULE, zero_morphism(f.target, ZERO_MODULE, field)
-    tgt = f.target.summands
+    samples = critical_grid([f.source, f.target], refine)
     n = len(samples)
-    alive_sets_proc = [
-        frozenset(j for j, iv in enumerate(tgt) if _alive(iv, samples[n - 1 - sp].coord))
-        for sp in range(n)
-    ]
+    pos = {s.coord: k for k, s in enumerate(samples) if s.role == "end"}
+    alive_dom, alive_cod = _alive_lists(dom, pos, n), _alive_lists(cod, pos, n)
+    f_entries = flip(f.entries)
+    f_mats = [_matrix(field, f_entries, alive_dom[t], alive_cod[t]) for t in range(n)]
+    order = range(n - 1, -1, -1) if transposed else range(n)
+    alive_sets = [frozenset(alive_dom[t]) for t in order]
     bars = _sweep(
         field,
         n,
-        _restrict_to(alive_sets_proc),
-        lambda sp: _pointwise_coker_basis(f, samples[n - 1 - sp].coord),
+        lambda s, vec: {i: v for i, v in vec.items() if i in alive_sets[s]},
+        lambda s: _null_basis(field, f_mats[order[s]], alive_dom[order[s]]),
     )
     lifted = []
     for birth, death, vec in bars:
-        p = (n - death) if death is not None else 0
-        q = n - 1 - birth
+        p, q = sorted((order[birth], order[n - 1 if death is None else death - 1]))
         lifted.append((_lift_bar(samples, p, q), vec))
-    mod, proj = _assemble(f, lifted, f.target, into_ambient=False)
-    _certify("cokernel", f, samples, proj)
-    return mod, proj
+    lifted.sort(key=lambda pair: _iv_key(pair[0]))
+    mod = FpModule(iv for iv, _ in lifted)
+    emb = {(ell, i): v for ell, (_, vec) in enumerate(lifted) for i, v in vec.items()}
+    g = FpMorphism(*((dom, mod) if transposed else (mod, dom)), flip(emb), field)
+    _certify(op, samples, pos, alive_dom, f_mats, mod, flip(g.entries), field)
+    return mod, g
 
 
-def _transpose(mat, rows, cols):
-    return [[mat[r][c] for r in range(rows)] for c in range(cols)]
-
-
-def _certify(op: str, f: FpMorphism, samples, g: FpMorphism) -> None:
-    """Check pointwise exactness of the kernel embedding or cokernel
-    projection g of f at every grid sample, or raise AssertionError."""
-    field = f.field
-    for s in samples:
-        f_t, src_alive, tgt_alive = f.pointwise_matrix(s.coord)
-        g_t, g_src, g_tgt = g.pointwise_matrix(s.coord)
-        if op == "kernel":
-            full, dim, ambient = "injective", len(g_src), len(src_alive)
-            comp = linalg.mat_mul(field, f_t, g_t)
-        else:
-            full, dim, ambient = "surjective", len(g_tgt), len(tgt_alive)
-            comp = linalg.mat_mul(field, g_t, f_t)
+def _certify(op: str, samples, pos, alive_dom, f_mats, mod, g_entries, field) -> None:
+    """Check at every grid sample that the map g of mod into the domain of the
+    (possibly transposed) f is a kernel of f there, or raise AssertionError.
+    g is evaluated on the grid positions of mod's own endpoints."""
+    for iv in mod.summands:
+        if iv.start not in pos or not (is_inf(iv.end) or iv.end in pos):
+            raise AssertionError(f"{op} certificate failed: summand {iv} is off the grid")
+    alive_mod = _alive_lists(mod, pos, len(samples))
+    for s, f_t, dom, new in zip(samples, f_mats, alive_dom, alive_mod):
+        g_t = _matrix(field, g_entries, new, dom)
         failed = None
-        if linalg.rank(field, g_t) != dim:
-            failed = f"the {op} map is not {full}"
-        elif any(not field.is_zero(v) for row in comp for v in row):
+        if linalg.rank(field, g_t) != len(new):
+            failed = f"the {op} map is not {_SIDES[op][0]}"
+        elif any(not field.is_zero(v) for row in linalg.mat_mul(field, f_t, g_t) for v in row):
             failed = "the composite with f is not zero"
-        elif dim != ambient - linalg.rank(field, f_t):
-            failed = f"dimension {dim} is not {ambient} - rank f"
+        elif len(new) != len(dom) - linalg.rank(field, f_t):
+            failed = f"dimension {len(new)} is not {len(dom)} - rank f"
         if failed:
-            raise AssertionError(
-                f"{op} certificate failed at {s.role} sample {s.coord}: {failed}"
-            )
+            raise AssertionError(f"{op} certificate failed at {s.role} sample {s.coord}: {failed}")
 
 
 # ---------------------------------------------------------------------------

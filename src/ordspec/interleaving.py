@@ -132,6 +132,9 @@ class DistanceBracket:
 
 INFINITE_BRACKET = DistanceBracket(None, None)
 
+# The longest scan brute_force_distance runs before it refuses.
+_MAX_SCAN_STEPS = 10**5
+
 
 def brute_force_distance(model: IndexModel, i: DPoint, j: DPoint, step) -> DistanceBracket:
     """Bracket the interleaving infimum by scanning eps on a uniform grid.
@@ -139,7 +142,8 @@ def brute_force_distance(model: IndexModel, i: DPoint, j: DPoint, step) -> Dista
     Scans 0, step, 2*step, ... with the interleaving decision; the first hit
     at k*step yields the bracket [(k-1)*step, k*step].  Past the documented
     cutoff (coordinate distance plus one, or one when a coordinate is
-    infinite) the distance is reported infinite.
+    infinite) the distance is reported infinite.  A scan to the cutoff of
+    more than _MAX_SCAN_STEPS steps is refused with ``scan_too_long``.
     """
     _require_dense(model)
     step = Fraction(step)
@@ -147,10 +151,7 @@ def brute_force_distance(model: IndexModel, i: DPoint, j: DPoint, step) -> Dista
         raise DomainError("bad_step", "the scan step must be positive")
     validate_dpoint(model, i)
     validate_dpoint(model, j)
-    ii, ji = is_inf(i.coord), is_inf(j.coord)
-    if ii and ji:
-        cutoff = Fraction(1)
-    elif ii or ji:
+    if is_inf(i.coord) or is_inf(j.coord):
         cutoff = Fraction(1)
     else:
         gap = abs(i.coord - j.coord)
@@ -159,6 +160,10 @@ def brute_force_distance(model: IndexModel, i: DPoint, j: DPoint, step) -> Dista
                 "irrational_gap", "the scan cutoff needs a rational coordinate distance"
             )
         cutoff = gap.rat + 1
+    if cutoff / step > _MAX_SCAN_STEPS:
+        raise DomainError(
+            "scan_too_long", f"the scan to {cutoff} at step {step} exceeds {_MAX_SCAN_STEPS} steps"
+        )
     k = 0
     eps = Fraction(0)
     while eps <= cutoff:

@@ -31,6 +31,11 @@ from .spectrum import (
 )
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; JSON booleans are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _fraction_from_str(s) -> Fraction:
     if not isinstance(s, str):
         raise SchemaError(f"expected a rational string, got {s!r}")
@@ -61,7 +66,7 @@ def decode_coord(obj) -> Coord:
             raise SchemaError("surd part must be {'q': rational, 'd': integer}")
         coef = _fraction_from_str(surd.get("q", "0"))
         d = surd.get("d")
-        if not isinstance(d, int):
+        if not _is_int(d):
             raise SchemaError("surd radicand must be an integer")
         return Coord(rat, coef, d)
     raise SchemaError(f"cannot read a coordinate from {obj!r}")
@@ -152,7 +157,7 @@ def decode_morphism(obj, field: Field) -> FpMorphism:
         if not isinstance(e, dict) or set(e) != {"from", "to", "value"}:
             raise SchemaError("an entry is {'from': i, 'to': j, 'value': scalar}")
         i, j = e["from"], e["to"]
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _is_int(i) or not _is_int(j):
             raise SchemaError("entry indices must be integers")
         entries[(i, j)] = field.parse(e["value"])
     return FpMorphism(source, target, entries, field)
@@ -169,7 +174,7 @@ def decode_chain(obj, field: Field) -> ChainModule:
     if not isinstance(obj, dict) or set(obj) != {"dims", "maps"}:
         raise SchemaError("a chain module is {'dims': [...], 'maps': [[[...]]...]}")
     dims = obj["dims"]
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+    if not isinstance(dims, list) or not all(_is_int(d) for d in dims):
         raise SchemaError("dims must be a list of integers")
     maps = []
     if not isinstance(obj["maps"], list):
@@ -195,7 +200,7 @@ def decode_barcode(obj) -> Barcode:
         if not isinstance(e, dict) or set(e) != {"start", "end", "mult"}:
             raise SchemaError("a bar is {'start': i, 'end': j, 'mult': m}")
         s, t, m = e["start"], e["end"], e["mult"]
-        if not all(isinstance(v, int) for v in (s, t, m)):
+        if not all(_is_int(v) for v in (s, t, m)):
             raise SchemaError("bar fields must be integers")
         bars[(s, t)] = bars.get((s, t), 0) + m
     return barcode(bars)

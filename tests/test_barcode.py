@@ -56,6 +56,20 @@ def test_realize_examples():
         realize(barcode({(0, 5): 1}), 3)
 
 
+def test_size_bound_refuses_huge_chains():
+    assert realize(barcode({(0, 1): 1000}), 2).dims == (1000, 0)
+    for make in (
+        lambda: realize(barcode({(0, 1): 2**64}), 1),
+        lambda: realize(barcode({(0, 1): 1001}), 2),
+        lambda: realize(barcode({}), 10**8),
+        lambda: chain_module([2**64], []),
+        lambda: chain_module([1001, 0], [[]]),
+    ):
+        with pytest.raises(DomainError) as exc:
+            make()
+        assert exc.value.kind == "chain_too_large"
+
+
 def random_barcode(rng, max_bars=20, max_len=12):
     length = rng.randint(1, max_len)
     bars = {}

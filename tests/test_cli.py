@@ -127,6 +127,13 @@ def test_exit_codes():
         ["ball", "--center", '{"coord":"0","flavor":"strict"}', "--eps", "0"]
     )
     assert code == 1
+    # a scan past the oracle's step budget is refused at once
+    code, out = run_cli(
+        ["distance-oracle", "--p", '{"coord":"0","flavor":"principal"}',
+         "--q", '{"coord":"1000000","flavor":"principal"}', "--step", "1/1000"]
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "scan_too_long"
     # wrong JSON types where a list or a scalar belongs are malformed input
     for argv in (
         ["realize", "--barcode", '{"bars":5}', "--length", "3"],
@@ -134,6 +141,11 @@ def test_exit_codes():
         ["decompose", "--module", '{"dims":[1,1],"maps":[[[null]]]}'],
         ["kernel", "--f", '{"source":{"summands":["[0,1)"]},"target":{"summands":["[0,1)"]},'
          '"entries":[{"from":0,"to":0,"value":null}]}'],
+        # JSON booleans are not integers
+        ["decompose", "--module", '{"dims":[true,1],"maps":[[[true]]]}'],
+        ["realize", "--barcode", '{"bars":[{"start":0,"end":1,"mult":true}]}', "--length", "1"],
+        # an integer past Python's 4300-digit conversion limit
+        ["decompose", "--module", '{"dims":[' + "1" * 5000 + '],"maps":[]}'],
     ):
         code, out = run_cli(argv)
         assert code == 2, argv
@@ -249,3 +261,22 @@ def test_remaining_subcommands_smoke():
 
     code, out = run_cli(["is-closed", "--set", ROW2_SET])
     assert code == 0 and json.loads(out) == {"closed": True}
+
+
+def test_internal_invariant_exits_3(monkeypatch):
+    from ordspec import fp_category
+    from test_fp_category import _corrupt_first_pair
+
+    f = json.dumps({
+        "source": {"summands": ["[0,inf)", "[0,inf)"]},
+        "target": {"summands": ["[0,inf)"]},
+        "entries": [{"from": 0, "to": 0, "value": "1"}, {"from": 1, "to": 0, "value": "1"}],
+    })
+    monkeypatch.setattr(fp_category, "_null_basis", _corrupt_first_pair(fp_category._null_basis))
+    code, out = run_cli(["kernel", "--f", f])
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["kind"] == "internal_invariant"
+    assert error["detail"].startswith("kernel certificate failed at end sample 0: ")

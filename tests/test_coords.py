@@ -26,6 +26,17 @@ def test_surd_canonicalization():
         Coord(0, 1, -2)
 
 
+def test_large_radicands_split_or_refuse():
+    big = 10**18 + 3  # prime
+    assert Coord(0, 1, big).rad == big
+    assert Coord(0, 1, 4 * big) == Coord(0, 2, big)
+    assert Coord(0, 1, 999983**2) == Coord(999983)
+    assert Coord(0, 1, 999983 * 1000003).rad == 999983 * 1000003
+    with pytest.raises(DomainError) as exc:
+        Coord(0, 1, 2**64 + 1)
+    assert exc.value.kind == "radicand_too_large"
+
+
 def test_surd_comparisons_match_floats():
     rng = subseed(1)
     rads = [2, 3, 5, 7]

@@ -221,39 +221,62 @@ def test_kernel_invariant_under_grid_refinement():
 
 
 def _corrupt_first_pair(real):
-    """Wrap a pointwise basis so that its first vector with two entries has
-    one entry doubled.  The support, and so every entry's legality, is kept,
-    but the vector leaves the kernel (the functional no longer vanishes on
-    the image)."""
+    """Wrap a pointwise nullspace basis so that its first vector with two
+    entries has one entry doubled.  The support, and so every entry's
+    legality, is kept, but the vector leaves the kernel (the functional no
+    longer vanishes on the image)."""
 
-    def basis(f, t):
-        vecs = real(f, t)
+    def basis(field, mat, cols):
+        vecs = real(field, mat, cols)
         for k, vec in enumerate(vecs):
             if len(vec) > 1:
                 i = max(vec)
-                vecs[k] = {**vec, i: f.field.add(vec[i], vec[i])}
+                vecs[k] = {**vec, i: field.add(vec[i], vec[i])}
                 break
         return vecs
 
     return basis
 
 
-def test_certificate_rejects_corrupted_vector(monkeypatch):
-    from ordspec import fp_category
-
+def _summing_and_diagonal():
+    """[0,inf)^2 -> [0,inf) adding the summands, and [0,inf) -> [0,inf)^2."""
     two = FpModule((iv(0, "inf"), iv(0, "inf")))
     one = FpModule((iv(0, "inf"),))
     summing = FpMorphism(two, one, {(0, 0): F(1), (1, 0): F(1)}, QQ)
     diagonal = FpMorphism(one, two, {(0, 0): F(1), (0, 1): F(1)}, QQ)
-    for op, basis_name, f in (
-        (kernel, "_pointwise_kernel_basis", summing),
-        (cokernel, "_pointwise_coker_basis", diagonal),
-    ):
+    return summing, diagonal
+
+
+def test_certificate_rejects_corrupted_vector(monkeypatch):
+    from ordspec import fp_category
+
+    summing, diagonal = _summing_and_diagonal()
+    for op, f in ((kernel, summing), (cokernel, diagonal)):
         op(f)
         with monkeypatch.context() as mp:
-            real = getattr(fp_category, basis_name)
-            mp.setattr(fp_category, basis_name, _corrupt_first_pair(real))
+            mp.setattr(fp_category, "_null_basis", _corrupt_first_pair(fp_category._null_basis))
             failure = f"^{op.__name__} certificate failed at end sample 0: "
+            with pytest.raises(AssertionError, match=failure):
+                op(f)
+
+
+def test_certificate_rejects_summand_off_the_grid(monkeypatch):
+    """A lifted summand whose start is moved off the grid (up into the
+    source for a kernel, down below the target for a cokernel, so that the
+    embedding or projection stays legal) fails the certificate."""
+    from ordspec import fp_category
+
+    summing, diagonal = _summing_and_diagonal()
+    real = fp_category._lift_bar
+    for op, f, shift in ((kernel, summing, Fraction(1, 2)), (cokernel, diagonal, Fraction(-1, 2))):
+
+        def lift(samples, p, q):
+            bar = real(samples, p, q)
+            return FpInterval(Coord(bar.start.rat + shift), bar.end)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(fp_category, "_lift_bar", lift)
+            failure = f"^{op.__name__} certificate failed: summand \\[{shift},inf\\) is off"
             with pytest.raises(AssertionError, match=failure):
                 op(f)
 

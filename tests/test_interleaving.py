@@ -172,6 +172,9 @@ def test_brute_force_distance_examples():
     same = brute_force_distance(M, P(3), P(3), Fraction(1, 8))
     assert (same.lower, same.upper) == (0, 0)
     assert brute_force_distance(M, TOP_IDEAL, P(0), Fraction(1, 8)).is_infinite
+    with pytest.raises(DomainError) as exc:
+        brute_force_distance(M, P(0), P(10**6), Fraction(1, 1000))
+    assert exc.value.kind == "scan_too_long"
 
 
 def test_formula_within_every_bracket():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ordspec import DomainError, Field, QQ
+from ordspec.errors import SchemaError
 from ordspec import linalg
 
 from conftest import subseed
@@ -57,3 +58,18 @@ def test_field_parse_and_inverse():
     with pytest.raises(DomainError):
         f7.parse("1/7")
     assert QQ.parse("-4/6") == Fraction(-2, 3)
+    with pytest.raises(SchemaError):
+        QQ.parse(True)
+
+
+def test_large_primes_decided_or_refused():
+    assert Field(10**18 + 3).p == 10**18 + 3
+    with pytest.raises(DomainError) as exc:
+        Field(10**18 + 1)
+    assert exc.value.kind == "not_prime"
+    # a strong pseudoprime to every prime base up to 37
+    with pytest.raises(DomainError):
+        Field(318665857834031151167461)
+    with pytest.raises(DomainError) as exc:
+        Field(2**89 - 1)
+    assert exc.value.kind == "prime_too_large"
