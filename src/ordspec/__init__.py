@@ -10,7 +10,6 @@ from .coords import Coord, INF, is_inf, rational_between
 from .errors import DomainError, SchemaError
 from .fields import Field, QQ
 from .order_core import (
-    CoordField,
     DENSE_RATIONAL_WITH_CUTS,
     DENSE_REAL,
     DPoint,

@@ -133,11 +133,26 @@ def _vectors_matrix(field: Field, vecs: list[dict]):
     return [[v.get(c, field.zero) for v in vecs] for c in coords]
 
 
-def _is_independent(field: Field, vecs: list[dict], cand: dict) -> bool:
-    if not cand:
+def _extend_echelon(field: Field, echelon: list, vec: dict) -> bool:
+    """Reduce vec against an echelon form, a list of (pivot, row) pairs with
+    each row 1 at its pivot and 0 at the pivots before it; a nonzero remainder
+    joins the form as a new row.  Returns whether vec was independent."""
+    rem = dict(vec)
+    for pivot, row in echelon:
+        c = rem.get(pivot)
+        if c is not None:
+            for i, v in row.items():
+                x = field.sub(rem.get(i, field.zero), field.mul(c, v))
+                if field.is_zero(x):
+                    rem.pop(i, None)
+                else:
+                    rem[i] = x
+    if not rem:
         return False
-    trial = vecs + [cand]
-    return linalg.rank(field, _vectors_matrix(field, trial)) == len(trial)
+    pivot = min(rem)
+    inv = field.inv(rem[pivot])
+    echelon.append((pivot, {i: field.mul(inv, v) for i, v in rem.items()}))
+    return True
 
 
 def _sweep(field: Field, n_steps: int, carry, basis_at):
@@ -182,10 +197,13 @@ def _sweep(field: Field, n_steps: int, carry, basis_at):
             active.pop(victim_ix)
         basis = basis_at(s)
         if len(active) < len(basis):
+            echelon: list = []
+            for rec in active:
+                _extend_echelon(field, echelon, rec.path[-1])
             for vec in basis:
                 if len(active) == len(basis):
                     break
-                if _is_independent(field, [r.path[-1] for r in active], vec):
+                if _extend_echelon(field, echelon, vec):
                     active.append(_Born(s, vec, seq))
                     seq += 1
         if len(active) != len(basis):

@@ -15,11 +15,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import jsonio
 from .barcode import decompose as chain_decompose, rank_invariant, realize as chain_realize
 from .errors import DomainError, SchemaError
-from .fields import Field, QQ
+from .fields import Field, QQ, parse_rational
 from .fp_category import (
     cokernel,
     compose,
@@ -66,19 +67,21 @@ def _load_text(value: str) -> str:
     return value
 
 
-def _load_json(value: str):
-    text = _load_text(value)
+def _parse_json(text: str):
     try:
         return json.loads(text)
     except ValueError as exc:  # also an integer past Python's digit limit
         raise SchemaError(f"malformed JSON: {exc}") from exc
 
 
+def _load_json(value: str):
+    return _parse_json(_load_text(value))
+
+
 def _load_interval(value: str):
-    text = _load_text(value).strip()
-    if text.startswith("["):
-        return jsonio.decode_interval(text)
-    return jsonio.decode_interval(_load_json(value))
+    text = _load_text(value)  # once: standard input cannot be read twice
+    shorthand = text.strip()
+    return jsonio.decode_interval(shorthand if shorthand.startswith("[") else _parse_json(text))
 
 
 def _parse_model(name: str):
@@ -109,171 +112,208 @@ def _parse_field(name: str) -> Field:
 
 def _parse_eps(value: str) -> Fraction:
     try:
-        return Fraction(_load_text(value))
+        return parse_rational(_load_text(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {value!r}") from exc
 
 
-_STRATEGIES = {
-    "double-orth": Strategy.DOUBLE_ORTHOGONAL,
-    "supinf": Strategy.SUP_INF_SATURATION,
-    "order": Strategy.ORDER_TOPOLOGY,
+# ---------------------------------------------------------------------------
+# Readers: flag -> (text, model, field) -> value.  A flag means the same thing
+# in every subcommand.  Flags without a reader (the integers and the modes)
+# reach the call as argparse parsed them.
+
+_READERS = {
+    **dict.fromkeys(("interval", "x", "y"), lambda text, model, field: _load_interval(text)),
+    **dict.fromkeys(
+        ("ideal", "p", "q", "center", "point"),
+        lambda text, model, field: jsonio.decode_dpoint(_load_json(text)),
+    ),
+    **dict.fromkeys(
+        ("f", "g"), lambda text, model, field: jsonio.decode_morphism(_load_json(text), field)
+    ),
+    "module": lambda text, model, field: jsonio.decode_chain(_load_json(text), field),
+    "ambient": lambda text, model, field: jsonio.decode_module(_load_json(text)),
+    # plain JSON: the call decodes it against the ambient's summand count
+    "gens": lambda text, model, field: _load_json(text),
+    **dict.fromkeys(
+        ("set", "a", "b"), lambda text, model, field: jsonio.decode_set(model, _load_json(text))
+    ),
+    "region": lambda text, model, field: jsonio.decode_region(model, _load_json(text)),
+    "barcode": lambda text, model, field: jsonio.decode_barcode(_load_json(text)),
+    **dict.fromkeys(("eps", "step"), lambda text, model, field: _parse_eps(text)),
 }
 
 
+class _Request:
+    """One call's parsed flags; ``r(flag)`` decodes a flag when the call reads
+    it, so a flag the call never reads is never decoded, and errors come in
+    the order the call reads its flags."""
+
+    def __init__(self, args, model, field, needs: str):
+        self.args, self.model, self.field = args, model, field
+        self.needs = needs  # what a missing flag is reported as needed by
+
+    def __call__(self, flag: str):
+        text = getattr(self.args, flag)
+        if text is None:
+            raise SchemaError(f"{self.needs} needs --{flag}")
+        read = _READERS.get(flag)
+        return text if read is None else read(text, self.model, self.field)
+
+
 # ---------------------------------------------------------------------------
-# Handlers; each returns the JSON-ready object
+# Calls; each runs one library function and returns the JSON-ready object.
+# The calls name library functions at call time rather than storing them in
+# the tables, so a name rebound in this module (bench/tracing.py does so)
+# reaches every call.
 
 
-def _cmd_hom(args, model, field):
-    iv = _load_interval(args.interval)
-    p = jsonio.decode_dpoint(_load_json(args.ideal))
-    return {"dim": hom_to_injective(model, iv, p)}
-
-
-def _cmd_hom_fp(args, model, field):
-    x = _load_interval(args.x)
-    y = _load_interval(args.y)
-    return {"dim": hom_dim(x, y)}
-
-
-def _cmd_compose(args, model, field):
-    f = jsonio.decode_morphism(_load_json(args.f), field)
-    g = jsonio.decode_morphism(_load_json(args.g), field)
-    return jsonio.encode_morphism(compose(f, g))
-
-
-def _cmd_kernel(args, model, field):
-    f = jsonio.decode_morphism(_load_json(args.f), field)
-    validate_module(model, f.source)
-    validate_module(model, f.target)
-    mod, mor = kernel(f)
+def _exact(r, op):
+    f = r("f")
+    validate_module(r.model, f.source)
+    validate_module(r.model, f.target)
+    mod, mor = op(f)
     return {"module": jsonio.encode_module(mod), "morphism": jsonio.encode_morphism(mor)}
 
 
-def _cmd_cokernel(args, model, field):
-    f = jsonio.decode_morphism(_load_json(args.f), field)
-    validate_module(model, f.source)
-    validate_module(model, f.target)
-    mod, mor = cokernel(f)
-    return {"module": jsonio.encode_module(mod), "morphism": jsonio.encode_morphism(mor)}
+def _reduce_gens(r):
+    ambient = r("ambient")
+    gens = jsonio.decode_generators(r("gens"), len(ambient.summands), r.field)
+    return {"retained": reduce_generators(ambient, gens, r.field)}
 
 
-def _cmd_reduce_gens(args, model, field):
-    ambient = jsonio.decode_module(_load_json(args.ambient))
-    gens = jsonio.decode_generators(_load_json(args.gens), len(ambient.summands), field)
-    return {"retained": reduce_generators(ambient, gens, field)}
-
-
-def _cmd_is_flat(args, model, field):
-    m = jsonio.decode_chain(_load_json(args.module), field)
-    return {"flat": is_flat(m)}
-
-
-def _cmd_decompose(args, model, field):
-    m = jsonio.decode_chain(_load_json(args.module), field)
-    return jsonio.encode_barcode(chain_decompose(m))
-
-
-def _cmd_realize(args, model, field):
-    b = jsonio.decode_barcode(_load_json(args.barcode))
-    return jsonio.encode_chain(chain_realize(b, args.length, field))
-
-
-def _cmd_rank(args, model, field):
-    m = jsonio.decode_chain(_load_json(args.module), field)
-    return {"rank": rank_invariant(m, args.i, args.j)}
-
-
-def _cmd_classify(args, model, field):
-    p = jsonio.decode_dpoint(_load_json(args.ideal))
-    return {"type": classify_ideal(model, p).value}
-
-
-def _cmd_closure(args, model, field):
-    u = jsonio.decode_set(model, _load_json(args.set))
-    if args.strategy == "all":
-        closed = closure_all_strategies(model, u)
-    else:
-        closed = closure(model, u, _STRATEGIES[args.strategy])
-    return {"closed": closed == u, "closure": jsonio.encode_set(model, closed)}
-
-
-def _cmd_is_closed(args, model, field):
-    u = jsonio.decode_set(model, _load_json(args.set))
-    return {"closed": is_closed(model, u)}
-
-
-def _cmd_orthogonal(args, model, field):
-    if args.direction == "left":
-        if args.set is None:
-            raise SchemaError("--direction left needs --set")
-        u = jsonio.decode_set(model, _load_json(args.set))
-        return jsonio.encode_region(model, left_orthogonal(model, u))
-    if args.region is None:
-        raise SchemaError("--direction right needs --region")
-    r = jsonio.decode_region(model, _load_json(args.region))
-    return jsonio.encode_set(model, right_orthogonal(model, r))
-
-
-def _cmd_separate(args, model, field):
-    p = jsonio.decode_dpoint(_load_json(args.p))
-    q = jsonio.decode_dpoint(_load_json(args.q))
-    first, second = separate(model, p, q)
+def _separate(r):
+    first, second = separate(r.model, r("p"), r("q"))
     return {
-        "first": jsonio.encode_set(model, first),
-        "second": jsonio.encode_set(model, second),
+        "first": jsonio.encode_set(r.model, first),
+        "second": jsonio.encode_set(r.model, second),
     }
 
 
-def _cmd_set(args, model, field):
-    a = jsonio.decode_set(model, _load_json(args.a))
-    if args.op == "union" or args.op == "intersect":
-        if args.b is None:
-            raise SchemaError(f"--op {args.op} needs --b")
-        b = jsonio.decode_set(model, _load_json(args.b))
-        out = union(a, b) if args.op == "union" else intersect(model, a, b)
-        return jsonio.encode_set(model, out)
-    if args.op == "complement":
-        return jsonio.encode_set(model, complement(model, a))
-    if args.point is None:
-        raise SchemaError("--op member needs --point")
-    p = jsonio.decode_dpoint(_load_json(args.point))
-    return {"member": member(model, a, p)}
+def _closure(r, close):
+    u = r("set")
+    closed = close(r.model, u)
+    return {"closed": closed == u, "closure": jsonio.encode_set(r.model, closed)}
 
 
-def _cmd_shift(args, model, field):
-    eps = _parse_eps(args.eps)
-    if args.interval is not None:
-        iv = _load_interval(args.interval)
-        return jsonio.encode_interval(shift_interval(model, iv, eps))
-    if args.ideal is None:
-        raise SchemaError("shift needs --interval or --ideal")
-    p = jsonio.decode_dpoint(_load_json(args.ideal))
-    return jsonio.encode_dpoint(shift_ideal(model, p, eps))
+_SHIFTS = {
+    "interval": lambda r, eps: jsonio.encode_interval(shift_interval(r.model, r("interval"), eps)),
+    "ideal": lambda r, eps: jsonio.encode_dpoint(shift_ideal(r.model, r("ideal"), eps)),
+}
 
 
-def _cmd_interleaved(args, model, field):
-    p = jsonio.decode_dpoint(_load_json(args.p))
-    q = jsonio.decode_dpoint(_load_json(args.q))
-    return {"interleaved": is_interleaved(model, p, q, _parse_eps(args.eps))}
+def _shift(r):
+    eps = r("eps")  # read first: a bad --eps is reported before a bad shape
+    for flag, call in _SHIFTS.items():
+        if getattr(r.args, flag) is not None:
+            return call(r, eps)
+    raise SchemaError("shift needs --interval or --ideal")
 
 
-def _cmd_distance(args, model, field):
-    p = jsonio.decode_dpoint(_load_json(args.p))
-    q = jsonio.decode_dpoint(_load_json(args.q))
-    return jsonio.encode_distance(distance(model, p, q))
+# ---------------------------------------------------------------------------
+# Commands: subcommand -> its flags (argparse options), its call, and, for a
+# subcommand with modes, the flag whose value picks the call from a dict (the
+# dict's keys are that flag's choices).
 
 
-def _cmd_ball(args, model, field):
-    p = jsonio.decode_dpoint(_load_json(args.center))
-    return jsonio.encode_set(model, ball(model, p, _parse_eps(args.eps)))
+class _Command(NamedTuple):
+    flags: dict
+    call: object  # request -> JSON-ready object, or mode value -> such a call
+    mode: str | None = None
 
 
-def _cmd_distance_oracle(args, model, field):
-    p = jsonio.decode_dpoint(_load_json(args.p))
-    q = jsonio.decode_dpoint(_load_json(args.q))
-    return jsonio.encode_bracket(brute_force_distance(model, p, q, _parse_eps(args.step)))
+_REQ = {"required": True}
+_OPT = {"default": None}
+_INT = {"required": True, "type": int}
+
+_COMMANDS = {
+    "hom": _Command(
+        {"interval": _REQ, "ideal": _REQ},
+        lambda r: {"dim": hom_to_injective(r.model, r("interval"), r("ideal"))},
+    ),
+    "hom-fp": _Command({"x": _REQ, "y": _REQ}, lambda r: {"dim": hom_dim(r("x"), r("y"))}),
+    "compose": _Command(
+        {"f": _REQ, "g": _REQ}, lambda r: jsonio.encode_morphism(compose(r("f"), r("g")))
+    ),
+    "kernel": _Command({"f": _REQ}, lambda r: _exact(r, kernel)),
+    "cokernel": _Command({"f": _REQ}, lambda r: _exact(r, cokernel)),
+    "reduce-gens": _Command({"ambient": _REQ, "gens": _REQ}, _reduce_gens),
+    "is-flat": _Command({"module": _REQ}, lambda r: {"flat": is_flat(r("module"))}),
+    "decompose": _Command(
+        {"module": _REQ}, lambda r: jsonio.encode_barcode(chain_decompose(r("module")))
+    ),
+    "realize": _Command(
+        {"barcode": _REQ, "length": _INT},
+        lambda r: jsonio.encode_chain(chain_realize(r("barcode"), r("length"), r.field)),
+    ),
+    "rank": _Command(
+        {"module": _REQ, "i": _INT, "j": _INT},
+        lambda r: {"rank": rank_invariant(r("module"), r("i"), r("j"))},
+    ),
+    "classify": _Command(
+        {"ideal": _REQ}, lambda r: {"type": classify_ideal(r.model, r("ideal")).value}
+    ),
+    "closure": _Command(
+        {"set": _REQ, "strategy": {"default": "all"}},
+        {
+            **{
+                s.value: lambda r, s=s: _closure(r, lambda model, u: closure(model, u, s))
+                for s in Strategy
+            },
+            "all": lambda r: _closure(r, closure_all_strategies),
+        },
+        mode="strategy",
+    ),
+    "is-closed": _Command({"set": _REQ}, lambda r: {"closed": is_closed(r.model, r("set"))}),
+    "orthogonal": _Command(
+        {"direction": _REQ, "set": _OPT, "region": _OPT},
+        {
+            "left": lambda r: jsonio.encode_region(r.model, left_orthogonal(r.model, r("set"))),
+            "right": lambda r: jsonio.encode_set(r.model, right_orthogonal(r.model, r("region"))),
+        },
+        mode="direction",
+    ),
+    "separate": _Command({"p": _REQ, "q": _REQ}, _separate),
+    "set": _Command(
+        {"op": _REQ, "a": _REQ, "b": _OPT, "point": _OPT},
+        {
+            "union": lambda r: jsonio.encode_set(r.model, union(r("a"), r("b"))),
+            "intersect": lambda r: jsonio.encode_set(
+                r.model, intersect(r.model, r("a"), r("b"))
+            ),
+            "complement": lambda r: jsonio.encode_set(r.model, complement(r.model, r("a"))),
+            "member": lambda r: {"member": member(r.model, r("a"), r("point"))},
+        },
+        mode="op",
+    ),
+    "shift": _Command({"interval": _OPT, "ideal": _OPT, "eps": _REQ}, _shift),
+    "interleaved": _Command(
+        {"p": _REQ, "q": _REQ, "eps": _REQ},
+        lambda r: {"interleaved": is_interleaved(r.model, r("p"), r("q"), r("eps"))},
+    ),
+    "distance": _Command(
+        {"p": _REQ, "q": _REQ},
+        lambda r: jsonio.encode_distance(distance(r.model, r("p"), r("q"))),
+    ),
+    "ball": _Command(
+        {"center": _REQ, "eps": _REQ},
+        lambda r: jsonio.encode_set(r.model, ball(r.model, r("center"), r("eps"))),
+    ),
+    "distance-oracle": _Command(
+        {"p": _REQ, "q": _REQ, "step": _REQ},
+        lambda r: jsonio.encode_bracket(brute_force_distance(r.model, r("p"), r("q"), r("step"))),
+    ),
+}
+
+
+def _run(args, model, field):
+    """Run the call of ``args.command``, picked by its mode flag where it has one."""
+    command = _COMMANDS[args.command]
+    call, needs = command.call, args.command
+    if command.mode is not None:
+        value = getattr(args, command.mode)
+        call, needs = call[value], f"--{command.mode} {value}"
+    return call(_Request(args, model, field, needs))
 
 
 # ---------------------------------------------------------------------------
@@ -290,60 +330,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="ordspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **arguments):
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
-        for arg, opts in arguments.items():
-            p.add_argument(f"--{arg.replace('_', '-')}", **opts)
-        p.set_defaults(handler=handler)
-        return p
-
-    req = {"required": True}
-    add("hom", _cmd_hom, interval=req, ideal=req)
-    add("hom-fp", _cmd_hom_fp, x=req, y=req)
-    add("compose", _cmd_compose, f=req, g=req)
-    add("kernel", _cmd_kernel, f=req)
-    add("cokernel", _cmd_cokernel, f=req)
-    add("reduce-gens", _cmd_reduce_gens, ambient=req, gens=req)
-    add("is-flat", _cmd_is_flat, module=req)
-    add("decompose", _cmd_decompose, module=req)
-    add("realize", _cmd_realize, barcode=req, length={"required": True, "type": int})
-    add(
-        "rank",
-        _cmd_rank,
-        module=req,
-        i={"required": True, "type": int},
-        j={"required": True, "type": int},
-    )
-    add("classify", _cmd_classify, ideal=req)
-    add(
-        "closure",
-        _cmd_closure,
-        set=req,
-        strategy={"choices": ("double-orth", "supinf", "order", "all"), "default": "all"},
-    )
-    add("is-closed", _cmd_is_closed, set=req)
-    add(
-        "orthogonal",
-        _cmd_orthogonal,
-        direction={"choices": ("left", "right"), "required": True},
-        set={"default": None},
-        region={"default": None},
-    )
-    add("separate", _cmd_separate, p=req, q=req)
-    add(
-        "set",
-        _cmd_set,
-        op={"choices": ("union", "intersect", "complement", "member"), "required": True},
-        a=req,
-        b={"default": None},
-        point={"default": None},
-    )
-    add("shift", _cmd_shift, interval={"default": None}, ideal={"default": None}, eps=req)
-    add("interleaved", _cmd_interleaved, p=req, q=req, eps=req)
-    add("distance", _cmd_distance, p=req, q=req)
-    add("ball", _cmd_ball, center=req, eps=req)
-    add("distance-oracle", _cmd_distance_oracle, p=req, q=req, step=req)
+        for flag, opts in command.flags.items():
+            if flag == command.mode:
+                opts = {**opts, "choices": tuple(command.call)}
+            p.add_argument(f"--{flag}", **opts)
     return parser
 
 
@@ -373,14 +365,11 @@ def _render_text(obj, indent="") -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    model_spec = getattr(args, "model", "dense")
-    field_spec = getattr(args, "field", "rat")
+    args = _build_parser().parse_args(argv)
     try:
-        model = _parse_model(model_spec)
-        field = _parse_field(field_spec)
-        result = args.handler(args, model, field)
+        model = _parse_model(args.model)
+        field = _parse_field(args.field)
+        result = _run(args, model, field)
     except DomainError as exc:
         return _fail(exc.kind, exc.detail, 1)
     except SchemaError as exc:

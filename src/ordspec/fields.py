@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import DomainError, SchemaError
@@ -36,6 +37,25 @@ def _is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+# A decimal or exponent form with this many digits plus |exponent| is refused:
+# its numerator or denominator could pass Python's default 4300-digit int/str
+# conversion limit, and "1e10000000" alone takes seconds to build.
+_MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
+
+
+def parse_rational(s) -> Fraction:
+    """``Fraction(s)`` for the rational strings (and integers) of the JSON
+    schemas and the command line.  Like ``Fraction`` it raises ValueError or
+    ZeroDivisionError on a malformed string, and ValueError on a decimal or
+    exponent form too long to print."""
+    if isinstance(s, str) and ("." in s or "e" in s or "E" in s):
+        m = _EXPONENT.search(s)
+        if sum(map(str.isdigit, s)) + (abs(int(m.group(1))) if m else 0) >= _MAX_DIGITS:
+            raise ValueError("too many digits")
+    return Fraction(s)
 
 
 # Fractions are immutable, so the rational field hands out these two shared.
@@ -98,7 +118,7 @@ class Field:
         if isinstance(s, bool) or not isinstance(s, (str, int)):
             raise SchemaError(f"a scalar is a string or an integer, got {s!r}")
         try:
-            f = Fraction(s)
+            f = parse_rational(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad scalar {s!r}") from exc
         if self.p is None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .barcode import Barcode, ChainModule, barcode, chain_module
 from .coords import Coord, ExtCoord, INF, is_inf
 from .errors import SchemaError
-from .fields import Field
+from .fields import Field, parse_rational
 from .fp_category import FpInterval, FpModule, FpMorphism, GeneratorElement
 from .interleaving import DistanceBracket, ExtDistance
 from .order_core import DPoint, Flavor, IndexModel
@@ -40,7 +40,7 @@ def _fraction_from_str(s) -> Fraction:
     if not isinstance(s, str):
         raise SchemaError(f"expected a rational string, got {s!r}")
     try:
-        return Fraction(s)
+        return parse_rational(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {s!r}") from exc
 

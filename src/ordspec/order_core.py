@@ -39,11 +39,6 @@ class Ordering(enum.Enum):
     GREATER = 1
 
 
-class CoordField(enum.Enum):
-    RATIONALS_ONLY = "rationals"
-    RATIONALS_WITH_SURDS = "surds"
-
-
 class Membership(enum.Enum):
     ALL_COORDS = "all"
     RATIONALS_ONLY = "rationals"
@@ -72,26 +67,19 @@ class FiniteChain:
 class DenseLine:
     """An unbounded dense line; the stand-in for the real or rational index set."""
 
-    coordinate_field: CoordField = CoordField.RATIONALS_WITH_SURDS
     membership: Membership = Membership.ALL_COORDS
 
     def is_valid_coord(self, c: Coord) -> bool:
-        if self.coordinate_field is CoordField.RATIONALS_ONLY:
-            return c.is_rational
         return True
 
     def is_member(self, c: Coord) -> bool:
-        if not self.is_valid_coord(c):
-            return False
-        if self.membership is Membership.RATIONALS_ONLY:
-            return c.is_rational
-        return True
+        return self.membership is Membership.ALL_COORDS or c.is_rational
 
 
 IndexModel = FiniteChain | DenseLine
 
-DENSE_REAL = DenseLine(CoordField.RATIONALS_WITH_SURDS, Membership.ALL_COORDS)
-DENSE_RATIONAL_WITH_CUTS = DenseLine(CoordField.RATIONALS_WITH_SURDS, Membership.RATIONALS_ONLY)
+DENSE_REAL = DenseLine(Membership.ALL_COORDS)
+DENSE_RATIONAL_WITH_CUTS = DenseLine(Membership.RATIONALS_ONLY)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ that are required to agree:
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
 
 from .coords import Coord, ExtCoord, INF, is_inf
@@ -74,32 +75,12 @@ def _require_dense(model: IndexModel) -> None:
 _BOTTOM_KIND, _FINITE_KIND, _INF_KIND = 0, 1, 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Cut:
+    # ordered by (kind, coord, level); BOTTOM and the INF cuts carry coord=None
     kind: int
     coord: Coord | None
     level: int
-
-    def _key_cmp(self, other: "Cut") -> int:
-        if self.kind != other.kind:
-            return -1 if self.kind < other.kind else 1
-        if self.kind == _FINITE_KIND and self.coord != other.coord:
-            return -1 if self.coord < other.coord else 1
-        if self.level != other.level:
-            return -1 if self.level < other.level else 1
-        return 0
-
-    def __lt__(self, other):
-        return self._key_cmp(other) < 0
-
-    def __le__(self, other):
-        return self._key_cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._key_cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._key_cmp(other) >= 0
 
 
 BOTTOM = Cut(_BOTTOM_KIND, None, 0)
@@ -517,13 +498,17 @@ def closure(model: IndexModel, u: SymbolicSet, strategy: Strategy) -> SymbolicSe
 
 
 def closure_all_strategies(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
-    results = [closure(model, u, s) for s in Strategy]
-    if results[0] != results[1] or results[1] != results[2]:
+    results = {s.value: closure(model, u, s) for s in Strategy}
+    if len(set(results.values())) > 1:
+        from . import jsonio  # jsonio imports this module
+
+        witness = {k: jsonio.encode_set(model, v) for k, v in {"input": u, **results}.items()}
         raise DomainError(
             "strategy_disagreement",
-            "the three closure algorithms disagree; this is a bug witness",
+            "the three closure algorithms disagree; this is a bug witness: "
+            + json.dumps(witness, sort_keys=True, separators=(",", ":")),
         )
-    return results[0]
+    return results[Strategy.DOUBLE_ORTHOGONAL.value]
 
 
 def is_closed(model: IndexModel, u: SymbolicSet) -> bool:
@@ -567,13 +552,13 @@ def separate(model: IndexModel, p: DPoint, q: DPoint):
 
 
 def integer_cover_member(model: IndexModel, n: int | None) -> SymbolicSet:
-    _require_dense(model)
     """The n-th piece of the clopen integer cover of the whole space.
 
     For n <= 0 this is the window [n-1, n); ``None`` gives the unbounded top
     piece [0, infinity).  The pieces are pairwise disjoint and jointly cover
     every ideal.
     """
+    _require_dense(model)
     if n is None:
         return window_set(model, Window(Coord(0), INF))
     if n > 0:

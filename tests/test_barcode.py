@@ -4,6 +4,7 @@ import pytest
 
 from ordspec import DomainError, Field, QQ, barcode, chain_module, decompose, rank_invariant, realize
 from ordspec import linalg
+from ordspec.jsonio import decode_chain, encode_barcode
 
 from conftest import subseed
 from oracles import barcode_by_rank_table, frac_rank, random_invertible_int_matrix
@@ -41,6 +42,13 @@ def test_decompose_examples():
     assert decompose(zero).as_dict() == {}
     tail = chain_module([1, 1, 0], [_mat([[1]]), []])
     assert decompose(tail).as_dict() == {(0, 2): 1}
+    # a dimension that no structure map witnesses: every unit vector is a birth
+    wide = decode_chain({"dims": [300], "maps": []}, QQ)
+    assert encode_barcode(decompose(wide)) == {"bars": [{"end": 1, "mult": 300, "start": 0}]}
+    # two carried images e0+e1 and e1+e2 span e1 and e2 together with the birth e0
+    image = [[1 if i - j in (0, 1) else 0 for j in range(2)] for i in range(300)]
+    grown = chain_module([2, 300], [_mat(image)])
+    assert decompose(grown).as_dict() == {(0, 2): 2, (1, 2): 298}
 
 
 def test_realize_examples():

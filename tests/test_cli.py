@@ -10,7 +10,7 @@ from ordspec.cli import main as cli_main
 
 from conftest import subseed
 from oracles import random_symbolic_set
-from ordspec import DENSE_REAL
+from ordspec import DENSE_REAL, Coord, principal_at
 from ordspec.jsonio import encode_set
 
 
@@ -146,13 +146,20 @@ def test_exit_codes():
         ["realize", "--barcode", '{"bars":[{"start":0,"end":1,"mult":true}]}', "--length", "1"],
         # an integer past Python's 4300-digit conversion limit
         ["decompose", "--module", '{"dims":[' + "1" * 5000 + '],"maps":[]}'],
+        # rationals whose exponent or decimals would pass that limit
+        ["distance", "--p", '{"coord":"1e5000","flavor":"strict"}',
+         "--q", '{"coord":"0","flavor":"strict"}'],
+        ["distance", "--p", '{"coord":"1e10000000","flavor":"strict"}',
+         "--q", '{"coord":"0","flavor":"strict"}'],
+        ["distance", "--p", '{"coord":"0.' + "1" * 4300 + '","flavor":"strict"}',
+         "--q", '{"coord":"0","flavor":"strict"}'],
     ):
         code, out = run_cli(argv)
         assert code == 2, argv
         assert json.loads(out)["error"]["kind"] == "schema"
 
 
-def test_interval_shorthand_forms():
+def test_interval_shorthand_forms(monkeypatch):
     code, out = run_cli(["hom-fp", "--x", "[1,3)", "--y", "[0,2)"])
     assert code == 0 and json.loads(out) == {"dim": 1}
     code, out = run_cli(["hom-fp", "--x", "[0,inf)", "--y", "[0,inf)"])
@@ -160,6 +167,10 @@ def test_interval_shorthand_forms():
     code, out = run_cli(
         ["hom-fp", "--x", '{"start":"0","end":"2"}', "--y", "[1,3)"]
     )
+    assert code == 0 and json.loads(out) == {"dim": 0}
+    # an interval in JSON form read from standard input
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"start":"0","end":"2"}'))
+    code, out = run_cli(["hom-fp", "--x", "-", "--y", "[1,3)"])
     assert code == 0 and json.loads(out) == {"dim": 0}
 
 
@@ -280,3 +291,24 @@ def test_internal_invariant_exits_3(monkeypatch):
     error = json.loads(lines[0])["error"]
     assert error["kind"] == "internal_invariant"
     assert error["detail"].startswith("kernel certificate failed at end sample 0: ")
+
+
+def test_strategy_disagreement_carries_its_witness(monkeypatch):
+    from ordspec import spectrum
+
+    # an open interval between two principal ideals is not closed, so a
+    # saturation that returns its input disagrees with the other two
+    monkeypatch.setattr(spectrum, "_closure_supinf", lambda model, u: u)
+    u = spectrum.interval_set(
+        DENSE_REAL,
+        spectrum.DEndpoint(principal_at(Coord(0)), False),
+        spectrum.DEndpoint(principal_at(Coord(1)), False),
+    )
+    code, out = run_cli(["closure", "--strategy", "all", "--set", json.dumps(encode_set(DENSE_REAL, u))])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "strategy_disagreement"
+    witness = json.loads(error["detail"].split(": ", 1)[1])
+    assert set(witness) == {"input", "double-orth", "supinf", "order"}
+    assert witness["input"] == witness["supinf"] == encode_set(DENSE_REAL, u)
+    assert witness["double-orth"] == witness["order"] != witness["input"]

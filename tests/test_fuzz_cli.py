@@ -3,15 +3,11 @@
 Every subcommand is fed schema-shaped JSON whose leaves may be anything JSON
 holds (booleans, nulls, floats, big integers, bad strings) and must answer
 with exit 0, 1 or 2 and exactly one JSON document on stdout: no traceback,
-no broken invariant, no hang.
-
-Two known slow spots are outside the alphabet: rational strings in exponent
-form (Fraction("1e10000000") alone takes seconds, and "1e5000" parses to an
-integer too long to print), and chain dimensions between the small ones
-drawn here and the size bound of ``barcode`` (decompose is polynomial of
-high degree in a dimension that no structure map witnesses).
+no broken invariant, no hang.  ``COMMANDS`` must name every subcommand of
+the CLI with exactly its flags.
 """
 
+import argparse
 import io
 import json
 from contextlib import redirect_stdout
@@ -21,12 +17,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, seed, settings, strategies as st  # noqa: E402
 
+from ordspec import cli  # noqa: E402
 from ordspec.cli import main as cli_main  # noqa: E402
 
 from conftest import SEED  # noqa: E402
 
 ODD_STRINGS = ["", " ", "x", "1/0", "nan", "1.5.2", "[1,0)", "[a,b)", "[0,1]", "--", "inf",
-               "below_all", "123456789012345678901234567890"]
+               "below_all", "123456789012345678901234567890", "1e5000"]
 
 # anything a JSON leaf can be
 leaf = st.one_of(
@@ -117,6 +114,17 @@ def run_cli(args):
     with redirect_stdout(buf):
         code = cli_main(args)
     return code, buf.getvalue()
+
+
+def test_commands_cover_every_subcommand_and_flag():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    common = {"help", "format", "field", "model"}
+    flags = {
+        name: {a.dest for a in p._actions if a.option_strings and a.dest not in common}
+        for name, p in sub.choices.items()
+    }
+    assert flags == {name: set(values) for name, values in COMMANDS.items()}
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
