@@ -3,14 +3,18 @@
 One elder-rule sweep (Zomorodian-Carlsson, *Computing persistent homology*,
 2005) computes every barcode here and every kernel and cokernel in
 ``fp_category``.  It walks a chain of vector spaces carrying a basis of
-explicit vectors, each tagged by the step it was born at.  At each step the
-carried vectors that became dependent lose their youngest member, whose bar
-ends there, and the survivors are extended to a basis of the new step; the
+explicit vectors, each tagged by the step it was born at.  At each step one
+pass reduces the carried vectors, oldest first, into an echelon form whose
+rows record the carried vectors they came from (the R = D.V reduction of
+Edelsbrunner-Letscher-Zomorodian, *Topological persistence and
+simplification*, 2002).  A vector that reduces to zero is the youngest member
+of a dependency; its bar ends there, with no nullspace computed per death.
+The same form then extends the survivors to a basis of the new step; the
 added vectors are the births.  The engine is parameterised by the map that
 carries a vector one step on and by a basis of each step: ``decompose``
-carries by the structure maps and offers unit vectors, kernels and
-cokernels restrict to the alive summands and offer pointwise kernel bases.
-Ranks and nullspaces are exact.
+carries by the structure maps and offers unit vectors, kernels and cokernels
+restrict to the alive summands and offer pointwise kernel bases.  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -128,46 +132,20 @@ class _Born:
         self.seq = seq
 
 
-def _vectors_matrix(field: Field, vecs: list[dict]):
-    coords = sorted(set().union(*[set(v) for v in vecs])) if vecs else []
-    return [[v.get(c, field.zero) for v in vecs] for c in coords]
-
-
-def _extend_echelon(field: Field, echelon: list, vec: dict) -> bool:
-    """Reduce vec against an echelon form, a list of (pivot, row) pairs with
-    each row 1 at its pivot and 0 at the pivots before it; a nonzero remainder
-    joins the form as a new row.  Returns whether vec was independent."""
-    rem = dict(vec)
-    for pivot, row in echelon:
-        c = rem.get(pivot)
-        if c is not None:
-            for i, v in row.items():
-                x = field.sub(rem.get(i, field.zero), field.mul(c, v))
-                if field.is_zero(x):
-                    rem.pop(i, None)
-                else:
-                    rem[i] = x
-    if not rem:
-        return False
-    pivot = min(rem)
-    inv = field.inv(rem[pivot])
-    echelon.append((pivot, {i: field.mul(inv, v) for i, v in rem.items()}))
-    return True
-
-
 def _sweep(field: Field, n_steps: int, carry, basis_at):
     """The elder-rule sweep over the steps 0..n_steps-1 of a chain of spaces.
 
     Vectors are sparse dicts without zero entries.  ``carry(s, vec)`` maps a
     vector at step s-1 to step s; ``basis_at(s)`` is a basis of the space at
-    step s.  Vectors carried to zero end their bars.  While the carried
-    vectors are dependent, the dependency is pushed onto the vector of latest
-    birth in it (ties broken toward the newest), which dies in its place, so
-    the vectors born up to any step keep spanning that step's image.  The
-    survivors are then extended to a basis from ``basis_at(s)``; growth
-    happens only at the recorded births.  Returns (birth, death-or-None,
-    vector at birth) triples; a dying vector is replaced by the combination
-    that is carried to zero at its death.
+    step s.  Vectors carried to zero end their bars.  The other carried
+    vectors then go into one ``linalg.Echelon`` in (birth, seq) order, so a
+    vector that reduces to zero is the youngest member of its dependency (ties
+    broken toward the newest) and dies in its place, with the recorded
+    vanishing combination, evaluated at its birth, as its vector: the vectors
+    born up to any step keep spanning that step's image, and one pass finds
+    every death.  The same form then takes vectors from ``basis_at(s)`` until
+    the survivors span the step; growth happens only at the recorded births.
+    Returns (birth, death-or-None, vector at birth) triples.
     """
     active: list[_Born] = []
     bars = []
@@ -178,34 +156,23 @@ def _sweep(field: Field, n_steps: int, carry, basis_at):
         for rec in [r for r in active if not r.path[-1]]:
             bars.append((rec.birth, s, rec.path[0]))
             active.remove(rec)
-        while active:
-            mat = _vectors_matrix(field, [r.path[-1] for r in active])
-            combos = linalg.nullspace(field, mat)
-            if not combos:
-                break
-            mu = combos[0]
-            support = [ix for ix, x in enumerate(mu) if not field.is_zero(x)]
-            victim_ix = max(support, key=lambda ix: (active[ix].birth, active[ix].seq))
-            victim = active[victim_ix]
-            comb: dict = {}
-            for ix in support:
-                rec = active[ix]
-                for i, v in rec.path[victim.birth - rec.birth].items():
-                    comb[i] = field.add(comb.get(i, field.zero), field.mul(mu[ix], v))
-            comb = {i: v for i, v in comb.items() if not field.is_zero(v)}
-            bars.append((victim.birth, s, comb))
-            active.pop(victim_ix)
+        echelon = linalg.Echelon(field)
+        survivors = []
+        for rec in active:
+            comb = echelon.add(rec.path[-1], rec)
+            if comb is None:
+                survivors.append(rec)
+            else:
+                bars.append((rec.birth, s, _at_birth(field, comb, rec.birth)))
+        active = survivors
         basis = basis_at(s)
-        if len(active) < len(basis):
-            echelon: list = []
-            for rec in active:
-                _extend_echelon(field, echelon, rec.path[-1])
-            for vec in basis:
-                if len(active) == len(basis):
-                    break
-                if _extend_echelon(field, echelon, vec):
-                    active.append(_Born(s, vec, seq))
-                    seq += 1
+        for vec in basis:
+            if len(active) == len(basis):
+                break
+            rec = _Born(s, vec, seq)
+            if echelon.add(vec, rec) is None:
+                active.append(rec)
+                seq += 1
         if len(active) != len(basis):
             raise AssertionError(
                 f"dimension mismatch at step {s}: "
@@ -214,6 +181,16 @@ def _sweep(field: Field, n_steps: int, carry, basis_at):
     for rec in active:
         bars.append((rec.birth, None, rec.path[0]))
     return bars
+
+
+def _at_birth(field: Field, comb: dict, birth: int) -> dict:
+    """The combination {carried vector: coefficient} of vectors born by step
+    birth, evaluated at that step."""
+    out: dict = {}
+    for rec, c in comb.items():
+        for i, v in rec.path[birth - rec.birth].items():
+            out[i] = field.add(out.get(i, field.zero), field.mul(c, v))
+    return {i: v for i, v in out.items() if not field.is_zero(v)}
 
 
 def decompose(m: ChainModule) -> Barcode:

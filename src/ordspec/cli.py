@@ -320,6 +320,17 @@ def _run(args, model, field):
 # Parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors (a bad choice, a missing flag, a value
+    read as an option, no subcommand) raise SchemaError, so that ``main``
+    reports them like any other malformed input: a JSON error document and
+    exit 2.  Subparsers are made of the parser's own class, so they share
+    this."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
@@ -328,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--model", default="dense", help="dense, dense-surd or chain:<L>"
     )
 
-    parser = argparse.ArgumentParser(prog="ordspec", description=__doc__)
+    parser = _Parser(prog="ordspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
@@ -365,8 +376,8 @@ def _render_text(obj, indent="") -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         model = _parse_model(args.model)
         field = _parse_field(args.field)
         result = _run(args, model, field)

@@ -107,12 +107,6 @@ class Field:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def pivot_size(self, a) -> int:
-        """Bit-size measure used to pick small pivots over the rationals."""
-        if self.p is not None:
-            return 1
-        return a.numerator.bit_length() + a.denominator.bit_length()
-
     def parse(self, s: str):
         """Parse a scalar from its string form ("p/q" or an integer)."""
         if isinstance(s, bool) or not isinstance(s, (str, int)):

@@ -390,10 +390,14 @@ class GeneratorElement:
 def reduce_generators(ambient: FpModule, gens, field: Field = QQ) -> list[int]:
     """Prune a generating set of a submodule of a projective module.
 
-    While the generators admit a nontrivial relation, the generator of
-    maximal position among the nonzero coefficients (ties broken toward the
-    largest index) is expressible in terms of the others and is deleted.
-    Returns the retained indices in their original order.
+    One pass over the generators in (position, index) order keeps each one
+    that is independent of those kept before it, so a zero generator is never
+    kept.  This is what deleting the (position, index)-largest member of a
+    nontrivial relation, while one is left, leaves (the matroid greedy
+    argument): that member depends on the generators before it, so the pass
+    drops it too; deleting it keeps the span, and both end at a basis of the
+    span of all generators, so at the same one.  Returns the retained
+    indices in their original order.
     """
     for iv in ambient.summands:
         if not is_inf(iv.end):
@@ -408,17 +412,13 @@ def reduce_generators(ambient: FpModule, gens, field: Field = QQ) -> list[int]:
                     "bad_generator",
                     f"summand {ambient.summands[i]} is not alive at position {g.position}",
                 )
-    retained = list(range(len(gens)))
-    while len(retained) > 1:
-        mat = [[gens[k].coeffs[i] for k in retained] for i in range(len(ambient.summands))]
-        combos = linalg.nullspace(field, mat)
-        if not combos:
-            break
-        mu = combos[0]
-        support = [p for p, x in enumerate(mu) if not field.is_zero(x)]
-        victim = max(support, key=lambda p: (gens[retained[p]].position, retained[p]))
-        retained.pop(victim)
-    return retained
+    echelon = linalg.Echelon(field)
+    kept = []
+    for k in sorted(range(len(gens)), key=lambda k: (gens[k].position, k)):
+        vec = {i: v for i, v in enumerate(gens[k].coeffs) if not field.is_zero(v)}
+        if echelon.add(vec, k) is None:
+            kept.append(k)
+    return sorted(kept)
 
 
 def is_flat(m: ChainModule) -> bool:

@@ -1,9 +1,13 @@
-"""Exact dense linear algebra over a Field.
+"""Exact linear algebra over a Field.
 
-Matrices are lists of row lists.  Rank over the rationals takes a
-fraction-free integer path (rows are cleared of denominators, then Bareiss
-elimination); everything else is straightforward Gauss-Jordan with pivots
-chosen by smallest bit-size to limit coefficient growth.
+Matrices are lists of row lists.  All elimination but one goes through
+``Echelon``, a sparse echelon form grown one vector at a time whose rows
+record the combinations of added vectors they came from: nullspaces, rank
+over F_p, the deaths and births of the elder-rule sweep in ``barcode`` and
+generator reduction in ``fp_category``.  Rank over the rationals takes its
+own fraction-free integer path (rows are cleared of denominators, then
+Bareiss elimination), so that the kernel and cokernel certificate checks the
+sweep's nullspaces by an independent route.
 """
 
 from __future__ import annotations
@@ -111,7 +115,10 @@ def rank(field: Field, a) -> int:
                     den = den * v.denominator // _gcd(den, v.denominator)
             int_rows.append([int(v * den) for v in row])
         return _int_rank_bareiss(int_rows)
-    return len(rref(field, a)[1])
+    echelon = Echelon(field)
+    for i, row in enumerate(a):
+        echelon.add({j: v for j, v in enumerate(row) if v}, i)
+    return len(echelon.rows)
 
 
 def _gcd(a: int, b: int) -> int:
@@ -120,60 +127,74 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-def rref(field: Field, a):
-    """Reduced row echelon form.  Returns (rows, pivot column list)."""
-    r = [row[:] for row in a]
-    m = len(r)
-    n = len(r[0]) if m else 0
-    pivots = []
-    lead = 0
-    for c in range(n):
-        if lead >= m:
-            break
-        best = None
-        for i in range(lead, m):
-            if not field.is_zero(r[i][c]):
-                sz = field.pivot_size(r[i][c])
-                if best is None or sz < best[0]:
-                    best = (sz, i)
-        if best is None:
-            continue
-        i = best[1]
-        if i != lead:
-            r[lead], r[i] = r[i], r[lead]
-        inv = field.inv(r[lead][c])
-        r[lead] = [field.mul(inv, v) for v in r[lead]]
-        for i2 in range(m):
-            if i2 != lead and not field.is_zero(r[i2][c]):
-                f = r[i2][c]
-                r[i2] = [field.sub(v, field.mul(f, w)) for v, w in zip(r[i2], r[lead])]
-        pivots.append(c)
-        lead += 1
-    return r, pivots
+class Echelon:
+    """A sparse echelon form grown one vector at a time.
+
+    Vectors are dicts without zero entries.  Each row is 1 at its pivot, the
+    least key where it is nonzero, and 0 at the pivots of the rows before it;
+    it also records itself as a combination ``{tag: coefficient}`` of the
+    vectors added so far.  ``add(vec, tag)`` reduces vec against the rows in
+    order.  A nonzero remainder joins the form and add returns None.
+    Otherwise add returns the vanishing combination of vec and the vectors
+    that joined before it, with coefficient 1 at tag; it is unique, because
+    the vectors that joined are independent.
+    """
+
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.rows = []  # (pivot, row, combination)
+
+    def add(self, vec: dict, tag):
+        field = self.field
+        rem = dict(vec)
+        comb = {tag: field.one}
+        for pivot, row, row_comb in self.rows:
+            c = rem.get(pivot)
+            if c is not None:
+                _sub_multiple(field, rem, c, row)
+                _sub_multiple(field, comb, c, row_comb)
+        if not rem:
+            return comb
+        pivot = min(rem)
+        inv = field.inv(rem[pivot])
+        row = {i: field.mul(inv, v) for i, v in rem.items()}
+        self.rows.append((pivot, row, {t: field.mul(inv, v) for t, v in comb.items()}))
+        return None
+
+
+def _sub_multiple(field: Field, acc: dict, c, vec: dict) -> None:
+    """acc -= c * vec, dropping the entries that vanish.  The innermost loop of
+    all elimination, so it does the field's arithmetic itself."""
+    p = field.p
+    for i, v in vec.items():
+        x = acc.get(i, 0) - c * v
+        if p is not None:
+            x %= p
+        if x:
+            acc[i] = x
+        else:
+            acc.pop(i, None)
 
 
 def nullspace(field: Field, a):
-    """Basis of the right nullspace {v : a v = 0}, as a list of vectors."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [_unit(field, n, j) for j in range(n)]
-    r, pivots = rref(field, a)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
+    """Basis of the right nullspace {v : a v = 0}, as a list of vectors.
+
+    The columns are added to an ``Echelon`` in order; each column that
+    depends on the ones before it gives the vector of its vanishing
+    combination.  That is the basis read off the reduced row echelon form,
+    one vector per free column, since both are 1 at the free column and 0
+    at the other free columns.
+    """
+    n = len(a[0]) if a else 0
+    echelon = Echelon(field)
     basis = []
-    for fc in free:
-        v = [field.zero] * n
-        v[fc] = field.one
-        for ri, pc in enumerate(pivots):
-            v[pc] = field.neg(r[ri][fc])
-        basis.append(v)
+    for j in range(n):
+        comb = echelon.add({i: row[j] for i, row in enumerate(a) if row[j]}, j)
+        if comb is not None:
+            v = [field.zero] * n
+            for k, c in comb.items():
+                v[k] = c
+            basis.append(v)
     return basis
-
-
-def _unit(field: Field, n: int, j: int):
-    v = [field.zero] * n
-    v[j] = field.one
-    return v

@@ -512,6 +512,8 @@ def closure_all_strategies(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
 
 
 def is_closed(model: IndexModel, u: SymbolicSet) -> bool:
+    """Whether u is closed, decided by the double-orthogonality strategy: u is
+    closed exactly when the right orthogonal of its left orthogonal is u."""
     return _closure_double_orthogonal(model, u) == u
 
 

@@ -67,6 +67,18 @@ def frac_nullity(rows, n_cols: int) -> int:
 def frac_nullspace(rows, n_cols: int):
     """Basis of the right nullspace, classic reduced-echelon construction."""
     a = [[Fraction(v) for v in row] for row in rows]
+    return _rref_nullspace(a, n_cols, lambda x: 1 / x, lambda x: x)
+
+
+def modp_nullspace(rows, n_cols: int, p: int):
+    """frac_nullspace over F_p."""
+    a = [[v % p for v in row] for row in rows]
+    return _rref_nullspace(a, n_cols, lambda x: pow(x, p - 2, p), lambda x: x % p)
+
+
+def _rref_nullspace(a, n_cols: int, inv, red):
+    """One basis vector per free column of the reduced row echelon form of a,
+    whose entries are reduced by red after each operation."""
     m = len(a)
     pivots = []
     r = 0
@@ -75,12 +87,12 @@ def frac_nullspace(rows, n_cols: int):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [inv * v for v in a[r]]
+        scale = inv(a[r][c])
+        a[r] = [red(scale * v) for v in a[r]]
         for i in range(m):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+                a[i] = [red(v - f * w) for v, w in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
         if r == m:
@@ -91,9 +103,31 @@ def frac_nullspace(rows, n_cols: int):
         v = [Fraction(0)] * n_cols
         v[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
-            v[pc] = -a[ri][fc]
+            v[pc] = red(-a[ri][fc])
         basis.append(v)
     return basis
+
+
+def circuit_deletion(gens, p=None):
+    """Generator reduction by iterated circuit deletion, the reference for
+    ``reduce_generators``: while the retained generators (objects with
+    ``position`` and ``coeffs``) admit a nontrivial relation, take the one of
+    the first nullspace basis vector and delete its member of largest
+    (position, index).  The loop stops at one generator, even a zero one.
+    Returns the retained indices."""
+    n = len(gens[0].coeffs) if gens else 0
+    retained = list(range(len(gens)))
+    while len(retained) > 1:
+        mat = [[gens[k].coeffs[i] for k in retained] for i in range(n)]
+        if p is None:
+            combos = frac_nullspace(mat, len(retained))
+        else:
+            combos = modp_nullspace(mat, len(retained), p)
+        if not combos:
+            break
+        support = [j for j, x in enumerate(combos[0]) if x != 0]
+        retained.pop(max(support, key=lambda j: (gens[retained[j]].position, retained[j])))
+    return retained
 
 
 def in_span(columns, vec) -> bool:

@@ -153,6 +153,12 @@ def test_exit_codes():
          "--q", '{"coord":"0","flavor":"strict"}'],
         ["distance", "--p", '{"coord":"0.' + "1" * 4300 + '","flavor":"strict"}',
          "--q", '{"coord":"0","flavor":"strict"}'],
+        # errors the argument parser finds: a bad choice, a missing required
+        # flag, a negative value read as an option, no subcommand
+        ["set", "--op", "xor", "--a", ROW2_SET],
+        ["hom", "--interval", "[0,1)"],
+        ["shift", "--interval", "[0,1)", "--eps", "-3/4"],
+        [],
     ):
         code, out = run_cli(argv)
         assert code == 2, argv

@@ -1,3 +1,6 @@
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -5,6 +8,7 @@ import pytest
 from ordspec import (
     Coord,
     DomainError,
+    Field,
     FpInterval,
     FpModule,
     FpMorphism,
@@ -15,6 +19,7 @@ from ordspec import (
     chain_module,
     cokernel,
     compose,
+    decompose,
     hom_dim,
     hom_to_injective,
     identity_morphism,
@@ -32,6 +37,7 @@ from ordspec.fp_category import critical_grid
 from conftest import subseed
 from oracles import (
     brutal_hom_interval_to_interval,
+    circuit_deletion,
     frac_nullspace,
     frac_rank,
     in_span,
@@ -260,6 +266,45 @@ def test_certificate_rejects_corrupted_vector(monkeypatch):
                 op(f)
 
 
+def test_shared_echelon_fault_is_caught(monkeypatch):
+    """A fault in the one elimination engine cannot pass silently: with a
+    vector that reduces to zero reported independent (it joins the form as
+    a row with no pivot), nullspaces lose vectors and the sweep keeps
+    dependent ones, and the certificate or the sweep's dimension check
+    fails.  Through the CLI that is exit 3, ``internal_invariant``."""
+    from ordspec import cli, linalg
+
+    real = linalg.Echelon.add
+
+    def add(self, vec, tag):
+        comb = real(self, vec, tag)
+        if comb is not None:
+            self.rows.append((None, {}, comb))
+        return None
+
+    def kernel_of_summing():
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = cli.main(["kernel", "--f", summing_json])
+        return code, json.loads(buf.getvalue())
+
+    summing, diagonal = _summing_and_diagonal()
+    summing_json = (
+        '{"source":{"summands":["[0,inf)","[0,inf)"]},"target":{"summands":["[0,inf)"]},'
+        '"entries":[{"from":0,"to":0,"value":"1"},{"from":1,"to":0,"value":"1"}]}'
+    )
+    assert kernel_of_summing()[0] == 0
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg.Echelon, "add", add)
+        for op, f in ((kernel, summing), (cokernel, diagonal)):
+            with pytest.raises(AssertionError, match=f"^{op.__name__} certificate failed"):
+                op(f)
+        with pytest.raises(AssertionError, match="^dimension mismatch at step 1"):
+            decompose(chain_module([2, 1], [[[F(1), F(1)]]]))
+        code, doc = kernel_of_summing()
+        assert code == 3 and doc["error"]["kind"] == "internal_invariant"
+
+
 def test_certificate_rejects_summand_off_the_grid(monkeypatch):
     """A lifted summand whose start is moved off the grid (up into the
     source for a kernel, down below the target for a cokernel, so that the
@@ -302,6 +347,47 @@ def test_reduce_generators_examples():
         GeneratorElement(Coord(1), (F(1),)),
     ]
     assert reduce_generators(amb1, gens1, QQ) == [0]
+
+
+def test_reduce_generators_drops_zero_generators():
+    amb = FpModule((iv(0, "inf"), iv(1, "inf")))
+    zero = GeneratorElement(Coord(2), (F(0), F(0)))
+    one = GeneratorElement(Coord(3), (F(1), F(0)))
+    # 1*g = 0 is a nontrivial relation, so no zero generator is kept
+    assert reduce_generators(amb, [zero], QQ) == []
+    assert reduce_generators(amb, [zero, zero], QQ) == []
+    assert reduce_generators(amb, [zero, one, zero], QQ) == [1]
+
+
+def test_reduce_generators_equals_circuit_deletion():
+    """One pass in (position, index) order leaves what deleting the largest
+    member of a relation, one relation at a time, leaves; positions tie and
+    generators repeat, so both tie-breaks are exercised."""
+    rng = subseed(44)
+    for p in (None, 5):
+        field = QQ if p is None else Field(p)
+        done = 0
+        while done < 60:
+            n_sum = rng.randint(1, 4)
+            starts = sorted(rng.randint(0, 3) for _ in range(n_sum))
+            amb = FpModule(tuple(iv(s, "inf") for s in starts))
+            gens = []
+            for _ in range(rng.randint(1, 7)):
+                if gens and rng.random() < 0.25:
+                    gens.append(rng.choice(gens))
+                    continue
+                pos = Coord(rng.randint(starts[0], 4))
+                coeffs = tuple(
+                    field.of_int(rng.randint(-3, 3))
+                    if amb.summands[i].start <= pos and rng.random() < 0.7
+                    else field.zero
+                    for i in range(n_sum)
+                )
+                gens.append(GeneratorElement(pos, coeffs))
+            if all(field.is_zero(v) for g in gens for v in g.coeffs):
+                continue
+            assert reduce_generators(amb, gens, field) == circuit_deletion(gens, p), gens
+            done += 1
 
 
 def test_reduce_generators_validation():

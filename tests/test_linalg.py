@@ -7,7 +7,7 @@ from ordspec.errors import SchemaError
 from ordspec import linalg
 
 from conftest import subseed
-from oracles import frac_rank
+from oracles import frac_nullspace, frac_rank, modp_rank
 
 
 def _random_matrix(rng, m, n, frac=True):
@@ -47,6 +47,36 @@ def test_nullspace_vectors_annihilate():
         if len(basis) > 1:
             cols = [[v[i] for v in basis] for i in range(n)]
             assert linalg.rank(QQ, cols) == len(basis)
+
+
+def _rank_deficient(rng, m, n, r, entry):
+    """An m x n matrix of rank at most r, as a product of m x r and r x n."""
+    left = [[entry() for _ in range(r)] for _ in range(m)]
+    right = [[entry() for _ in range(n)] for _ in range(r)]
+    return [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)] for i in range(m)]
+
+
+def test_nullspace_is_the_reduced_echelon_basis():
+    """Vector for vector, not only the same span: the basis read off the
+    reduced row echelon form is unique."""
+    rng = subseed(12)
+    for _ in range(80):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        r = rng.randint(0, min(m, n) - 1)
+        a = _rank_deficient(rng, m, n, r, lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        assert linalg.nullspace(QQ, a) == frac_nullspace(a, n), a
+
+
+def test_rank_prime_field_matches_modp_oracle():
+    rng = subseed(13)
+    for p in (2, 5, 2**31 - 1):
+        f = Field(p)
+        for _ in range(60):
+            m, n = rng.randint(0, 6), rng.randint(1, 6)
+            r = rng.randint(0, min(m, n))
+            a = _rank_deficient(rng, m, n, r, lambda: rng.randrange(p))
+            a = [[v % p for v in row] for row in a]
+            assert linalg.rank(f, a) == modp_rank(a, p), (p, a)
 
 
 def test_field_parse_and_inverse():
