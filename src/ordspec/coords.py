@@ -54,11 +54,11 @@ def _square_split(n: int) -> tuple[int, int]:
     return s, f
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sign_one_radical(a: Fraction, b: Fraction, d: int) -> int:
+def _sign_one_radical(a: int, b: int, d: int) -> int:
     """Exact sign of a + b*sqrt(d) for squarefree d >= 2."""
     if b == 0:
         return _sign(a)
@@ -72,7 +72,7 @@ def _sign_one_radical(a: Fraction, b: Fraction, d: int) -> int:
     return sa if a * a > b * b * d else sb
 
 
-def _sign_two_radicals(a: Fraction, b: Fraction, d: int, c: Fraction, e: int) -> int:
+def _sign_two_radicals(a: int, b: int, d: int, c: int, e: int) -> int:
     """Exact sign of a + b*sqrt(d) + c*sqrt(e), d != e squarefree, b, c != 0."""
     # Compare x = a + b*sqrt(d) against y = -c*sqrt(e).
     sx = _sign_one_radical(a, b, d)
@@ -89,26 +89,32 @@ def _sign_two_radicals(a: Fraction, b: Fraction, d: int, c: Fraction, e: int) ->
     return t if s > 0 else -t
 
 
+# every rational coordinate shares this zero coefficient
+_ZERO_COEF = Fraction(0)
+
+
 class Coord:
     """Immutable exact coordinate ``rat + coef*sqrt(rad)``."""
 
     __slots__ = ("rat", "coef", "rad")
 
     def __init__(self, rat, coef=0, rad: int = 0):
-        rat = Fraction(rat)
-        coef = Fraction(coef)
-        if coef != 0:
+        if rat.__class__ is not Fraction:
+            rat = Fraction(rat)
+        if coef.__class__ is not Fraction:
+            coef = Fraction(coef)
+        if coef:
             if rad < 2:
                 raise DomainError("bad_radicand", f"radicand must be >= 2, got {rad}")
             s, f = _square_split(rad)
             if f == 1:
                 rat += coef * s
-                coef, rad = Fraction(0), 0
+                coef, rad = _ZERO_COEF, 0
             else:
                 coef *= s
                 rad = f
         else:
-            rad = 0
+            coef, rad = _ZERO_COEF, 0
         object.__setattr__(self, "rat", rat)
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "rad", rad)
@@ -118,25 +124,46 @@ class Coord:
 
     @property
     def is_rational(self) -> bool:
-        return self.coef == 0
+        return not self.rad
 
     def _cmp(self, other: "Coord") -> int:
-        a = self.rat - other.rat
-        b, d = self.coef, self.rad
-        c, e = -other.coef, other.rad
-        if b == 0 and c == 0:
-            return _sign(a)
-        if b == 0:
-            return _sign_one_radical(a, c, e)
-        if c == 0:
-            return _sign_one_radical(a, b, d)
+        """The sign of self - other; the one entry point of every order compare.
+
+        The difference is scaled by a positive common denominator, so the
+        sign analysis runs on integers and no Fraction arithmetic happens.
+        """
+        p, q = self.rat.as_integer_ratio()
+        r, s = other.rat.as_integer_ratio()
+        d, e = self.rad, other.rad
+        if not d and not e:
+            a = p * s - r * q
+            return (a > 0) - (a < 0)
+        if not e:
+            # (p/q - r/s) + (m/n)*sqrt(d), times q*s*n
+            m, n = self.coef.as_integer_ratio()
+            return _sign_one_radical((p * s - r * q) * n, m * q * s, d)
+        u, v = other.coef.as_integer_ratio()
+        if not d:
+            # (p/q - r/s) - (u/v)*sqrt(e), times q*s*v
+            return _sign_one_radical((p * s - r * q) * v, -u * q * s, e)
+        # (p/q - r/s) + (m/n)*sqrt(d) - (u/v)*sqrt(e), times q*s*n*v
+        m, n = self.coef.as_integer_ratio()
+        a = (p * s - r * q) * n * v
+        b = m * q * s * v
+        c = -u * q * s * n
         if d == e:
             return _sign_one_radical(a, b + c, d)
         return _sign_two_radicals(a, b, d, c, e)
 
     def __eq__(self, other):
+        """Equality of the stored triple ``(rat, coef, rad)``.
+
+        This is exact: with a squarefree radicand the form is unique, since
+        1, sqrt(d) and sqrt(e) are linearly independent over the rationals
+        for distinct squarefree d, e >= 2.  ``__hash__`` hashes the same triple.
+        """
         if isinstance(other, Coord):
-            return self._cmp(other) == 0
+            return self.rad == other.rad and self.rat == other.rat and self.coef == other.coef
         if isinstance(other, _Infinity):
             return False
         return NotImplemented
@@ -170,7 +197,8 @@ class Coord:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.rat, self.coef, self.rad))
+        # the triple that __eq__ compares, hashed through its integers
+        return hash((*self.rat.as_integer_ratio(), *self.coef.as_integer_ratio(), self.rad))
 
     def __add__(self, other):
         other = as_coord(other)

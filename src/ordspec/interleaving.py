@@ -22,7 +22,7 @@ from .coords import Coord, INF, is_inf
 from .errors import DomainError
 from .fp_category import FpInterval
 from .order_core import DPoint, IndexModel, Ordering, cmp_d, DenseLine, validate_dpoint
-from .spectrum import SymbolicSet, Cut, INF_LOW, TOP, finite_cut, _FINITE_KIND
+from .spectrum import SymbolicSet, INF_LOW, TOP, finite_cut
 
 
 def _require_dense(model: IndexModel):
@@ -37,7 +37,7 @@ def eps_value(value) -> Fraction:
     return eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtDistance:
     """A non-negative exact distance or the infinite value."""
 
@@ -114,11 +114,11 @@ def ball(model: IndexModel, p: DPoint, eps) -> SymbolicSet:
         return SymbolicSet(((INF_LOW, TOP),))
     delta = Coord(eps)
     lo = finite_cut(model, p.coord - delta, 2)
-    hi = Cut(_FINITE_KIND, p.coord + delta, 0)
+    hi = finite_cut(model, p.coord + delta, 0)
     return SymbolicSet(((lo, hi),))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistanceBracket:
     """Result of the grid scan: a bracket of width <= step, or infinity."""
 

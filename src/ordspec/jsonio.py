@@ -23,11 +23,9 @@ from .spectrum import (
     DEndpoint,
     SerreRegion,
     SymbolicSet,
-    interval_set,
+    interval_cuts,
     lower_endpoint_of_cut,
-    union,
     upper_endpoint_of_cut,
-    EMPTY_SET,
 )
 
 
@@ -237,15 +235,14 @@ def encode_set(model: IndexModel, s: SymbolicSet):
 def decode_set(model: IndexModel, obj) -> SymbolicSet:
     if not isinstance(obj, dict) or set(obj) != {"components"}:
         raise SchemaError("a set is {'components': [{'lo': ..., 'hi': ...}, ...]}")
-    acc = EMPTY_SET
     if not isinstance(obj["components"], list):
         raise SchemaError("components must be a list")
+    parts = []
     for comp in obj["components"]:
         if not isinstance(comp, dict) or set(comp) != {"lo", "hi"}:
             raise SchemaError("a component is {'lo': endpoint, 'hi': endpoint}")
-        iv = interval_set(model, decode_endpoint(comp["lo"]), decode_endpoint(comp["hi"]))
-        acc = union(acc, iv)
-    return acc
+        parts.append(interval_cuts(model, decode_endpoint(comp["lo"]), decode_endpoint(comp["hi"])))
+    return SymbolicSet(parts)
 
 
 def encode_region(model: IndexModel, r: SerreRegion):
@@ -271,21 +268,21 @@ def decode_region(model: IndexModel, obj) -> SerreRegion:
         raise SchemaError("a region is {'gaps': [{'gap': ..., 'covered': ...}, ...]}")
     if not isinstance(obj["gaps"], list):
         raise SchemaError("gaps must be a list")
-    gaps = []
+    cuts = []
     for g in obj["gaps"]:
         if not isinstance(g, dict) or set(g) != {"gap", "covered"}:
             raise SchemaError("a gap entry is {'gap': interval, 'covered': interval|null}")
         gap_set = decode_set(model, {"components": [g["gap"]]})
         if len(gap_set.parts) != 1:
             raise SchemaError("a gap must be a single interval")
-        cover = None
+        cover = (None, None)
         if g["covered"] is not None:
             cover_set = decode_set(model, {"components": [g["covered"]]})
             if len(cover_set.parts) != 1:
                 raise SchemaError("a covered piece must be a single interval")
-            cover = cover_set.parts[0]
-        gaps.append((gap_set.parts[0], cover))
-    return SerreRegion(tuple(gaps))
+            cover = cover_set.cuts
+        cuts += (*gap_set.cuts, *cover)
+    return SerreRegion(cuts)
 
 
 def encode_distance(d: ExtDistance):

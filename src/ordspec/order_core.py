@@ -82,7 +82,7 @@ DENSE_REAL = DenseLine(Membership.ALL_COORDS)
 DENSE_RATIONAL_WITH_CUTS = DenseLine(Membership.RATIONALS_ONLY)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DPoint:
     """An ideal of T: coordinate plus flavor.  ``(INF, STRICT)`` is all of T."""
 
@@ -148,10 +148,9 @@ def cmp_d_unchecked(p: DPoint, q: DPoint) -> Ordering:
         if pi and qi:
             return Ordering.EQUAL
         return Ordering.GREATER if pi else Ordering.LESS
-    if p.coord < q.coord:
-        return Ordering.LESS
-    if q.coord < p.coord:
-        return Ordering.GREATER
+    sign = p.coord._cmp(q.coord)
+    if sign:
+        return Ordering.LESS if sign < 0 else Ordering.GREATER
     fp, fq = _flavor_rank(p.flavor), _flavor_rank(q.flavor)
     if fp == fq:
         return Ordering.EQUAL

@@ -15,6 +15,16 @@ plus a bottom cut and the cuts (inf, 0) / (inf, 1) around the top ideal.
 Adjacency of intervals is then literal equality of cuts, which keeps the
 canonical form unique and the Boolean algebra exact.
 
+A set stores its canonical form as one flat, strictly increasing tuple of
+cuts, and there is one shared object per finite cut (``finite_cut``), so
+sets built apart share their cuts.  Equal coordinates are found by
+comparing their stored triples ``(rat, coef, rad)``, which is exact because
+the form of a coordinate with a squarefree radicand is unique; two sets are
+equal exactly when their cut tuples are.  The Boolean operations are merges
+over the sorted cuts: ``intersect``, ``is_subset`` and ``complement`` are
+linear, and ``union`` bisects the larger set for each component of the
+smaller one.
+
 The closure of a symbolic set is computed by three independent algorithms
 that are required to agree:
 
@@ -28,14 +38,18 @@ that are required to agree:
   to a fixpoint.
 * ``ORDER_TOPOLOGY``: literal limit-point analysis in the order topology
   with open rays as subbasis, using immediate predecessor/successor
-  reasoning.
+  reasoning; the limit points all sit at component boundaries, so one
+  pass collects them.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
+from weakref import WeakValueDictionary
 
 from .coords import Coord, ExtCoord, INF, is_inf
 from .errors import DomainError
@@ -75,23 +89,74 @@ def _require_dense(model: IndexModel) -> None:
 _BOTTOM_KIND, _FINITE_KIND, _INF_KIND = 0, 1, 2
 
 
-@dataclass(frozen=True, order=True)
 class Cut:
-    # ordered by (kind, coord, level); BOTTOM and the INF cuts carry coord=None
-    kind: int
-    coord: Coord | None
-    level: int
+    """A position between points of D, ordered by (kind, coord, level).
+
+    BOTTOM and the two cuts around the top ideal carry coord=None.  Finite
+    cuts are made by ``finite_cut``, which keeps one object per equal
+    (coord, level), so most comparisons of equal cuts end at identity.
+    """
+
+    __slots__ = ("kind", "coord", "level", "__weakref__")
+
+    def __init__(self, kind: int, coord: Coord | None, level: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "coord", coord)
+        object.__setattr__(self, "level", level)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Cut is immutable")
+
+    def __lt__(self, other: "Cut") -> bool:
+        # the kind decides first; at most one Coord compare follows
+        if self is other:
+            return False
+        kind = self.kind
+        if kind != other.kind:
+            return kind < other.kind
+        if kind == _FINITE_KIND and self.coord is not other.coord:
+            sign = self.coord._cmp(other.coord)
+            if sign:
+                return sign < 0
+        return self.level < other.level
+
+    def __le__(self, other: "Cut") -> bool:
+        # > and >= reflect to < and <=
+        return not other < self
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Cut):
+            return NotImplemented
+        return self.kind == other.kind and self.level == other.level and self.coord == other.coord
+
+    def __hash__(self):
+        return hash((self.kind, self.coord, self.level))
+
+    def __repr__(self):
+        return f"Cut(kind={self.kind!r}, coord={self.coord!r}, level={self.level!r})"
 
 
 BOTTOM = Cut(_BOTTOM_KIND, None, 0)
 TOP = Cut(_INF_KIND, None, 1)
 INF_LOW = Cut(_INF_KIND, None, 0)
 
+# The shared finite cuts, one table per level keyed by the coordinate.  The
+# tables hold their cuts weakly: an entry goes when no set holds its cut.
+_FINITE_CUTS = (WeakValueDictionary(), WeakValueDictionary(), WeakValueDictionary())
+
 
 def finite_cut(model: IndexModel, coord: Coord, level: int) -> Cut:
+    """The cut (coord, level), one shared object per equal pair; level 2 at a
+    coordinate outside T is level 1."""
     if level == 2 and not model.is_member(coord):
         level = 1
-    return Cut(_FINITE_KIND, coord, level)
+    table = _FINITE_CUTS[level]
+    cut = table.get(coord)
+    if cut is None:
+        cut = table[coord] = Cut(_FINITE_KIND, coord, level)
+    return cut
 
 
 def cut_below(model: IndexModel, p: DPoint) -> Cut:
@@ -138,7 +203,7 @@ def point_ending_at(model: IndexModel, c: Cut) -> DPoint | None:
 BELOW_ALL = "below_all"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DEndpoint:
     """An endpoint of a D interval: a point (or the phantom below everything)
     together with an inclusion flag."""
@@ -151,52 +216,79 @@ class DEndpoint:
             raise DomainError("bad_endpoint", "there is no least ideal to include")
 
 
-class SymbolicSet:
-    """A finite union of D intervals in canonical cut form."""
+def _merged(parts):
+    """The flat canonical cuts of the union of (lo, hi) pairs given in order
+    of lo, or None when a pair comes out of that order.  Linear."""
+    out = []
+    for lo, hi in parts:
+        if not out or out[-1] < lo:
+            if lo < hi:
+                out += (lo, hi)
+        elif lo < out[-2]:
+            return None
+        elif out[-1] < hi:
+            out[-1] = hi
+    return tuple(out)
 
-    __slots__ = ("parts",)
+
+class SymbolicSet:
+    """A finite union of D intervals in canonical cut form.
+
+    ``cuts`` is one flat tuple lo0, hi0, lo1, hi1, ... of strictly increasing
+    cuts: every component is nonempty and no two components touch, so the
+    form is unique.  ``parts`` views it as (lo, hi) pairs.
+    """
+
+    __slots__ = ("cuts",)
 
     def __init__(self, parts):
-        merged: list[list[Cut]] = []
-        for lo, hi in sorted(parts, key=lambda ab: (ab[0], ab[1])):
-            if not lo < hi:
-                continue
-            if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1][1] = hi
-            else:
-                merged.append([lo, hi])
-        object.__setattr__(self, "parts", tuple((lo, hi) for lo, hi in merged))
+        parts = list(parts)
+        cuts = _merged(parts)
+        if cuts is None:
+            cuts = _merged(sorted(parts, key=itemgetter(0)))
+        object.__setattr__(self, "cuts", cuts)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymbolicSet is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, SymbolicSet) and self.parts == other.parts
+        return isinstance(other, SymbolicSet) and self.cuts == other.cuts
 
     def __hash__(self):
-        return hash(self.parts)
+        return hash(self.cuts)
+
+    @property
+    def parts(self) -> tuple:
+        c = self.cuts
+        return tuple(zip(c[0::2], c[1::2]))
 
     @property
     def is_empty(self) -> bool:
-        return not self.parts
+        return not self.cuts
 
     def __str__(self):
-        if not self.parts:
+        if not self.cuts:
             return "{}"
         return " u ".join(f"({lo.kind},{lo.coord},{lo.level})..({hi.kind},{hi.coord},{hi.level})" for lo, hi in self.parts)
 
 
-EMPTY_SET = SymbolicSet(())
+def _set_of(cuts: tuple) -> SymbolicSet:
+    """The set of cuts already in canonical form."""
+    s = object.__new__(SymbolicSet)
+    object.__setattr__(s, "cuts", cuts)
+    return s
+
+
+EMPTY_SET = _set_of(())
 
 
 def full_set(model: IndexModel) -> SymbolicSet:
     _require_dense(model)
-    return SymbolicSet(((BOTTOM, TOP),))
+    return _set_of((BOTTOM, TOP))
 
 
-def interval_set(model: IndexModel, lo: DEndpoint, hi: DEndpoint) -> SymbolicSet:
-    """The symbolic set of a single D interval given by two endpoints."""
+def interval_cuts(model: IndexModel, lo: DEndpoint, hi: DEndpoint) -> tuple[Cut, Cut]:
+    """The lower and upper cut of the D interval between two endpoints."""
     _require_dense(model)
     if lo.point == BELOW_ALL:
         lo_cut = BOTTOM
@@ -209,13 +301,18 @@ def interval_set(model: IndexModel, lo: DEndpoint, hi: DEndpoint) -> SymbolicSet
     hi_cut = cut_above(model, hi.point) if hi.included else cut_below(model, hi.point)
     if not lo_cut < hi_cut:
         raise DomainError("empty_interval", "the interval contains no ideal")
-    return SymbolicSet(((lo_cut, hi_cut),))
+    return lo_cut, hi_cut
+
+
+def interval_set(model: IndexModel, lo: DEndpoint, hi: DEndpoint) -> SymbolicSet:
+    """The symbolic set of a single D interval given by two endpoints."""
+    return _set_of(interval_cuts(model, lo, hi))
 
 
 def singleton(model: IndexModel, p: DPoint) -> SymbolicSet:
     _require_dense(model)
     validate_dpoint(model, p)
-    return SymbolicSet(((cut_below(model, p), cut_above(model, p)),))
+    return _set_of((cut_below(model, p), cut_above(model, p)))
 
 
 def ray_upward(model: IndexModel, p: DPoint, included: bool = True) -> SymbolicSet:
@@ -224,7 +321,7 @@ def ray_upward(model: IndexModel, p: DPoint, included: bool = True) -> SymbolicS
     lo = cut_below(model, p) if included else cut_above(model, p)
     if not lo < TOP:
         return EMPTY_SET
-    return SymbolicSet(((lo, TOP),))
+    return _set_of((lo, TOP))
 
 
 def ray_downward(model: IndexModel, p: DPoint, included: bool = True) -> SymbolicSet:
@@ -233,45 +330,105 @@ def ray_downward(model: IndexModel, p: DPoint, included: bool = True) -> Symboli
     hi = cut_above(model, p) if included else cut_below(model, p)
     if not BOTTOM < hi:
         return EMPTY_SET
-    return SymbolicSet(((BOTTOM, hi),))
+    return _set_of((BOTTOM, hi))
+
+
+def _place(cuts: tuple, lo: Cut, hi: Cut, start: int):
+    """Where the component (lo, hi) goes into cuts[start:], which begins with
+    a lower cut: the run cuts[i:j] that it overlaps or touches, and the one
+    component (lo, hi) that replaces that run.  O(log n) cut compares."""
+    i = bisect_left(cuts, lo, start)
+    if i & 1:
+        # lo falls in (or ends) the component cuts[i-1:i+1]
+        i -= 1
+        lo = cuts[i]
+    j = bisect_right(cuts, hi, i)
+    if j & 1:
+        # hi falls in (or starts) the component cuts[j-1:j+1]
+        hi = cuts[j]
+        j += 1
+    return i, j, lo, hi
 
 
 def union(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
-    return SymbolicSet(a.parts + b.parts)
+    """Each component of the smaller set is placed into the larger one by
+    bisection, and the runs between them are copied whole: O(m log n) cut
+    compares for sets of m <= n components."""
+    big, small = (a.cuts, b.cuts) if len(a.cuts) >= len(b.cuts) else (b.cuts, a.cuts)
+    if not small:
+        return _set_of(big)
+    if len(small) == 2:
+        # one splice; a whole-tuple slice or an empty tail costs no copy
+        i, j, lo, hi = _place(big, small[0], small[1], 0)
+        return _set_of(big[:i] + (lo, hi) + big[j:])
+    out = []
+    pos = 0  # big[:pos] is already in out
+    for t in range(0, len(small), 2):
+        i, j, lo, hi = _place(big, small[t], small[t + 1], pos)
+        out += big[pos:i]
+        if out and not out[-1] < lo:
+            # joins the last component, which an earlier piece extended
+            if out[-1] < hi:
+                out[-1] = hi
+        else:
+            out += (lo, hi)
+        pos = j
+    out += big[pos:]
+    return _set_of(tuple(out))
 
 
 def complement(model: IndexModel, a: SymbolicSet) -> SymbolicSet:
-    gaps = []
-    prev = BOTTOM
-    for lo, hi in a.parts:
-        if prev < lo:
-            gaps.append((prev, lo))
-        prev = hi
-    if prev < TOP:
-        gaps.append((prev, TOP))
-    return SymbolicSet(gaps)
+    c = a.cuts
+    if not c:
+        return _set_of((BOTTOM, TOP))
+    gaps = (BOTTOM, *c, TOP)
+    first = 0 if BOTTOM < c[0] else 2
+    last = len(gaps) if c[-1] < TOP else len(gaps) - 2
+    return _set_of(gaps[first:last])
 
 
 def intersect(model: IndexModel, a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
+    """Two-pointer merge: a piece per overlapping pair of components, in
+    order; pieces never touch, since components of one set do not."""
+    x, y = a.cuts, b.cuts
     out = []
-    for lo1, hi1 in a.parts:
-        for lo2, hi2 in b.parts:
-            lo = lo1 if lo2 < lo1 else lo2
-            hi = hi1 if hi1 < hi2 else hi2
-            if lo < hi:
-                out.append((lo, hi))
-    return SymbolicSet(out)
+    i = j = 0
+    while i < len(x) and j < len(y):
+        lo = x[i] if y[j] < x[i] else y[j]
+        if x[i + 1] < y[j + 1]:
+            hi = x[i + 1]
+            i += 2
+        else:
+            hi = y[j + 1]
+            j += 2
+        if lo < hi:
+            out += (lo, hi)
+    return _set_of(tuple(out))
 
 
 def member(model: IndexModel, a: SymbolicSet, p: DPoint) -> bool:
     _require_dense(model)
     validate_dpoint(model, p)
-    below, above = cut_below(model, p), cut_above(model, p)
-    return any(lo <= below and above <= hi for lo, hi in a.parts)
+    below = cut_below(model, p)
+    c = a.cuts
+    i = bisect_right(c, below)
+    # inside exactly when the last cut at or below p opens a component that
+    # reaches past p
+    return bool(i & 1) and not c[i] < cut_above(model, p)
 
 
 def is_subset(model: IndexModel, a: SymbolicSet, b: SymbolicSet) -> bool:
-    return intersect(model, a, complement(model, b)).is_empty
+    """One forward scan: each component of a must lie in the first component
+    of b that does not end below it."""
+    x, y = a.cuts, b.cuts
+    j = 0
+    for t in range(0, len(x), 2):
+        hi = x[t + 1]
+        while j < len(y) and y[j + 1] < hi:
+            j += 2
+        if j == len(y) or x[t] < y[j]:
+            return False
+    return True
 
 
 def lower_endpoint_of_cut(model: IndexModel, c: Cut) -> DEndpoint:
@@ -330,7 +487,7 @@ def window_set(model: IndexModel, w: Window) -> SymbolicSet:
         raise DomainError("bad_window", f"{w.b} is not an element of T")
     lo = finite_cut(model, w.a, 1)
     hi = TOP if is_inf(w.b) else finite_cut(model, w.b, 1)
-    return SymbolicSet(((lo, hi),))
+    return _set_of((lo, hi))
 
 
 def _cover_of_gap(model: IndexModel, lo: Cut, hi: Cut):
@@ -340,16 +497,15 @@ def _cover_of_gap(model: IndexModel, lo: Cut, hi: Cut):
     element or infinity; density of the members of T in the line determines
     how close the union creeps to the gap boundary.
     """
-    if lo.kind == _BOTTOM_KIND:
-        clo = lo
-    elif lo.level == 0:
+    if lo == INF_LOW:
+        # the gap is the top ideal alone
+        return None
+    if lo.kind == _FINITE_KIND and lo.level == 0:
         # the first point of the gap is a strict ideal; windows start just above
-        clo = Cut(lo.kind, lo.coord, 1)
+        clo = finite_cut(model, lo.coord, 1)
     else:
         clo = lo
-    if hi == TOP:
-        chi = hi
-    elif hi.kind == _INF_KIND:
+    if hi.kind == _INF_KIND:
         chi = hi
     elif hi.level == 2:
         # the gap's top point is principal; no window reaches past the strict
@@ -358,7 +514,7 @@ def _cover_of_gap(model: IndexModel, lo: Cut, hi: Cut):
     elif hi.level == 1 and not model.is_member(hi.coord):
         # a cut coordinate outside T: windows cannot end at it, so the strict
         # ideal there is never covered
-        chi = Cut(_FINITE_KIND, hi.coord, 0)
+        chi = finite_cut(model, hi.coord, 0)
     else:
         chi = hi
     if clo < chi:
@@ -366,29 +522,57 @@ def _cover_of_gap(model: IndexModel, lo: Cut, hi: Cut):
     return None
 
 
-@dataclass(frozen=True)
 class SerreRegion:
     """Intervals [a, b) with no nonzero maps into a given set of ideals,
-    encoded per complement gap together with the covered window union."""
+    encoded per complement gap together with the covered window union.
 
-    gaps: tuple  # tuple of ((lo, hi), (clo, chi) | None)
+    ``cuts`` is one flat tuple with four entries per gap: lo, hi, and the
+    cover's clo, chi (both None when no window fits in the gap).  ``gaps``
+    views it as ((lo, hi), (clo, chi) | None) pairs.
+    """
+
+    __slots__ = ("cuts",)
+
+    def __init__(self, cuts):
+        object.__setattr__(self, "cuts", tuple(cuts))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SerreRegion is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, SerreRegion) and self.cuts == other.cuts
+
+    def __hash__(self):
+        return hash(self.cuts)
+
+    @property
+    def gaps(self) -> tuple:
+        c = self.cuts
+        return tuple(
+            ((c[t], c[t + 1]), None if c[t + 2] is None else (c[t + 2], c[t + 3]))
+            for t in range(0, len(c), 4)
+        )
 
     def covered_set(self) -> SymbolicSet:
-        return SymbolicSet(tuple(c for _, c in self.gaps if c is not None))
+        c = self.cuts
+        return SymbolicSet((c[t], c[t + 1]) for t in range(2, len(c), 4) if c[t] is not None)
 
     def contains_interval(self, model: IndexModel, iv: FpInterval) -> bool:
         lo = finite_cut(model, iv.start, 1)
         hi = TOP if is_inf(iv.end) else finite_cut(model, iv.end, 1)
-        return any(g_lo <= lo and hi <= g_hi for (g_lo, g_hi), _ in self.gaps)
+        c = self.cuts
+        return any(c[t] <= lo and hi <= c[t + 1] for t in range(0, len(c), 4))
 
 
 def left_orthogonal(model: IndexModel, u: SymbolicSet) -> SerreRegion:
     """All interval modules with no nonzero map into any ideal of u."""
     _require_dense(model)
-    gaps = []
-    for lo, hi in complement(model, u).parts:
-        gaps.append(((lo, hi), _cover_of_gap(model, lo, hi)))
-    return SerreRegion(tuple(gaps))
+    g = complement(model, u).cuts
+    cuts = []
+    for t in range(0, len(g), 2):
+        lo, hi = g[t], g[t + 1]
+        cuts += (lo, hi, *(_cover_of_gap(model, lo, hi) or (None, None)))
+    return SerreRegion(cuts)
 
 
 def right_orthogonal(model: IndexModel, r: SerreRegion) -> SymbolicSet:
@@ -402,11 +586,12 @@ def region_subset(model: IndexModel, r1: SerreRegion, r2: SerreRegion) -> bool:
     The windows inside one gap of r1 form a connected union, so they all fit
     into r2 exactly when that union fits inside a single gap of r2.
     """
-    for (_, cover) in r1.gaps:
-        if cover is None:
-            continue
-        clo, chi = cover
-        if not any(g_lo <= clo and chi <= g_hi for (g_lo, g_hi), _ in r2.gaps):
+    c1, c2 = r1.cuts, r2.cuts
+    for t in range(2, len(c1), 4):
+        clo, chi = c1[t], c1[t + 1]
+        if clo is not None and not any(
+            c2[s] <= clo and chi <= c2[s + 1] for s in range(0, len(c2), 4)
+        ):
             return False
     return True
 
@@ -424,19 +609,21 @@ def _closure_double_orthogonal(model: IndexModel, u: SymbolicSet) -> SymbolicSet
 
 
 def _saturate_once(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
+    c = u.cuts
     parts = []
-    for lo, hi in u.parts:
-        if hi.kind != _BOTTOM_KIND and hi != TOP and hi.level == 0:
+    for t in range(0, len(c), 2):
+        lo, hi = c[t], c[t + 1]
+        if hi.level == 0:
             # no greatest element: the union of the members is the strict
             # ideal at the boundary coordinate (the full ideal at infinity)
-            hi = Cut(hi.kind, hi.coord, 1)
+            hi = TOP if hi.kind == _INF_KIND else finite_cut(model, hi.coord, 1)
         if lo.kind == _FINITE_KIND:
             if lo.level == 2:
                 # members shrink toward the principal ideal below the gap
                 lo = finite_cut(model, lo.coord, 1)
             elif lo.level == 1 and not model.is_member(lo.coord):
                 # members shrink toward the strict ideal at a cut coordinate
-                lo = Cut(_FINITE_KIND, lo.coord, 0)
+                lo = finite_cut(model, lo.coord, 0)
         parts.append((lo, hi))
     return SymbolicSet(parts)
 
@@ -461,29 +648,26 @@ def _has_immediate_successor(model: IndexModel, p: DPoint) -> bool:
 
 
 def _closure_order_topology(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
-    cur = u
-    while True:
-        additions = []
-        for lo, hi in cur.parts:
-            p = point_starting_at(model, hi)
-            if (
-                p is not None
-                and not member(model, cur, p)
-                and not _has_immediate_predecessor(model, p)
-            ):
-                # every neighbourhood of p reaches below the cut, hence meets u
-                additions.append(p)
-            q = point_ending_at(model, lo)
-            if (
-                q is not None
-                and not member(model, cur, q)
-                and not _has_immediate_successor(model, q)
-            ):
-                additions.append(q)
-        if not additions:
-            return cur
-        for p in additions:
-            cur = union(cur, singleton(model, p))
+    """Adds the limit points at the component boundaries, in one pass.
+
+    The point just above a component is never in u, since components do
+    not touch; it is a limit point of u exactly when it has no immediate
+    predecessor, for then every neighbourhood reaches below it into the
+    component.  Likewise for the point just below a component and immediate
+    successors.  The new boundary of a component is then a principal ideal
+    above, the strict ideal at a member below, or no point at all, so the
+    added points bring no further limit points and one pass is the fixpoint.
+    """
+    c = u.cuts
+    limits = []
+    for t in range(0, len(c), 2):
+        q = point_ending_at(model, c[t])
+        if q is not None and not _has_immediate_successor(model, q):
+            limits.append((cut_below(model, q), c[t]))
+        p = point_starting_at(model, c[t + 1])
+        if p is not None and not _has_immediate_predecessor(model, p):
+            limits.append((c[t + 1], cut_above(model, p)))
+    return union(u, SymbolicSet(limits))
 
 
 def closure(model: IndexModel, u: SymbolicSet, strategy: Strategy) -> SymbolicSet:
@@ -499,7 +683,8 @@ def closure(model: IndexModel, u: SymbolicSet, strategy: Strategy) -> SymbolicSe
 
 def closure_all_strategies(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
     results = {s.value: closure(model, u, s) for s in Strategy}
-    if len(set(results.values())) > 1:
+    first = results[Strategy.DOUBLE_ORTHOGONAL.value]
+    if any(r != first for r in results.values()):
         from . import jsonio  # jsonio imports this module
 
         witness = {k: jsonio.encode_set(model, v) for k, v in {"input": u, **results}.items()}
@@ -508,7 +693,7 @@ def closure_all_strategies(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
             "the three closure algorithms disagree; this is a bug witness: "
             + json.dumps(witness, sort_keys=True, separators=(",", ":")),
         )
-    return results[Strategy.DOUBLE_ORTHOGONAL.value]
+    return first
 
 
 def is_closed(model: IndexModel, u: SymbolicSet) -> bool:

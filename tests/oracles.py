@@ -364,8 +364,11 @@ def random_fp_morphism(rng, max_summands=4, hi=8):
 
 
 def random_symbolic_set(rng, model, max_components=5, lo=-10, hi=10, surds=False,
-                        allow_inf=True, allow_below_all=True):
-    """A random canonical finite union of D intervals with exact endpoints."""
+                        allow_inf=True, allow_below_all=True, max_len=None):
+    """A random canonical finite union of D intervals with exact endpoints.
+
+    With ``max_len`` each piece ends within about max_len of its start, so
+    that many pieces stay apart and the union has many components."""
     from ordspec import (
         DEndpoint,
         DPoint,
@@ -388,6 +391,16 @@ def random_symbolic_set(rng, model, max_components=5, lo=-10, hi=10, surds=False
             return DPoint(c, Flavor.PRINCIPAL)
         return DPoint(c, Flavor.STRICT)
 
+    def point_near(x):
+        r = x.rat + Fraction(rng.randint(0, 12 * max_len), 12)
+        if surds and rng.random() < 0.25:
+            c = Coord(r, Fraction(rng.randint(1, 2), 8), rng.choice([2, 3]))
+            return DPoint(c, Flavor.STRICT)
+        c = Coord(r)
+        if rng.random() < 0.5 and model.is_member(c):
+            return DPoint(c, Flavor.PRINCIPAL)
+        return DPoint(c, Flavor.STRICT)
+
     acc = EMPTY_SET
     for _ in range(rng.randint(0, max_components)):
         if allow_below_all and rng.random() < 0.12:
@@ -395,7 +408,12 @@ def random_symbolic_set(rng, model, max_components=5, lo=-10, hi=10, surds=False
         else:
             p = random_point(inf_ok=False)
             lo_ep = DEndpoint(p, rng.random() < 0.6)
-        q = random_point(inf_ok=allow_inf)
+        if max_len is None:
+            q = random_point(inf_ok=allow_inf)
+        elif allow_inf and rng.random() < 0.03:
+            q = DPoint(INF, Flavor.STRICT)
+        else:
+            q = point_near(Coord(lo) if lo_ep.point == BELOW_ALL else lo_ep.point.coord)
         hi_ep = DEndpoint(q, rng.random() < 0.6)
         try:
             piece = interval_set(model, lo_ep, hi_ep)
@@ -403,6 +421,127 @@ def random_symbolic_set(rng, model, max_components=5, lo=-10, hi=10, surds=False
             continue  # randomly ordered endpoints can give an empty interval
         acc = union(acc, piece)
     return acc
+
+
+def random_wide_pieces(rng, model, k: int, to_top: bool = False):
+    """k disjoint D intervals, as endpoint pairs in random order, on a grid
+    of quarter steps: every fifth coordinate is a surd m/4 + sqrt(d)/8, and
+    about half of the endpoints are included and half of the member
+    endpoints principal.  Their union has exactly k components."""
+    from ordspec import DEndpoint, DPoint, Flavor
+
+    ms = sorted(rng.sample(range(8 * k), 2 * k))
+    xs = [
+        Coord(Fraction(m, 4), Fraction(1, 8), rng.choice((2, 3))) if ix % 5 == 4 else Coord(Fraction(m, 4))
+        for ix, m in enumerate(ms)
+    ]
+
+    def end(x):
+        flavor = Flavor.PRINCIPAL if model.is_member(x) and rng.random() < 0.5 else Flavor.STRICT
+        return DEndpoint(DPoint(x, flavor), rng.random() < 0.5)
+
+    pieces = [(end(xs[2 * c]), end(xs[2 * c + 1])) for c in range(k)]
+    if to_top:
+        pieces[-1] = (pieces[-1][0], DEndpoint(DPoint(INF, Flavor.STRICT), True))
+    rng.shuffle(pieces)
+    return pieces
+
+
+# ---------------------------------------------------------------------------
+# The set algebra and order-topology closure that ``spectrum`` used before
+# its merges, kept as the reference of the differential tests.  They work on
+# lists of (lo, hi) cut pairs and return canonical parts.
+
+
+def sorted_canonical(parts):
+    """Sort (lo, hi) pairs and merge those that overlap or touch."""
+    merged = []
+    for lo, hi in sorted(parts, key=lambda ab: (ab[0], ab[1])):
+        if not lo < hi:
+            continue
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1][1] = hi
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
+
+
+def union_by_sorting(a, b):
+    return sorted_canonical(a.parts + b.parts)
+
+
+def pairwise_intersect(a, b):
+    """Every pair of components, intersected."""
+    out = []
+    for lo1, hi1 in a.parts:
+        for lo2, hi2 in b.parts:
+            lo = lo1 if lo2 < lo1 else lo2
+            hi = hi1 if hi1 < hi2 else hi2
+            if lo < hi:
+                out.append((lo, hi))
+    return sorted_canonical(out)
+
+
+def gaps_complement(a):
+    from ordspec.spectrum import BOTTOM, TOP
+
+    gaps = []
+    prev = BOTTOM
+    for lo, hi in a.parts:
+        if prev < lo:
+            gaps.append((prev, lo))
+        prev = hi
+    if prev < TOP:
+        gaps.append((prev, TOP))
+    return tuple(gaps)
+
+
+def subset_by_complement(a, b):
+    """a is a subset of b when a meets no gap of b."""
+    from ordspec import SymbolicSet
+
+    return not pairwise_intersect(a, SymbolicSet(gaps_complement(b)))
+
+
+def scan_member(model, a, p):
+    """Membership by scanning every component."""
+    from ordspec.spectrum import cut_above, cut_below
+
+    below, above = cut_below(model, p), cut_above(model, p)
+    return any(lo <= below and above <= hi for lo, hi in a.parts)
+
+
+def order_closure_fixpoint(model, u):
+    """Order-topology closure by iteration: add each point just outside a
+    component that is not in the set and has no immediate neighbour on the
+    component's side, until nothing changes."""
+    from ordspec import SymbolicSet, singleton
+    from ordspec.order_core import Flavor
+    from ordspec.spectrum import point_ending_at, point_starting_at
+
+    cur = u
+    while True:
+        additions = []
+        for lo, hi in cur.parts:
+            p = point_starting_at(model, hi)
+            if (
+                p is not None
+                and not scan_member(model, cur, p)
+                and (is_inf(p.coord) or p.flavor is not Flavor.PRINCIPAL)
+            ):
+                additions.append(p)
+            q = point_ending_at(model, lo)
+            if (
+                q is not None
+                and not scan_member(model, cur, q)
+                and not (not is_inf(q.coord) and q.flavor is Flavor.STRICT and model.is_member(q.coord))
+            ):
+                additions.append(q)
+        if not additions:
+            return cur.parts
+        for p in additions:
+            cur = SymbolicSet(union_by_sorting(cur, singleton(model, p)))
 
 
 def random_fraction(rng, lo: int, hi: int, max_den: int = 6) -> Fraction:

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -318,3 +320,26 @@ def test_strategy_disagreement_carries_its_witness(monkeypatch):
     assert set(witness) == {"input", "double-orth", "supinf", "order"}
     assert witness["input"] == witness["supinf"] == encode_set(DENSE_REAL, u)
     assert witness["double-orth"] == witness["order"] != witness["input"]
+
+
+def test_minimum_python_gives_the_same_stdout():
+    """pyproject.toml declares Python >= 3.10; run two requests on 3.10."""
+    py310 = shutil.which("python3.10")
+    probe = py310 and subprocess.run(
+        [py310, "-c", "import sys; assert sys.version_info[:2] == (3, 10)"], capture_output=True
+    )
+    if not probe or probe.returncode != 0:
+        pytest.skip("no working python3.10 on PATH")
+    rng = subseed(73)
+    a, b = (
+        json.dumps(encode_set(DENSE_REAL, random_symbolic_set(rng, DENSE_REAL, 40, lo=-20, hi=20, surds=True, max_len=1)))
+        for _ in range(2)
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"))
+    for args in (["closure", "--strategy", "all", "--set", ROW2_SET], ["set", "--op", "intersect", "--a", a, "--b", b]):
+        runs = [
+            subprocess.run([exe, "-m", "ordspec", *args], capture_output=True, text=True, env=env)
+            for exe in (py310, sys.executable)
+        ]
+        assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout

@@ -1,0 +1,210 @@
+"""The merge-based set algebra: agreement with the old algorithms, compare
+counts that grow like k log k, and the lean memory layout."""
+
+import gc
+import math
+from fractions import Fraction
+
+import pytest
+
+from ordspec import (
+    Coord,
+    DENSE_RATIONAL_WITH_CUTS,
+    DENSE_REAL,
+    DPoint,
+    EMPTY_SET,
+    Flavor,
+    Strategy,
+    SymbolicSet,
+    closure,
+    complement,
+    intersect,
+    interval_set,
+    is_subset,
+    left_orthogonal,
+    member,
+    union,
+)
+from ordspec import coords, jsonio, spectrum
+from ordspec.interleaving import INFINITE_BRACKET, DistanceBracket, ExtDistance
+from ordspec.spectrum import Cut, DEndpoint, finite_cut
+
+from conftest import subseed
+from oracles import (
+    order_closure_fixpoint,
+    pairwise_intersect,
+    random_fraction,
+    random_symbolic_set,
+    random_wide_pieces,
+    scan_member,
+    subset_by_complement,
+    union_by_sorting,
+)
+
+MODELS = (DENSE_REAL, DENSE_RATIONAL_WITH_CUTS)
+
+
+def _random_pairs(n):
+    rng = subseed(71)
+    for t in range(n):
+        model = MODELS[t % 2]
+        a, b = (
+            random_symbolic_set(rng, model, max_components=40, lo=-80, hi=80, surds=True, max_len=1)
+            for _ in range(2)
+        )
+        yield rng, model, a, b
+
+
+def test_merges_agree_with_pairwise_algorithms():
+    for rng, model, a, b in _random_pairs(300):
+        assert intersect(model, a, b).parts == pairwise_intersect(a, b)
+        assert union(a, b).parts == union_by_sorting(a, b)
+        assert is_subset(model, a, b) is subset_by_complement(a, b)
+        inter = intersect(model, a, b)
+        assert is_subset(model, inter, a) and subset_by_complement(inter, a)
+        assert closure(model, a, Strategy.ORDER_TOPOLOGY).parts == order_closure_fixpoint(model, a)
+        # the points at a's finite cuts, and a few others
+        xs = {c.coord for c in a.cuts if c.coord is not None}
+        xs.update(Coord(random_fraction(rng, -80, 80)) for _ in range(4))
+        for x in xs:
+            for flavor in (Flavor.STRICT, Flavor.PRINCIPAL)[: 1 + model.is_member(x)]:
+                p = DPoint(x, flavor)
+                assert member(model, a, p) is scan_member(model, a, p)
+
+
+def test_union_of_pieces_agrees_with_one_constructor():
+    for rng, model, a, b in _random_pairs(100):
+        pieces = list(a.parts) + list(b.parts)
+        rng.shuffle(pieces)
+        acc = EMPTY_SET
+        for lo, hi in pieces:
+            acc = union(acc, SymbolicSet([(lo, hi)]))
+        assert acc == SymbolicSet(pieces) == union(a, b)
+
+
+def test_cut_order_is_the_order_of_kind_coord_level():
+    rng = subseed(74)
+    xs = [Coord(random_fraction(rng, -3, 3)) for _ in range(6)] + [Coord(0, 1, 2), Coord(1, -1, 3)]
+    # cuts made directly are not shared, so equal ones are distinct objects
+    cuts = [spectrum.BOTTOM, spectrum.INF_LOW, spectrum.TOP]
+    cuts += [Cut(1, Coord(x.rat, x.coef, x.rad), level) for x in xs for level in (0, 1, 2) for _ in range(2)]
+
+    def expected(a, b):
+        """-1, 0 or 1 as a is below, at or above b."""
+        if a.kind != b.kind:
+            return -1 if a.kind < b.kind else 1
+        if a.coord is not None and a.coord != b.coord:
+            return -1 if a.coord < b.coord else 1
+        return (a.level > b.level) - (a.level < b.level)
+
+    for a in cuts:
+        for b in cuts:
+            e = expected(a, b)
+            assert (a < b, a <= b, a == b, a >= b, a > b) == (e < 0, e <= 0, e == 0, e >= 0, e > 0)
+            assert (hash(a) == hash(b)) or e != 0
+
+
+# ---------------------------------------------------------------------------
+# Compare counts at k = 2000
+
+K = 2000
+# A fixed multiple of k*log2(k); one quadratic operation at this k makes
+# about k*k/2 = 2*10^6 compares, 90 times the bound's unit.
+BOUND = 4 * K * math.log2(K)
+
+
+@pytest.fixture
+def count_compares(monkeypatch):
+    """Counts Coord._cmp calls, the one entry point of every order compare."""
+    calls = [0]
+    cmp = coords.Coord._cmp
+
+    def counted(a, b):
+        calls[0] += 1
+        return cmp(a, b)
+
+    monkeypatch.setattr(coords.Coord, "_cmp", counted)
+
+    def measure(fn, *args):
+        calls[0] = 0
+        out = fn(*args)
+        return calls[0], out
+
+    return measure
+
+
+@pytest.mark.parametrize("model", MODELS, ids=["dense", "dense-surd"])
+def test_set_operations_make_k_log_k_compares(model, count_compares):
+    rng = subseed(72)
+    pu = random_wide_pieces(rng, model, K, to_top=True)
+    pv = random_wide_pieces(rng, model, K)
+    pieces = [interval_set(model, lo, hi) for lo, hi in pu]
+
+    def build():
+        acc = EMPTY_SET
+        for piece in pieces:
+            acc = union(acc, piece)
+        return acc
+
+    n, u = count_compares(build)
+    assert len(u.parts) == K and n < BOUND
+    v = SymbolicSet(interval_set(model, lo, hi).parts[0] for lo, hi in pv)
+    w = intersect(model, u, v)
+    doc = jsonio.encode_set(model, u)
+    costs = {
+        "union": n,
+        "intersect": count_compares(intersect, model, u, v)[0],
+        "is_subset": count_compares(is_subset, model, w, u)[0],
+        "decode_set": count_compares(jsonio.decode_set, model, doc)[0],
+        "complement": count_compares(complement, model, u)[0],
+        **{s.value: count_compares(closure, model, u, s)[0] for s in Strategy},
+    }
+    assert is_subset(model, w, u)
+    over = {name: c for name, c in costs.items() if not c < BOUND}
+    assert not over, f"more than {BOUND:.0f} compares at k={K}: {over}"
+
+
+# ---------------------------------------------------------------------------
+# Memory layout
+
+
+def test_value_objects_have_no_instance_dict():
+    model = DENSE_REAL
+    p = DPoint(Coord(1), Flavor.PRINCIPAL)
+    u = interval_set(model, DEndpoint(p, True), DEndpoint(DPoint(Coord(2), Flavor.STRICT), False))
+    values = [
+        finite_cut(model, Coord(1), 0),
+        p,
+        DEndpoint(p, True),
+        u,
+        left_orthogonal(model, u),
+        ExtDistance(Coord(0)),
+        DistanceBracket(Fraction(0), Fraction(1)),
+        INFINITE_BRACKET,
+    ]
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+
+
+def test_equal_finite_cuts_are_one_object():
+    model = DENSE_REAL
+    x, y = Coord(Fraction(7, 3), 1, 2), Coord(Fraction(14, 6), Fraction(1, 2), 8)
+    assert x is not y and x == y
+    for level in (0, 1, 2):
+        assert finite_cut(model, x, level) is finite_cut(model, y, level)
+    # a coordinate outside T has no level 2; its cut is the level-1 cut
+    assert finite_cut(DENSE_RATIONAL_WITH_CUTS, x, 2) is finite_cut(model, y, 1)
+    a = interval_set(model, DEndpoint(DPoint(x, Flavor.STRICT), True), DEndpoint(DPoint(Coord(5), Flavor.STRICT), False))
+    b = interval_set(model, DEndpoint(DPoint(y, Flavor.STRICT), True), DEndpoint(DPoint(Coord(5), Flavor.STRICT), False))
+    assert a.cuts[0] is b.cuts[0] and a.cuts[1] is b.cuts[1]
+
+
+def test_shared_cut_table_drops_unheld_cuts():
+    model = DENSE_REAL
+    table = spectrum._FINITE_CUTS[0]
+    x = Coord(Fraction(123457, 1000), Fraction(3, 7), 11)
+    s = interval_set(model, DEndpoint(DPoint(x, Flavor.STRICT), True), DEndpoint(DPoint(x, Flavor.STRICT), True))
+    assert s.cuts[0] is table.get(Coord(x.rat, x.coef, x.rad))
+    del s
+    gc.collect()
+    assert Coord(x.rat, x.coef, x.rad) not in table
