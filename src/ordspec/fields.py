@@ -90,14 +90,8 @@ class Field:
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
 
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
     def mul(self, a, b):
         return a * b if self.p is None else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
 
     def inv(self, a):
         if self.is_zero(a):

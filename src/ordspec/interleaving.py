@@ -21,13 +21,10 @@ from fractions import Fraction
 from .coords import Coord, INF, is_inf
 from .errors import DomainError
 from .fp_category import FpInterval
-from .order_core import DPoint, IndexModel, Ordering, cmp_d, DenseLine, validate_dpoint
+from .order_core import DPoint, IndexModel, Ordering, cmp_d, require_dense, validate_dpoint
 from .spectrum import SymbolicSet, INF_LOW, TOP, finite_cut
 
-
-def _require_dense(model: IndexModel):
-    if not isinstance(model, DenseLine):
-        raise DomainError("dense_only", "interleaving is defined over the dense line models")
+_SUBJECT = "interleaving is"
 
 
 def eps_value(value) -> Fraction:
@@ -55,7 +52,7 @@ INFINITE_DISTANCE = ExtDistance(None)
 
 
 def shift_interval(model: IndexModel, iv: FpInterval, eps) -> FpInterval:
-    _require_dense(model)
+    require_dense(model, _SUBJECT)
     eps = eps_value(eps)
     delta = Coord(eps)
     new_end = iv.end if is_inf(iv.end) else iv.end - delta
@@ -63,7 +60,7 @@ def shift_interval(model: IndexModel, iv: FpInterval, eps) -> FpInterval:
 
 
 def shift_ideal(model: IndexModel, p: DPoint, eps) -> DPoint:
-    _require_dense(model)
+    require_dense(model, _SUBJECT)
     validate_dpoint(model, p)
     eps = eps_value(eps)
     if is_inf(p.coord):
@@ -78,7 +75,7 @@ def is_interleaved(model: IndexModel, i: DPoint, j: DPoint, eps) -> bool:
     and the transition maps are never zero, so the interleaving condition
     collapses to shift(j) <= i and shift(i) <= j in the double line order.
     """
-    _require_dense(model)
+    require_dense(model, _SUBJECT)
     validate_dpoint(model, i)
     validate_dpoint(model, j)
     eps = eps_value(eps)
@@ -92,7 +89,7 @@ def is_interleaved(model: IndexModel, i: DPoint, j: DPoint, eps) -> bool:
 
 def distance(model: IndexModel, i: DPoint, j: DPoint) -> ExtDistance:
     """The interleaving distance: coordinate difference, flavors invisible."""
-    _require_dense(model)
+    require_dense(model, _SUBJECT)
     validate_dpoint(model, i)
     validate_dpoint(model, j)
     ii, ji = is_inf(i.coord), is_inf(j.coord)
@@ -105,7 +102,7 @@ def distance(model: IndexModel, i: DPoint, j: DPoint) -> ExtDistance:
 
 def ball(model: IndexModel, p: DPoint, eps) -> SymbolicSet:
     """The open metric ball around p; the ball around the full ideal is itself."""
-    _require_dense(model)
+    require_dense(model, _SUBJECT)
     validate_dpoint(model, p)
     eps = eps_value(eps)
     if eps == 0:
@@ -145,7 +142,7 @@ def brute_force_distance(model: IndexModel, i: DPoint, j: DPoint, step) -> Dista
     infinite) the distance is reported infinite.  A scan to the cutoff of
     more than _MAX_SCAN_STEPS steps is refused with ``scan_too_long``.
     """
-    _require_dense(model)
+    require_dense(model, _SUBJECT)
     step = Fraction(step)
     if step <= 0:
         raise DomainError("bad_step", "the scan step must be positive")

@@ -4,7 +4,9 @@ Encoders produce canonical forms (sorted summands, canonical set
 components, reduced rationals) so that equal values serialize to equal
 documents.  Decoders are strict: anything off-schema raises SchemaError,
 while well-formed data describing an invalid value surfaces the library's
-DomainError.
+DomainError.  A Serre region is written as its gaps, each with the cover
+derived from it; a region document whose gaps overlap or touch, or whose
+``covered`` piece is not its gap's cover, is refused as ``bad_region``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 from .barcode import Barcode, ChainModule, barcode, chain_module
 from .coords import Coord, ExtCoord, INF, is_inf
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 from .fields import Field, parse_rational
 from .fp_category import FpInterval, FpModule, FpMorphism, GeneratorElement
 from .interleaving import DistanceBracket, ExtDistance
@@ -23,6 +25,7 @@ from .spectrum import (
     DEndpoint,
     SerreRegion,
     SymbolicSet,
+    cover_of_gap,
     interval_cuts,
     lower_endpoint_of_cut,
     upper_endpoint_of_cut,
@@ -220,16 +223,22 @@ def decode_endpoint(obj) -> DEndpoint:
     return DEndpoint(decode_dpoint(obj["point"]), included)
 
 
+def _encode_piece(model: IndexModel, lo, hi):
+    return {
+        "lo": encode_endpoint(lower_endpoint_of_cut(model, lo)),
+        "hi": encode_endpoint(upper_endpoint_of_cut(model, hi)),
+    }
+
+
+def _decode_piece(model: IndexModel, obj):
+    """The (lo, hi) cuts of one nonempty interval."""
+    if not isinstance(obj, dict) or set(obj) != {"lo", "hi"}:
+        raise SchemaError("a component is {'lo': endpoint, 'hi': endpoint}")
+    return interval_cuts(model, decode_endpoint(obj["lo"]), decode_endpoint(obj["hi"]))
+
+
 def encode_set(model: IndexModel, s: SymbolicSet):
-    comps = []
-    for lo, hi in s.parts:
-        comps.append(
-            {
-                "lo": encode_endpoint(lower_endpoint_of_cut(model, lo)),
-                "hi": encode_endpoint(upper_endpoint_of_cut(model, hi)),
-            }
-        )
-    return {"components": comps}
+    return {"components": [_encode_piece(model, lo, hi) for lo, hi in s.parts]}
 
 
 def decode_set(model: IndexModel, obj) -> SymbolicSet:
@@ -237,29 +246,19 @@ def decode_set(model: IndexModel, obj) -> SymbolicSet:
         raise SchemaError("a set is {'components': [{'lo': ..., 'hi': ...}, ...]}")
     if not isinstance(obj["components"], list):
         raise SchemaError("components must be a list")
-    parts = []
-    for comp in obj["components"]:
-        if not isinstance(comp, dict) or set(comp) != {"lo", "hi"}:
-            raise SchemaError("a component is {'lo': endpoint, 'hi': endpoint}")
-        parts.append(interval_cuts(model, decode_endpoint(comp["lo"]), decode_endpoint(comp["hi"])))
-    return SymbolicSet(parts)
+    return SymbolicSet([_decode_piece(model, comp) for comp in obj["components"]])
 
 
 def encode_region(model: IndexModel, r: SerreRegion):
     gaps = []
-    for (lo, hi), cover in r.gaps:
-        gap_obj = {
-            "lo": encode_endpoint(lower_endpoint_of_cut(model, lo)),
-            "hi": encode_endpoint(upper_endpoint_of_cut(model, hi)),
-        }
-        if cover is None:
-            covered_obj = None
-        else:
-            covered_obj = {
-                "lo": encode_endpoint(lower_endpoint_of_cut(model, cover[0])),
-                "hi": encode_endpoint(upper_endpoint_of_cut(model, cover[1])),
+    for lo, hi in r.gaps.parts:
+        cover = cover_of_gap(model, lo, hi)
+        gaps.append(
+            {
+                "gap": _encode_piece(model, lo, hi),
+                "covered": None if cover is None else _encode_piece(model, *cover),
             }
-        gaps.append({"gap": gap_obj, "covered": covered_obj})
+        )
     return {"gaps": gaps}
 
 
@@ -268,21 +267,19 @@ def decode_region(model: IndexModel, obj) -> SerreRegion:
         raise SchemaError("a region is {'gaps': [{'gap': ..., 'covered': ...}, ...]}")
     if not isinstance(obj["gaps"], list):
         raise SchemaError("gaps must be a list")
-    cuts = []
+    pieces = []
     for g in obj["gaps"]:
         if not isinstance(g, dict) or set(g) != {"gap", "covered"}:
             raise SchemaError("a gap entry is {'gap': interval, 'covered': interval|null}")
-        gap_set = decode_set(model, {"components": [g["gap"]]})
-        if len(gap_set.parts) != 1:
-            raise SchemaError("a gap must be a single interval")
-        cover = (None, None)
-        if g["covered"] is not None:
-            cover_set = decode_set(model, {"components": [g["covered"]]})
-            if len(cover_set.parts) != 1:
-                raise SchemaError("a covered piece must be a single interval")
-            cover = cover_set.cuts
-        cuts += (*gap_set.cuts, *cover)
-    return SerreRegion(cuts)
+        gap = _decode_piece(model, g["gap"])
+        covered = None if g["covered"] is None else _decode_piece(model, g["covered"])
+        if covered != cover_of_gap(model, *gap):
+            raise DomainError("bad_region", "a covered piece is not the union of the windows in its gap")
+        pieces.append(gap)
+    gaps = SymbolicSet(pieces)
+    if len(gaps.cuts) != 2 * len(pieces):
+        raise DomainError("bad_region", "the gaps of a region must not overlap or touch")
+    return SerreRegion(gaps)
 
 
 def encode_distance(d: ExtDistance):

@@ -18,7 +18,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .coords import Coord, ExtCoord, INF, as_coord, is_inf, rational_between
+from .coords import (
+    Coord,
+    ExtCoord,
+    INF,
+    as_coord,
+    is_inf,
+    rational_above,
+    rational_below,
+    rational_between,
+)
 from .errors import DomainError
 
 
@@ -109,6 +118,13 @@ def principal_at(x) -> DPoint:
 TOP_IDEAL = DPoint(INF, Flavor.STRICT)
 
 
+def require_dense(model: IndexModel, subject: str) -> None:
+    """Raise ``dense_only`` unless model is a dense line; ``subject`` opens the
+    detail, as in "interleaving is"."""
+    if not isinstance(model, DenseLine):
+        raise DomainError("dense_only", f"{subject} defined over the dense line models")
+
+
 def validate_dpoint(model: IndexModel, p: DPoint) -> None:
     """Raise DomainError unless p denotes an ideal of the model's index set."""
     if is_inf(p.coord):
@@ -196,10 +212,7 @@ def member_below(model: IndexModel, x: Coord) -> Coord:
     if isinstance(model, FiniteChain):
         raise DomainError("unbounded_only", "finite chains are bounded below")
     shifted = x - Coord(1)
-    if model.is_member(shifted):
-        return shifted
-    f = Coord(x.floor())
-    return f if f < x else Coord(x.floor() - 1)
+    return shifted if model.is_member(shifted) else rational_below(x)
 
 
 def member_above(model: IndexModel, x: Coord) -> Coord:
@@ -207,6 +220,4 @@ def member_above(model: IndexModel, x: Coord) -> Coord:
     if isinstance(model, FiniteChain):
         raise DomainError("unbounded_only", "finite chains are bounded above")
     shifted = x + Coord(1)
-    if model.is_member(shifted):
-        return shifted
-    return Coord(x.floor() + 1)
+    return shifted if model.is_member(shifted) else rational_above(x)

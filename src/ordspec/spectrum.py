@@ -55,7 +55,6 @@ from .coords import Coord, ExtCoord, INF, is_inf
 from .errors import DomainError
 from .fp_category import FpInterval
 from .order_core import (
-    DenseLine,
     DPoint,
     Flavor,
     IndexModel,
@@ -64,6 +63,7 @@ from .order_core import (
     member_above,
     member_below,
     member_between,
+    require_dense,
     validate_dpoint,
 )
 
@@ -74,13 +74,9 @@ class Strategy(enum.Enum):
     ORDER_TOPOLOGY = "order"
 
 
-def _require_dense(model: IndexModel) -> None:
-    # the covering and saturation rules lean on density and unboundedness of
-    # the members of T; a finite chain has a discrete space of ideals instead
-    if not isinstance(model, DenseLine):
-        raise DomainError(
-            "dense_only", "symbolic spectrum subsets are defined over the dense line models"
-        )
+# The covering and saturation rules lean on density and unboundedness of the
+# members of T; a finite chain has a discrete space of ideals instead.
+_SUBJECT = "symbolic spectrum subsets are"
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +279,13 @@ EMPTY_SET = _set_of(())
 
 
 def full_set(model: IndexModel) -> SymbolicSet:
-    _require_dense(model)
+    require_dense(model, _SUBJECT)
     return _set_of((BOTTOM, TOP))
 
 
 def interval_cuts(model: IndexModel, lo: DEndpoint, hi: DEndpoint) -> tuple[Cut, Cut]:
     """The lower and upper cut of the D interval between two endpoints."""
-    _require_dense(model)
+    require_dense(model, _SUBJECT)
     if lo.point == BELOW_ALL:
         lo_cut = BOTTOM
     else:
@@ -310,13 +306,13 @@ def interval_set(model: IndexModel, lo: DEndpoint, hi: DEndpoint) -> SymbolicSet
 
 
 def singleton(model: IndexModel, p: DPoint) -> SymbolicSet:
-    _require_dense(model)
+    require_dense(model, _SUBJECT)
     validate_dpoint(model, p)
     return _set_of((cut_below(model, p), cut_above(model, p)))
 
 
 def ray_upward(model: IndexModel, p: DPoint, included: bool = True) -> SymbolicSet:
-    _require_dense(model)
+    require_dense(model, _SUBJECT)
     validate_dpoint(model, p)
     lo = cut_below(model, p) if included else cut_above(model, p)
     if not lo < TOP:
@@ -325,7 +321,7 @@ def ray_upward(model: IndexModel, p: DPoint, included: bool = True) -> SymbolicS
 
 
 def ray_downward(model: IndexModel, p: DPoint, included: bool = True) -> SymbolicSet:
-    _require_dense(model)
+    require_dense(model, _SUBJECT)
     validate_dpoint(model, p)
     hi = cut_above(model, p) if included else cut_below(model, p)
     if not BOTTOM < hi:
@@ -406,15 +402,17 @@ def intersect(model: IndexModel, a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     return _set_of(tuple(out))
 
 
+def _in_one_component(cuts: tuple, lo: Cut, hi: Cut) -> bool:
+    """Whether the nonempty stretch (lo, hi) lies in one component of cuts:
+    the last cut at or below lo opens a component that reaches hi."""
+    i = bisect_right(cuts, lo)
+    return bool(i & 1) and not cuts[i] < hi
+
+
 def member(model: IndexModel, a: SymbolicSet, p: DPoint) -> bool:
-    _require_dense(model)
+    require_dense(model, _SUBJECT)
     validate_dpoint(model, p)
-    below = cut_below(model, p)
-    c = a.cuts
-    i = bisect_right(c, below)
-    # inside exactly when the last cut at or below p opens a component that
-    # reaches past p
-    return bool(i & 1) and not c[i] < cut_above(model, p)
+    return _in_one_component(a.cuts, cut_below(model, p), cut_above(model, p))
 
 
 def is_subset(model: IndexModel, a: SymbolicSet, b: SymbolicSet) -> bool:
@@ -432,34 +430,27 @@ def is_subset(model: IndexModel, a: SymbolicSet, b: SymbolicSet) -> bool:
 
 
 def lower_endpoint_of_cut(model: IndexModel, c: Cut) -> DEndpoint:
-    """Canonical endpoint form of a cut used as a lower interval boundary."""
-    if c.kind == _BOTTOM_KIND:
-        return DEndpoint(BELOW_ALL, False)
-    if c.kind == _INF_KIND:
-        if c.level == 0:
-            return DEndpoint(DPoint(INF, Flavor.STRICT), True)
-        raise DomainError("bad_cut", "nothing lies above the full ideal")
-    if c.level == 0:
-        return DEndpoint(DPoint(c.coord, Flavor.STRICT), True)
-    if c.level == 1:
-        if model.is_member(c.coord):
-            return DEndpoint(DPoint(c.coord, Flavor.PRINCIPAL), True)
-        return DEndpoint(DPoint(c.coord, Flavor.STRICT), False)
-    return DEndpoint(DPoint(c.coord, Flavor.PRINCIPAL), False)
+    """Canonical endpoint form of a cut used as a lower interval boundary: it
+    includes the point that starts at c, or else excludes the point that ends
+    at c; only the bottom cut has neither."""
+    p = point_starting_at(model, c)
+    if p is not None:
+        return DEndpoint(p, True)
+    q = point_ending_at(model, c)
+    return DEndpoint(BELOW_ALL if q is None else q, False)
 
 
 def upper_endpoint_of_cut(model: IndexModel, c: Cut) -> DEndpoint:
-    """Canonical endpoint form of a cut used as an upper interval boundary."""
-    if c.kind == _BOTTOM_KIND:
+    """Canonical endpoint form of a cut used as an upper interval boundary: it
+    includes the point that ends at c, or else excludes the point that starts
+    at c."""
+    p = point_ending_at(model, c)
+    if p is not None:
+        return DEndpoint(p, True)
+    q = point_starting_at(model, c)
+    if q is None:
         raise DomainError("bad_cut", "nothing lies below the bottom")
-    if c.kind == _INF_KIND:
-        included = c.level == 1
-        return DEndpoint(DPoint(INF, Flavor.STRICT), included)
-    if c.level == 0:
-        return DEndpoint(DPoint(c.coord, Flavor.STRICT), False)
-    if c.level == 1:
-        return DEndpoint(DPoint(c.coord, Flavor.STRICT), True)
-    return DEndpoint(DPoint(c.coord, Flavor.PRINCIPAL), True)
+    return DEndpoint(q, False)
 
 
 # ---------------------------------------------------------------------------
@@ -479,18 +470,21 @@ class Window:
             raise DomainError("bad_window", "need a < b")
 
 
+def _window_cuts(model: IndexModel, a: Coord, b: ExtCoord) -> tuple[Cut, Cut]:
+    """The cuts of the window [a, b): just above (a, S) and just above (b, S)."""
+    return finite_cut(model, a, 1), TOP if is_inf(b) else finite_cut(model, b, 1)
+
+
 def window_set(model: IndexModel, w: Window) -> SymbolicSet:
-    _require_dense(model)
+    require_dense(model, _SUBJECT)
     if not model.is_member(w.a):
         raise DomainError("bad_window", f"{w.a} is not an element of T")
     if not is_inf(w.b) and not model.is_member(w.b):
         raise DomainError("bad_window", f"{w.b} is not an element of T")
-    lo = finite_cut(model, w.a, 1)
-    hi = TOP if is_inf(w.b) else finite_cut(model, w.b, 1)
-    return _set_of((lo, hi))
+    return _set_of(_window_cuts(model, w.a, w.b))
 
 
-def _cover_of_gap(model: IndexModel, lo: Cut, hi: Cut):
+def cover_of_gap(model: IndexModel, lo: Cut, hi: Cut):
     """The union of all windows inside the gap (lo, hi), as cuts, or None.
 
     The window [a, b) occupies [(a,1), (b,1)] with a an element of T and b an
@@ -523,77 +517,62 @@ def _cover_of_gap(model: IndexModel, lo: Cut, hi: Cut):
 
 
 class SerreRegion:
-    """Intervals [a, b) with no nonzero maps into a given set of ideals,
-    encoded per complement gap together with the covered window union.
+    """Intervals [a, b) with no nonzero maps into a given set of ideals.
 
-    ``cuts`` is one flat tuple with four entries per gap: lo, hi, and the
-    cover's clo, chi (both None when no window fits in the gap).  ``gaps``
-    views it as ((lo, hi), (clo, chi) | None) pairs.
+    A region is its ``gaps``: the canonical set of ideals outside that given
+    set.  An interval belongs to the region exactly when its window lies in
+    one gap; the union of the windows inside a gap, its cover, is derived
+    from the gap by ``cover_of_gap`` wherever it is needed.
     """
 
-    __slots__ = ("cuts",)
+    __slots__ = ("gaps",)
 
-    def __init__(self, cuts):
-        object.__setattr__(self, "cuts", tuple(cuts))
+    def __init__(self, gaps: SymbolicSet):
+        object.__setattr__(self, "gaps", gaps)
 
     def __setattr__(self, name, value):
         raise AttributeError("SerreRegion is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, SerreRegion) and self.cuts == other.cuts
+        return isinstance(other, SerreRegion) and self.gaps == other.gaps
 
     def __hash__(self):
-        return hash(self.cuts)
+        return hash(self.gaps)
 
-    @property
-    def gaps(self) -> tuple:
-        c = self.cuts
-        return tuple(
-            ((c[t], c[t + 1]), None if c[t + 2] is None else (c[t + 2], c[t + 3]))
-            for t in range(0, len(c), 4)
-        )
-
-    def covered_set(self) -> SymbolicSet:
-        c = self.cuts
-        return SymbolicSet((c[t], c[t + 1]) for t in range(2, len(c), 4) if c[t] is not None)
+    def covered_set(self, model: IndexModel) -> SymbolicSet:
+        """The union of the covers, the ideals some interval of the region
+        maps to; covers lie inside gaps that never touch, so it is canonical."""
+        c = self.gaps.cuts
+        out = []
+        for t in range(0, len(c), 2):
+            cover = cover_of_gap(model, c[t], c[t + 1])
+            if cover is not None:
+                out += cover
+        return _set_of(tuple(out))
 
     def contains_interval(self, model: IndexModel, iv: FpInterval) -> bool:
-        lo = finite_cut(model, iv.start, 1)
-        hi = TOP if is_inf(iv.end) else finite_cut(model, iv.end, 1)
-        c = self.cuts
-        return any(c[t] <= lo and hi <= c[t + 1] for t in range(0, len(c), 4))
+        return _in_one_component(self.gaps.cuts, *_window_cuts(model, iv.start, iv.end))
 
 
 def left_orthogonal(model: IndexModel, u: SymbolicSet) -> SerreRegion:
     """All interval modules with no nonzero map into any ideal of u."""
-    _require_dense(model)
-    g = complement(model, u).cuts
-    cuts = []
-    for t in range(0, len(g), 2):
-        lo, hi = g[t], g[t + 1]
-        cuts += (lo, hi, *(_cover_of_gap(model, lo, hi) or (None, None)))
-    return SerreRegion(cuts)
+    require_dense(model, _SUBJECT)
+    return SerreRegion(complement(model, u))
 
 
 def right_orthogonal(model: IndexModel, r: SerreRegion) -> SymbolicSet:
     """All ideals with no nonzero map from any interval module of the region."""
-    return complement(model, r.covered_set())
+    return complement(model, r.covered_set(model))
 
 
 def region_subset(model: IndexModel, r1: SerreRegion, r2: SerreRegion) -> bool:
-    """Whether every interval of r1 belongs to r2.
+    """Whether every interval of r1 belongs to r2, by one merge.
 
-    The windows inside one gap of r1 form a connected union, so they all fit
-    into r2 exactly when that union fits inside a single gap of r2.
+    The windows inside one gap of r1 form a connected cover, so they all fit
+    into r2 exactly when that cover fits inside a single gap of r2; since the
+    gaps of r2 never touch, that is when it lies in their union.
     """
-    c1, c2 = r1.cuts, r2.cuts
-    for t in range(2, len(c1), 4):
-        clo, chi = c1[t], c1[t + 1]
-        if clo is not None and not any(
-            c2[s] <= clo and chi <= c2[s + 1] for s in range(0, len(c2), 4)
-        ):
-            return False
-    return True
+    return is_subset(model, r1.covered_set(model), r2.gaps)
 
 
 def region_eq(model: IndexModel, r1: SerreRegion, r2: SerreRegion) -> bool:
@@ -671,7 +650,7 @@ def _closure_order_topology(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
 
 
 def closure(model: IndexModel, u: SymbolicSet, strategy: Strategy) -> SymbolicSet:
-    _require_dense(model)
+    require_dense(model, _SUBJECT)
     if strategy is Strategy.DOUBLE_ORTHOGONAL:
         return _closure_double_orthogonal(model, u)
     if strategy is Strategy.SUP_INF_SATURATION:
@@ -708,7 +687,7 @@ def is_closed(model: IndexModel, u: SymbolicSet) -> bool:
 
 def separate(model: IndexModel, p: DPoint, q: DPoint):
     """Two disjoint clopen window sets, the first containing p, the second q."""
-    _require_dense(model)
+    require_dense(model, _SUBJECT)
     validate_dpoint(model, p)
     validate_dpoint(model, q)
     order = cmp_d_unchecked(p, q)
@@ -745,7 +724,7 @@ def integer_cover_member(model: IndexModel, n: int | None) -> SymbolicSet:
     piece [0, infinity).  The pieces are pairwise disjoint and jointly cover
     every ideal.
     """
-    _require_dense(model)
+    require_dense(model, _SUBJECT)
     if n is None:
         return window_set(model, Window(Coord(0), INF))
     if n > 0:

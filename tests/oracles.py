@@ -504,6 +504,33 @@ def subset_by_complement(a, b):
     return not pairwise_intersect(a, SymbolicSet(gaps_complement(b)))
 
 
+def _gaps_with_covers(model, r):
+    """The gaps of a region as the flat list of (gap, cover) that ``spectrum``
+    stored before a region became its gap set."""
+    from ordspec.spectrum import cover_of_gap
+
+    return [((lo, hi), cover_of_gap(model, lo, hi)) for lo, hi in r.gaps.parts]
+
+
+def region_subset_by_scan(model, r1, r2):
+    """Each cover of r1 inside some gap of r2, found by scanning every gap.
+    The covers come from ``cover_of_gap``; only the merge is under test."""
+    gaps2 = [gap for gap, _ in _gaps_with_covers(model, r2)]
+    return all(
+        cover is None or any(lo <= cover[0] and cover[1] <= hi for lo, hi in gaps2)
+        for _, cover in _gaps_with_covers(model, r1)
+    )
+
+
+def contains_interval_by_scan(model, r, iv):
+    """The window of iv inside some gap of r, found by scanning every gap."""
+    from ordspec.spectrum import TOP, finite_cut
+
+    w_lo = finite_cut(model, iv.start, 1)
+    w_hi = TOP if is_inf(iv.end) else finite_cut(model, iv.end, 1)
+    return any(lo <= w_lo and w_hi <= hi for (lo, hi), _ in _gaps_with_covers(model, r))
+
+
 def scan_member(model, a, p):
     """Membership by scanning every component."""
     from ordspec.spectrum import cut_above, cut_below

@@ -136,6 +136,16 @@ def test_exit_codes():
     )
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "scan_too_long"
+    # a region whose covered piece is not the cover of its gap
+    code, out = run_cli(
+        ["orthogonal", "--direction", "right", "--region",
+         '{"gaps":[{"gap":{"lo":{"point":"below_all","included":false},'
+         '"hi":{"point":{"coord":"0","flavor":"strict"},"included":true}},'
+         '"covered":{"lo":{"point":{"coord":"5","flavor":"principal"},"included":true},'
+         '"hi":{"point":{"coord":"6","flavor":"strict"},"included":false}}}]}']
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "bad_region"
     # wrong JSON types where a list or a scalar belongs are malformed input
     for argv in (
         ["realize", "--barcode", '{"bars":5}', "--length", "3"],

@@ -104,6 +104,42 @@ def test_region_round_trip_including_empty_cover():
         assert right_orthogonal(M, back2) == right_orthogonal(M, r2)
 
 
+def _piece(lo, lo_in, hi, hi_in):
+    def end(p, included):
+        return {"point": "below_all" if p is None else jsonio.encode_dpoint(p), "included": included}
+
+    return {"lo": end(lo, lo_in), "hi": end(hi, hi_in)}
+
+
+def test_region_decoder_refuses_what_no_set_leaves():
+    # the windows [x, 0) cover the whole gap up to (0, S)
+    up_to_0 = cover = _piece(None, False, strict_at(0), True)
+    ok = {"gaps": [{"gap": up_to_0, "covered": cover}]}
+    assert jsonio.decode_region(M, ok) == left_orthogonal(M, jsonio.decode_set(M, {"components": [
+        _piece(strict_at(0), False, strict_at(INF), True)]}))
+    above_3 = _piece(principal_at(3), True, strict_at(INF), True)
+    bad = {
+        # a fabricated cover, a missing one, and one where no window fits
+        "fabricated": [{"gap": up_to_0, "covered": _piece(principal_at(5), True, strict_at(6), False)}],
+        "missing": [{"gap": up_to_0, "covered": None}],
+        "no window": [{"gap": _piece(strict_at(0), True, principal_at(0), True), "covered": cover}],
+        # gaps that overlap, touch, or repeat
+        "overlap": [{"gap": up_to_0, "covered": cover},
+                    {"gap": _piece(strict_at(-1), True, strict_at(0), True),
+                     "covered": _piece(principal_at(-1), True, strict_at(0), True)}],
+        "touch": [{"gap": up_to_0, "covered": cover},
+                  {"gap": _piece(strict_at(0), False, principal_at(3), False),
+                   "covered": _piece(principal_at(0), True, principal_at(3), False)}],
+        "repeat": [{"gap": above_3, "covered": above_3}, {"gap": above_3, "covered": above_3}],
+    }
+    for name, gaps in bad.items():
+        with pytest.raises(DomainError) as err:
+            jsonio.decode_region(M, {"gaps": gaps})
+        assert err.value.kind == "bad_region", name
+        # each gap's own cover is right in the last three
+        assert ("overlap" in err.value.detail) is (name in ("overlap", "touch", "repeat")), name
+
+
 def test_chain_model_rejects_symbolic_sets():
     chain = FiniteChain(4)
     with pytest.raises(DomainError):

@@ -193,7 +193,7 @@ def test_left_orthogonal_examples():
     assert not r2.contains_interval(M, FpInterval(Coord(1), Coord(5)))
     # the whole space admits no orthogonal intervals
     r3 = left_orthogonal(M, full_set(M))
-    assert r3.covered_set() == EMPTY_SET
+    assert r3.covered_set(M) == EMPTY_SET
     assert not r3.contains_interval(M, FpInterval(Coord(0), Coord(1)))
 
 

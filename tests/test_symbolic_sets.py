@@ -14,6 +14,8 @@ from ordspec import (
     DPoint,
     EMPTY_SET,
     Flavor,
+    FpInterval,
+    INF,
     Strategy,
     SymbolicSet,
     closure,
@@ -23,6 +25,8 @@ from ordspec import (
     is_subset,
     left_orthogonal,
     member,
+    region_eq,
+    region_subset,
     union,
 )
 from ordspec import coords, jsonio, spectrum
@@ -31,11 +35,13 @@ from ordspec.spectrum import Cut, DEndpoint, finite_cut
 
 from conftest import subseed
 from oracles import (
+    contains_interval_by_scan,
     order_closure_fixpoint,
     pairwise_intersect,
     random_fraction,
     random_symbolic_set,
     random_wide_pieces,
+    region_subset_by_scan,
     scan_member,
     subset_by_complement,
     union_by_sorting,
@@ -70,6 +76,27 @@ def test_merges_agree_with_pairwise_algorithms():
             for flavor in (Flavor.STRICT, Flavor.PRINCIPAL)[: 1 + model.is_member(x)]:
                 p = DPoint(x, flavor)
                 assert member(model, a, p) is scan_member(model, a, p)
+
+
+def test_region_merges_agree_with_gap_scans():
+    true_cross = 0
+    for rng, model, a, b in _random_pairs(300):
+        # b inside a half of the time, so that left(a) lies in left(b)
+        if rng.random() < 0.5:
+            b = intersect(model, a, b)
+        ra, rb = left_orthogonal(model, a), left_orthogonal(model, b)
+        for r1, r2 in ((ra, rb), (rb, ra), (ra, ra)):
+            expected = region_subset_by_scan(model, r1, r2)
+            assert region_subset(model, r1, r2) is expected
+            true_cross += expected and r1 is not r2
+        assert region_eq(model, ra, rb) is (region_subset_by_scan(model, ra, rb) and region_subset_by_scan(model, rb, ra))
+        xs = sorted({c.coord for c in a.cuts if c.coord is not None} | {Coord(random_fraction(rng, -80, 80))})
+        for start in rng.sample(xs, min(8, len(xs))):
+            for end in [x for x in xs if start < x][:2] + [INF]:
+                iv = FpInterval(start, end)
+                assert ra.contains_interval(model, iv) is contains_interval_by_scan(model, ra, iv)
+    # the antitone pairs keep many of the 600 cross answers true
+    assert 100 < true_cross < 500
 
 
 def test_union_of_pieces_agrees_with_one_constructor():
@@ -151,12 +178,15 @@ def test_set_operations_make_k_log_k_compares(model, count_compares):
     v = SymbolicSet(interval_set(model, lo, hi).parts[0] for lo, hi in pv)
     w = intersect(model, u, v)
     doc = jsonio.encode_set(model, u)
+    r = left_orthogonal(model, u)
     costs = {
         "union": n,
         "intersect": count_compares(intersect, model, u, v)[0],
         "is_subset": count_compares(is_subset, model, w, u)[0],
         "decode_set": count_compares(jsonio.decode_set, model, doc)[0],
         "complement": count_compares(complement, model, u)[0],
+        "left_orthogonal": count_compares(left_orthogonal, model, u)[0],
+        "region_eq": count_compares(region_eq, model, r, r)[0],
         **{s.value: count_compares(closure, model, u, s)[0] for s in Strategy},
     }
     assert is_subset(model, w, u)
