@@ -13,8 +13,11 @@ The same form then extends the survivors to a basis of the new step; the
 added vectors are the births.  The engine is parameterised by the map that
 carries a vector one step on and by a basis of each step: ``decompose``
 carries by the structure maps and offers unit vectors, kernels and cokernels
-restrict to the alive summands and offer pointwise kernel bases.  All
-arithmetic is exact.
+restrict to the alive summands and offer pointwise kernel bases.  Structure
+maps are read as sparse columns and applied by ``linalg.combine``, which
+also carries the unit vectors of ``rank_invariant``; the dense matrices of
+a ``ChainModule`` are its input and JSON form only.  All arithmetic is
+exact.
 """
 
 from __future__ import annotations
@@ -108,16 +111,28 @@ def barcode(bar_dict) -> Barcode:
 
 
 def rank_invariant(m: ChainModule, i: int, j: int) -> int:
-    """Rank of the composite structure map from slot i to slot j."""
+    """Rank of the composite structure map from slot i to slot j: the unit
+    vectors of slot i are carried to slot j and added to one echelon form."""
     L = m.length
     if not (0 <= i <= j < L):
         raise DomainError("index_out_of_range", f"need 0 <= {i} <= {j} < {L}")
-    if i == j:
-        return m.dims[i]
-    comp = linalg.identity(m.field, m.dims[i])
+    field = m.field
+    vecs = [{k: field.one} for k in range(m.dims[i])]
     for t in range(i, j):
-        comp = linalg.mat_mul(m.field, m.map_matrix(t), comp)
-    return linalg.rank(m.field, comp)
+        cols = _columns(m, t)
+        vecs = [linalg.combine(field, vec, cols) for vec in vecs]
+    echelon = linalg.Echelon(field)
+    return sum(echelon.add(vec, k) is None for k, vec in enumerate(vecs))
+
+
+def _columns(m: ChainModule, t: int) -> list[dict]:
+    """Structure map t as sparse columns {row: entry}, one per column."""
+    cols = [{} for _ in range(m.dims[t])]
+    for r, row in enumerate(m.maps[t]):
+        for c, v in enumerate(row):
+            if v:
+                cols[c][r] = v
+    return cols
 
 
 class _Born:
@@ -186,35 +201,23 @@ def _sweep(field: Field, n_steps: int, carry, basis_at):
 def _at_birth(field: Field, comb: dict, birth: int) -> dict:
     """The combination {carried vector: coefficient} of vectors born by step
     birth, evaluated at that step."""
-    out: dict = {}
-    for rec, c in comb.items():
-        for i, v in rec.path[birth - rec.birth].items():
-            out[i] = field.add(out.get(i, field.zero), field.mul(c, v))
-    return {i: v for i, v in out.items() if not field.is_zero(v)}
+    return linalg.combine(field, comb, {rec: rec.path[birth - rec.birth] for rec in comb})
 
 
 def decompose(m: ChainModule) -> Barcode:
     """The unique interval decomposition of a chain module.
 
-    Vectors are carried by the structure maps; the unit vectors of each slot
-    are the candidate births.
+    Vectors are carried by the structure maps, read once as sparse columns;
+    the unit vectors of each slot are the candidate births.
     """
     field = m.field
-
-    def carry(s, vec):
-        out = {}
-        for r, row in enumerate(m.maps[s - 1]):
-            acc = field.zero
-            for c, v in vec.items():
-                if not field.is_zero(row[c]):
-                    acc = field.add(acc, field.mul(row[c], v))
-            if not field.is_zero(acc):
-                out[r] = acc
-        return out
-
+    cols = [_columns(m, t) for t in range(m.length - 1)]
     bars = {}
     for birth, death, _ in _sweep(
-        field, m.length, carry, lambda s: [{j: field.one} for j in range(m.dims[s])]
+        field,
+        m.length,
+        lambda s, vec: linalg.combine(field, vec, cols[s - 1]),
+        lambda s: [{j: field.one} for j in range(m.dims[s])],
     ):
         key = (birth, m.length if death is None else death)
         bars[key] = bars.get(key, 0) + 1
@@ -240,7 +243,7 @@ def realize(b: Barcode, length: int, field: Field = QQ) -> ChainModule:
     for t in range(length - 1):
         rows = [ix for ix, (s, e) in enumerate(blocks) if s <= t + 1 < e]
         cols = [ix for ix, (s, e) in enumerate(blocks) if s <= t < e]
-        mat = linalg.zeros(field, len(rows), len(cols))
+        mat = [[field.zero] * len(cols) for _ in rows]
         for ri, block_ix in enumerate(rows):
             if block_ix in cols:
                 mat[ri][cols.index(block_ix)] = field.one

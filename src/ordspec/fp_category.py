@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .barcode import ChainModule, _sweep
+from .barcode import ChainModule, _sweep, rank_invariant
 from .coords import Coord, ExtCoord, INF, is_inf, rational_above, rational_between
 from .errors import DomainError
 from .fields import Field, QQ
@@ -238,14 +238,13 @@ class Sample:
     cell: tuple | None = None  # for "mid": (u, v) with u < sample < v
 
 
-def critical_grid(modules, refine=()) -> list[Sample]:
+def critical_grid(modules) -> list[Sample]:
     coords: set[Coord] = set()
     for m in modules:
         for iv in m.summands:
             coords.add(iv.start)
             if not is_inf(iv.end):
                 coords.add(iv.end)
-    coords.update(refine)
     ordered = sorted(coords)
     if not ordered:
         return []
@@ -301,46 +300,48 @@ def _matrix(field: Field, entries, cols, rows):
     return [[entries.get((c, r), field.zero) for c in cols] for r in rows]
 
 
-def _null_basis(field: Field, mat, cols):
-    """A nullspace basis of mat as sparse vectors keyed by the summands cols."""
-    if not mat:
-        return [{c: field.one} for c in cols]
-    return [
-        {c: v for c, v in zip(cols, vec) if not field.is_zero(v)}
-        for vec in linalg.nullspace(field, mat)
-    ]
+def _null_basis(field: Field, f_cols: dict, dom, cod):
+    """A basis of the kernel of f at one sample, as sparse vectors keyed by
+    the summands dom alive there; f_cols are f's columns {col: {row: v}}
+    and cod the alive summands of its codomain."""
+    cod = set(cod)
+    return linalg.nullspace(
+        field, {c: {r: v for r, v in f_cols.get(c, {}).items() if r in cod} for c in dom}
+    )
 
 
-def kernel(f: FpMorphism, refine=()) -> tuple[FpModule, FpMorphism]:
+def kernel(f: FpMorphism) -> tuple[FpModule, FpMorphism]:
     """The kernel of f with its embedding into the source."""
-    return _exact("kernel", f, refine)
+    return _exact("kernel", f)
 
 
-def cokernel(f: FpMorphism, refine=()) -> tuple[FpModule, FpMorphism]:
+def cokernel(f: FpMorphism) -> tuple[FpModule, FpMorphism]:
     """The cokernel of f with the projection from the target."""
-    return _exact("cokernel", f, refine)
+    return _exact("cokernel", f)
 
 
-def _exact(op: str, f: FpMorphism, refine) -> tuple[FpModule, FpMorphism]:
+def _exact(op: str, f: FpMorphism) -> tuple[FpModule, FpMorphism]:
     """The kernel of f, or the cokernel as the kernel of the transposed f
     along the reversed grid, with its certified embedding or projection."""
     transposed = _SIDES[op][1]
     flip = _swap if transposed else dict
     dom, cod = (f.target, f.source) if transposed else (f.source, f.target)
     field = f.field
-    samples = critical_grid([f.source, f.target], refine)
+    samples = critical_grid([f.source, f.target])
     n = len(samples)
     pos = {s.coord: k for k, s in enumerate(samples) if s.role == "end"}
     alive_dom, alive_cod = _alive_lists(dom, pos, n), _alive_lists(cod, pos, n)
     f_entries = flip(f.entries)
-    f_mats = [_matrix(field, f_entries, alive_dom[t], alive_cod[t]) for t in range(n)]
+    f_cols: dict = {}
+    for (c, r), v in f_entries.items():
+        f_cols.setdefault(c, {})[r] = v
     order = range(n - 1, -1, -1) if transposed else range(n)
     alive_sets = [frozenset(alive_dom[t]) for t in order]
     bars = _sweep(
         field,
         n,
         lambda s, vec: {i: v for i, v in vec.items() if i in alive_sets[s]},
-        lambda s: _null_basis(field, f_mats[order[s]], alive_dom[order[s]]),
+        lambda s: _null_basis(field, f_cols, alive_dom[order[s]], alive_cod[order[s]]),
     )
     lifted = []
     for birth, death, vec in bars:
@@ -350,19 +351,21 @@ def _exact(op: str, f: FpMorphism, refine) -> tuple[FpModule, FpMorphism]:
     mod = FpModule(iv for iv, _ in lifted)
     emb = {(ell, i): v for ell, (_, vec) in enumerate(lifted) for i, v in vec.items()}
     g = FpMorphism(*((dom, mod) if transposed else (mod, dom)), flip(emb), field)
-    _certify(op, samples, pos, alive_dom, f_mats, mod, flip(g.entries), field)
+    _certify(op, samples, pos, alive_dom, alive_cod, f_entries, mod, flip(g.entries), field)
     return mod, g
 
 
-def _certify(op: str, samples, pos, alive_dom, f_mats, mod, g_entries, field) -> None:
+def _certify(op: str, samples, pos, alive_dom, alive_cod, f_entries, mod, g_entries, field) -> None:
     """Check at every grid sample that the map g of mod into the domain of the
     (possibly transposed) f is a kernel of f there, or raise AssertionError.
-    g is evaluated on the grid positions of mod's own endpoints."""
+    g is evaluated on the grid positions of mod's own endpoints, and both
+    maps as dense matrices, apart from the sparse route of the sweep."""
     for iv in mod.summands:
         if iv.start not in pos or not (is_inf(iv.end) or iv.end in pos):
             raise AssertionError(f"{op} certificate failed: summand {iv} is off the grid")
     alive_mod = _alive_lists(mod, pos, len(samples))
-    for s, f_t, dom, new in zip(samples, f_mats, alive_dom, alive_mod):
+    for s, dom, cod, new in zip(samples, alive_dom, alive_cod, alive_mod):
+        f_t = _matrix(field, f_entries, dom, cod)
         g_t = _matrix(field, g_entries, new, dom)
         failed = None
         if linalg.rank(field, g_t) != len(new):
@@ -423,8 +426,4 @@ def reduce_generators(ambient: FpModule, gens, field: Field = QQ) -> list[int]:
 
 def is_flat(m: ChainModule) -> bool:
     """Over a finite chain: flat exactly when every structure map is injective."""
-    for i in range(m.length - 1):
-        mat = m.map_matrix(i)
-        if linalg.rank(m.field, mat) != m.dims[i]:
-            return False
-    return True
+    return all(rank_invariant(m, i, i + 1) == m.dims[i] for i in range(m.length - 1))

@@ -1,34 +1,25 @@
 """Exact linear algebra over a Field.
 
-Matrices are lists of row lists.  All elimination but one goes through
-``Echelon``, a sparse echelon form grown one vector at a time whose rows
-record the combinations of added vectors they came from: nullspaces, rank
-over F_p, the deaths and births of the elder-rule sweep in ``barcode`` and
-generator reduction in ``fp_category``.  Rank over the rationals takes its
-own fraction-free integer path (rows are cleared of denominators, then
-Bareiss elimination), so that the kernel and cokernel certificate checks the
-sweep's nullspaces by an independent route.
+Linear maps on the way through a computation are sparse: a vector is a dict
+without zero entries, and a map is given by its columns, one such vector
+per key.  ``combine`` applies a map to a vector (the sum of coefficient
+times column).  ``Echelon`` is a sparse echelon form grown one vector at a
+time whose rows record the combinations of added vectors they came from; it
+computes nullspaces, ranks of composites, the deaths and births of the
+elder-rule sweep in ``barcode`` and generator reduction in ``fp_category``.
+Dense matrices, lists of row lists, serve the kernel and cokernel
+certificate only: ``mat_mul`` and ``rank``.  Over the rationals ``rank``
+takes its own fraction-free integer path (rows are cleared of denominators,
+then Bareiss elimination), so that the certificate checks the sweep's
+nullspaces by an independent route.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from .errors import DomainError
 from .fields import Field
-
-
-def zeros(field: Field, m: int, n: int):
-    z = field.zero
-    return [[z] * n for _ in range(m)]
-
-
-def identity(field: Field, n: int):
-    a = zeros(field, n, n)
-    one = field.one
-    for i in range(n):
-        a[i][i] = one
-    return a
 
 
 def mat_mul(field: Field, a, b):
@@ -39,30 +30,17 @@ def mat_mul(field: Field, a, b):
     n = len(b[0]) if b else 0
     if k != len(b):
         raise DomainError("shape_mismatch", "matrix product shape mismatch")
-    if field.is_rational:
-        out = []
-        for row in a:
-            nr = []
-            for j in range(n):
-                s = Fraction(0)
-                for t in range(k):
-                    x = row[t]
-                    if x:
-                        s += x * b[t][j]
-                nr.append(s)
-            out.append(nr)
-        return out
     p = field.p
     out = []
     for row in a:
         nr = []
         for j in range(n):
-            s = 0
+            s = field.zero
             for t in range(k):
                 x = row[t]
                 if x:
                     s += x * b[t][j]
-            nr.append(s % p)
+            nr.append(s if p is None else s % p)
         out.append(nr)
     return out
 
@@ -109,22 +87,13 @@ def rank(field: Field, a) -> int:
     if field.is_rational:
         int_rows = []
         for row in a:
-            den = 1
-            for v in row:
-                if v.denominator != 1:
-                    den = den * v.denominator // _gcd(den, v.denominator)
-            int_rows.append([int(v * den) for v in row])
+            den = math.lcm(*[v.denominator for v in row])
+            int_rows.append([v.numerator * (den // v.denominator) for v in row])
         return _int_rank_bareiss(int_rows)
     echelon = Echelon(field)
     for i, row in enumerate(a):
         echelon.add({j: v for j, v in enumerate(row) if v}, i)
     return len(echelon.rows)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class Echelon:
@@ -166,7 +135,7 @@ class Echelon:
 
 def _sub_multiple(field: Field, acc: dict, c, vec: dict) -> None:
     """acc -= c * vec, dropping the entries that vanish.  The innermost loop of
-    all elimination, so it does the field's arithmetic itself."""
+    all sparse arithmetic, so it does the field's arithmetic itself."""
     p = field.p
     for i, v in vec.items():
         x = acc.get(i, 0) - c * v
@@ -178,8 +147,19 @@ def _sub_multiple(field: Field, acc: dict, c, vec: dict) -> None:
             acc.pop(i, None)
 
 
-def nullspace(field: Field, a):
-    """Basis of the right nullspace {v : a v = 0}, as a list of vectors.
+def combine(field: Field, coeffs: dict, vectors) -> dict:
+    """The sum of coeffs[k] * vectors[k] over the keys k of coeffs, as a
+    vector without zero entries.  With vectors the columns of a map, this is
+    the map applied to the vector coeffs."""
+    out: dict = {}
+    for k, c in coeffs.items():
+        _sub_multiple(field, out, -c, vectors[k])
+    return out
+
+
+def nullspace(field: Field, cols: dict) -> list:
+    """Basis of {x : combine(field, x, cols) = 0} for the columns
+    cols {key: vector}, as vectors keyed like cols.
 
     The columns are added to an ``Echelon`` in order; each column that
     depends on the ones before it gives the vector of its vanishing
@@ -187,14 +167,6 @@ def nullspace(field: Field, a):
     one vector per free column, since both are 1 at the free column and 0
     at the other free columns.
     """
-    n = len(a[0]) if a else 0
     echelon = Echelon(field)
-    basis = []
-    for j in range(n):
-        comb = echelon.add({i: row[j] for i, row in enumerate(a) if row[j]}, j)
-        if comb is not None:
-            v = [field.zero] * n
-            for k, c in comb.items():
-                v[k] = c
-            basis.append(v)
-    return basis
+    combs = (echelon.add(col, key) for key, col in cols.items())
+    return [comb for comb in combs if comb is not None]

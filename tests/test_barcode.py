@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from ordspec import DomainError, Field, QQ, barcode, chain_module, decompose, rank_invariant, realize
+from ordspec import (
+    DomainError, Field, QQ, barcode, chain_module, decompose, is_flat, rank_invariant, realize,
+)
 from ordspec import linalg
 from ordspec.jsonio import decode_chain, encode_barcode
 
 from conftest import subseed
-from oracles import barcode_by_rank_table, frac_rank, random_invertible_int_matrix
+from oracles import barcode_by_rank_table, frac_rank, modp_rank, random_invertible_int_matrix
 
 
 def F(x):
@@ -167,7 +169,35 @@ def test_rank_agrees_with_independent_gaussian():
         m = random_chain(rng, max_dim=3, max_len=5)
         for i in range(m.length):
             for j in range(i, m.length):
-                comp = linalg.identity(QQ, m.dims[i])
+                d = m.dims[i]
+                comp = [[QQ.one if r == c else QQ.zero for c in range(d)] for r in range(d)]
                 for t in range(i, j):
                     comp = linalg.mat_mul(QQ, m.map_matrix(t), comp)
                 assert rank_invariant(m, i, j) == frac_rank(comp)
+
+
+def _modp_product(a, b, p, n):
+    """a times b mod p, where b has n columns."""
+    return [[sum(x * b[t][j] for t, x in enumerate(row)) % p for j in range(n)] for row in a]
+
+
+def test_rank_invariant_and_is_flat_over_prime_fields():
+    """Ranks of composites and flatness over F_5 and F_(2^31-1), against an
+    independent elimination mod p of composites built here."""
+    rng = subseed(35)
+    for p in (5, 2**31 - 1):
+        field = Field(p)
+        flat_seen = set()
+        for _ in range(40):
+            m = random_chain(rng, max_dim=4, max_len=5, field=field)
+            for i in range(m.length):
+                d = m.dims[i]
+                comp = [[int(r == c) for c in range(d)] for r in range(d)]
+                for j in range(i, m.length):
+                    if j > i:
+                        comp = _modp_product(m.maps[j - 1], comp, p, d)
+                    assert rank_invariant(m, i, j) == modp_rank(comp, p), (p, m, i, j)
+            flat = all(modp_rank(m.maps[t], p) == m.dims[t] for t in range(m.length - 1))
+            assert is_flat(m) is flat, (p, m)
+            flat_seen.add(flat)
+        assert flat_seen == {True, False}

@@ -32,7 +32,7 @@ from ordspec import (
     DENSE_REAL,
     TOP_IDEAL,
 )
-from ordspec.fp_category import critical_grid
+from ordspec.fp_category import _iv_key, critical_grid
 
 from conftest import subseed
 from oracles import (
@@ -212,7 +212,18 @@ def test_first_isomorphism_pointwise():
             assert Kpi.dim_at(t) == frac_rank(mat)
 
 
+def _with_extra_summands(m: FpModule, extra):
+    """m with the summands extra added, and the new index of each old summand."""
+    both = m.summands + tuple(extra)
+    order = sorted(range(len(both)), key=lambda k: _iv_key(both[k]))
+    new_ix = {k: pos for pos, k in enumerate(order)}
+    return FpModule(both), [new_ix[k] for k in range(len(m.summands))]
+
+
 def test_kernel_invariant_under_grid_refinement():
+    """Summands that f does not touch refine the critical grid with their
+    endpoints: one more in the target leaves the kernel as it is, one more
+    in the source the cokernel."""
     rng = subseed(42)
     for _ in range(10):
         f = random_morphism(rng, max_summands=3, hi=6)
@@ -220,8 +231,13 @@ def test_kernel_invariant_under_grid_refinement():
         C1, p1 = cokernel(f)
         extra = [Coord(Fraction(rng.randint(0, 24), 3)) for _ in range(3)]
         extra.append(Coord(Fraction(rng.randint(50, 60))))
-        K2, i2 = kernel(f, refine=extra)
-        C2, p2 = cokernel(f, refine=extra)
+        extra = [FpInterval(c, INF) for c in extra]
+        target, at = _with_extra_summands(f.target, extra)
+        wider = {(i, at[j]): v for (i, j), v in f.entries.items()}
+        K2, i2 = kernel(FpMorphism(f.source, target, wider, f.field))
+        source, at = _with_extra_summands(f.source, extra)
+        wider = {(at[i], j): v for (i, j), v in f.entries.items()}
+        C2, p2 = cokernel(FpMorphism(source, f.target, wider, f.field))
         assert K1 == K2 and C1 == C2
         assert i1 == i2 and p1 == p2
 
@@ -232,8 +248,8 @@ def _corrupt_first_pair(real):
     legality, is kept, but the vector leaves the kernel (the functional no
     longer vanishes on the image)."""
 
-    def basis(field, mat, cols):
-        vecs = real(field, mat, cols)
+    def basis(field, *args):
+        vecs = real(field, *args)
         for k, vec in enumerate(vecs):
             if len(vec) > 1:
                 i = max(vec)

@@ -35,12 +35,23 @@ def test_rank_prime_field():
     assert linalg.rank(QQ, [[Fraction(5), Fraction(1)], [Fraction(0), Fraction(10)]]) == 2
 
 
+def _columns(a, n, keys=None):
+    """The n columns of the dense matrix a as sparse vectors, keyed by keys."""
+    keys = keys or range(n)
+    return {keys[j]: {i: row[j] for i, row in enumerate(a) if row[j]} for j in range(n)}
+
+
+def _dense(vec, n, keys=None):
+    keys = keys or range(n)
+    return [vec.get(keys[j], QQ.zero) for j in range(n)]
+
+
 def test_nullspace_vectors_annihilate():
     rng = subseed(11)
     for _ in range(80):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = _random_matrix(rng, m, n)
-        basis = linalg.nullspace(QQ, a)
+        basis = [_dense(v, n) for v in linalg.nullspace(QQ, _columns(a, n))]
         assert len(basis) == n - linalg.rank(QQ, a)
         for v in basis:
             assert all(row[0] == 0 for row in linalg.mat_mul(QQ, a, [[x] for x in v]))
@@ -58,13 +69,20 @@ def _rank_deficient(rng, m, n, r, entry):
 
 def test_nullspace_is_the_reduced_echelon_basis():
     """Vector for vector, not only the same span: the basis read off the
-    reduced row echelon form is unique."""
+    reduced row echelon form is unique.  Column keys are labels: the
+    vectors come keyed like the columns, with the columns taken in their
+    given order, also under keys that are neither contiguous nor sorted."""
     rng = subseed(12)
     for _ in range(80):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         r = rng.randint(0, min(m, n) - 1)
         a = _rank_deficient(rng, m, n, r, lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-        assert linalg.nullspace(QQ, a) == frac_nullspace(a, n), a
+        want = frac_nullspace(a, n)
+        assert [_dense(v, n) for v in linalg.nullspace(QQ, _columns(a, n))] == want, a
+        keys = [5 * (n - j) for j in range(n)]
+        basis = linalg.nullspace(QQ, _columns(a, n, keys))
+        assert [_dense(v, n, keys) for v in basis] == want, (a, keys)
+        assert all(0 not in v.values() for v in basis)
 
 
 def test_rank_prime_field_matches_modp_oracle():
