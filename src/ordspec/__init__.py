@@ -27,7 +27,16 @@ from .order_core import (
     strict_at,
     TOP_IDEAL,
 )
-from .barcode import Barcode, ChainModule, barcode, chain_module, decompose, rank_invariant, realize
+from .barcode import (
+    Barcode,
+    ChainModule,
+    barcode,
+    chain_module,
+    decompose,
+    is_flat,
+    rank_invariant,
+    realize,
+)
 from .fp_category import (
     FpInterval,
     FpModule,
@@ -39,7 +48,6 @@ from .fp_category import (
     hom_dim,
     hom_to_injective,
     identity_morphism,
-    is_flat,
     kernel,
     reduce_generators,
     zero_morphism,

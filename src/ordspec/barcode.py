@@ -13,16 +13,26 @@ The same form then extends the survivors to a basis of the new step; the
 added vectors are the births.  The engine is parameterised by the map that
 carries a vector one step on and by a basis of each step: ``decompose``
 carries by the structure maps and offers unit vectors, kernels and cokernels
-restrict to the alive summands and offer pointwise kernel bases.  Structure
-maps are read as sparse columns and applied by ``linalg.combine``, which
-also carries the unit vectors of ``rank_invariant``; the dense matrices of
-a ``ChainModule`` are its input and JSON form only.  All arithmetic is
-exact.
+restrict to the alive summands and offer pointwise kernel bases.
+
+A ``ChainModule`` stores each structure map once, as an integer matrix and
+one positive denominator (the lcm of its entry denominators over QQ, 1 over
+F_p); ``maps`` is a read-only view of the exact entries, for the JSON form
+and for callers.  Scaling a structure map, or one carried vector, by a
+nonzero number changes neither ranks nor bars, so the computations here
+never leave the integer matrices: ``decompose`` carries integer vectors
+through them, read once as sparse columns and applied by ``linalg.combine``,
+and divides each image by the gcd of its entries; ``rank_invariant`` carries
+the unit vectors of slot i to slot j the same way and ``is_flat`` takes each
+map as it is, and both take the fraction-free rank ``linalg.rank``.  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from itertools import accumulate
 
 from .errors import DomainError
@@ -45,10 +55,18 @@ def _check_size(dims) -> None:
 
 @dataclass(frozen=True)
 class ChainModule:
-    """dims[t] for t in 0..L-1 plus structure maps; maps[i] has shape dims[i+1] x dims[i]."""
+    """dims[t] for t in 0..L-1 plus structure maps; map i has shape dims[i+1] x dims[i].
+
+    Map i is stored as the integer matrix ``ints[i]`` and the positive
+    denominator ``dens[i]``: its entries are ints[i] / dens[i].  Over QQ
+    dens[i] is the lcm of the entry denominators; over F_p it is 1 and the
+    entries are reduced mod p.  Either way equal maps have equal pairs.
+    Build one with ``chain_module``.
+    """
 
     dims: tuple[int, ...]
-    maps: tuple[tuple[tuple, ...], ...]
+    ints: tuple[tuple[tuple[int, ...], ...], ...]
+    dens: tuple[int, ...]
     field: Field = dc_field(default_factory=lambda: QQ)
 
     def __post_init__(self):
@@ -57,9 +75,9 @@ class ChainModule:
         if any(d < 0 for d in self.dims):
             raise DomainError("bad_chain", "dimensions must be non-negative")
         _check_size(self.dims)
-        if len(self.maps) != len(self.dims) - 1:
+        if len(self.ints) != len(self.dims) - 1:
             raise DomainError("bad_chain", "expected one map per consecutive pair")
-        for i, m in enumerate(self.maps):
+        for i, m in enumerate(self.ints):
             rows, cols = self.dims[i + 1], self.dims[i]
             if len(m) != rows or any(len(r) != cols for r in m):
                 raise DomainError(
@@ -70,13 +88,39 @@ class ChainModule:
     def length(self) -> int:
         return len(self.dims)
 
-    def map_matrix(self, i: int):
-        return [list(r) for r in self.maps[i]]
+    @property
+    def maps(self) -> tuple[tuple[tuple, ...], ...]:
+        """The exact entries of the structure maps, built on each access."""
+        if not self.field.is_rational:
+            return self.ints
+        return tuple(
+            tuple(tuple(Fraction(v, den) for v in row) for row in mat)
+            for mat, den in zip(self.ints, self.dens)
+        )
 
 
 def chain_module(dims, maps, field: Field = QQ) -> ChainModule:
-    frozen_maps = tuple(tuple(tuple(row) for row in m) for m in maps)
-    return ChainModule(tuple(dims), frozen_maps, field)
+    """The chain module with the given dimensions and structure maps (matrices
+    of scalars of the field, each a list of rows)."""
+    ints, dens = [], []
+    for m in maps:
+        rows = [tuple(row) for row in m]
+        den = 1
+        if not field.is_rational:
+            rows = [tuple(v % field.p for v in row) for row in rows]
+        else:
+            try:
+                den = math.lcm(*{v.denominator for row in rows for v in row})
+            except AttributeError:
+                raise DomainError("bad_chain", "entries over QQ must be rationals") from None
+            # integral maps, the common case, skip the scaling
+            if den == 1:
+                rows = [tuple(v.numerator for v in row) for row in rows]
+            else:
+                rows = [tuple(v.numerator * (den // v.denominator) for v in row) for row in rows]
+        ints.append(tuple(rows))
+        dens.append(den)
+    return ChainModule(tuple(dims), tuple(ints), tuple(dens), field)
 
 
 @dataclass(frozen=True)
@@ -112,23 +156,45 @@ def barcode(bar_dict) -> Barcode:
 
 def rank_invariant(m: ChainModule, i: int, j: int) -> int:
     """Rank of the composite structure map from slot i to slot j: the unit
-    vectors of slot i are carried to slot j and added to one echelon form."""
+    vectors of slot i are carried to slot j through the integer matrices,
+    which scales each of them by a nonzero number, and the fraction-free
+    rank of what they reach is taken."""
     L = m.length
     if not (0 <= i <= j < L):
         raise DomainError("index_out_of_range", f"need 0 <= {i} <= {j} < {L}")
     field = m.field
-    vecs = [{k: field.one} for k in range(m.dims[i])]
+    vecs = [{k: 1} for k in range(m.dims[i])]
     for t in range(i, j):
         cols = _columns(m, t)
-        vecs = [linalg.combine(field, vec, cols) for vec in vecs]
-    echelon = linalg.Echelon(field)
-    return sum(echelon.add(vec, k) is None for k, vec in enumerate(vecs))
+        vecs = [_carry(field, vec, cols) for vec in vecs]
+    return linalg.rank(field, [[vec.get(c, 0) for c in range(m.dims[j])] for vec in vecs])
+
+
+def is_flat(m: ChainModule) -> bool:
+    """Over a finite chain: flat exactly when every structure map is
+    injective, that is, of rank the dimension of its domain."""
+    return all(linalg.rank(m.field, m.ints[t]) == m.dims[t] for t in range(m.length - 1))
+
+
+def _carry(field: Field, vec: dict, cols: list[dict]) -> dict:
+    """The integer columns cols applied to vec.  Over QQ the image is divided
+    by the gcd of its entries: scaling one carried vector changes no rank and
+    no bar, and a map cleared of many distinct denominators would otherwise
+    let the entries grow by their lcm at every step.  So only ranks and bars
+    may be read from vectors carried this way, not their values."""
+    out = linalg.combine(field, vec, cols)
+    if field.is_rational:
+        g = math.gcd(*out.values())
+        if g > 1:
+            return {k: v // g for k, v in out.items()}
+    return out
 
 
 def _columns(m: ChainModule, t: int) -> list[dict]:
-    """Structure map t as sparse columns {row: entry}, one per column."""
+    """The integer matrix of structure map t as sparse columns {row: entry},
+    one per column."""
     cols = [{} for _ in range(m.dims[t])]
-    for r, row in enumerate(m.maps[t]):
+    for r, row in enumerate(m.ints[t]):
         for c, v in enumerate(row):
             if v:
                 cols[c][r] = v
@@ -207,8 +273,10 @@ def _at_birth(field: Field, comb: dict, birth: int) -> dict:
 def decompose(m: ChainModule) -> Barcode:
     """The unique interval decomposition of a chain module.
 
-    Vectors are carried by the structure maps, read once as sparse columns;
-    the unit vectors of each slot are the candidate births.
+    Integer vectors are carried by the integer matrices of the structure
+    maps, read once as sparse columns; the unit vectors of each slot are the
+    candidate births.  Only the bars are read from the sweep, since the
+    vectors it returns are scaled by ``_carry``.
     """
     field = m.field
     cols = [_columns(m, t) for t in range(m.length - 1)]
@@ -216,8 +284,8 @@ def decompose(m: ChainModule) -> Barcode:
     for birth, death, _ in _sweep(
         field,
         m.length,
-        lambda s, vec: linalg.combine(field, vec, cols[s - 1]),
-        lambda s: [{j: field.one} for j in range(m.dims[s])],
+        lambda s, vec: _carry(field, vec, cols[s - 1]),
+        lambda s: [{j: 1} for j in range(m.dims[s])],
     ):
         key = (birth, m.length if death is None else death)
         bars[key] = bars.get(key, 0) + 1
@@ -243,9 +311,9 @@ def realize(b: Barcode, length: int, field: Field = QQ) -> ChainModule:
     for t in range(length - 1):
         rows = [ix for ix, (s, e) in enumerate(blocks) if s <= t + 1 < e]
         cols = [ix for ix, (s, e) in enumerate(blocks) if s <= t < e]
-        mat = [[field.zero] * len(cols) for _ in rows]
+        mat = [[0] * len(cols) for _ in rows]
         for ri, block_ix in enumerate(rows):
             if block_ix in cols:
-                mat[ri][cols.index(block_ix)] = field.one
+                mat[ri][cols.index(block_ix)] = 1
         maps.append(mat)
     return chain_module(dims, maps, field)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import jsonio
-from .barcode import decompose as chain_decompose, rank_invariant, realize as chain_realize
+from .barcode import decompose as chain_decompose, is_flat, rank_invariant, realize as chain_realize
 from .errors import DomainError, SchemaError
 from .fields import Field, QQ, parse_rational
 from .fp_category import (
@@ -26,7 +26,6 @@ from .fp_category import (
     compose,
     hom_dim,
     hom_to_injective,
-    is_flat,
     kernel,
     reduce_generators,
     validate_module,

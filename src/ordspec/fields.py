@@ -96,7 +96,7 @@ class Field:
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.p is None else pow(a, self.p - 2, self.p)
+        return _ONE / a if self.p is None else pow(a, self.p - 2, self.p)
 
     def is_zero(self, a) -> bool:
         return a == 0

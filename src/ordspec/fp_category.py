@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .barcode import ChainModule, _sweep, rank_invariant
+from .barcode import _sweep
 from .coords import Coord, ExtCoord, INF, is_inf, rational_above, rational_between
 from .errors import DomainError
 from .fields import Field, QQ
@@ -379,7 +379,7 @@ def _certify(op: str, samples, pos, alive_dom, alive_cod, f_entries, mod, g_entr
 
 
 # ---------------------------------------------------------------------------
-# Generator reduction and flatness
+# Generator reduction
 
 
 @dataclass(frozen=True)
@@ -422,8 +422,3 @@ def reduce_generators(ambient: FpModule, gens, field: Field = QQ) -> list[int]:
         if echelon.add(vec, k) is None:
             kept.append(k)
     return sorted(kept)
-
-
-def is_flat(m: ChainModule) -> bool:
-    """Over a finite chain: flat exactly when every structure map is injective."""
-    return all(rank_invariant(m, i, i + 1) == m.dims[i] for i in range(m.length - 1))

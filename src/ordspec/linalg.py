@@ -5,13 +5,13 @@ without zero entries, and a map is given by its columns, one such vector
 per key.  ``combine`` applies a map to a vector (the sum of coefficient
 times column).  ``Echelon`` is a sparse echelon form grown one vector at a
 time whose rows record the combinations of added vectors they came from; it
-computes nullspaces, ranks of composites, the deaths and births of the
-elder-rule sweep in ``barcode`` and generator reduction in ``fp_category``.
-Dense matrices, lists of row lists, serve the kernel and cokernel
-certificate only: ``mat_mul`` and ``rank``.  Over the rationals ``rank``
-takes its own fraction-free integer path (rows are cleared of denominators,
-then Bareiss elimination), so that the certificate checks the sweep's
-nullspaces by an independent route.
+computes nullspaces, the deaths and births of the elder-rule sweep in
+``barcode`` and generator reduction in ``fp_category``.  Dense matrices,
+lists of row lists, serve ``mat_mul`` and ``rank``: the kernel and cokernel
+certificate, and the rank invariant and flatness of chain modules.  Over the
+rationals ``rank`` takes its own fraction-free integer path (rows are
+cleared of denominators, then Bareiss elimination), so that the certificate
+checks the sweep's nullspaces by an independent route.
 """
 
 from __future__ import annotations
@@ -85,10 +85,16 @@ def rank(field: Field, a) -> int:
     if m == 0 or len(a[0]) == 0:
         return 0
     if field.is_rational:
+        # each row becomes the primitive integer vector on its line: cleared
+        # of denominators, then divided by the gcd of its entries, so that
+        # rows scaled by a large common number (the integer matrices of
+        # ``barcode``) cost no more than the rationals they stand for
         int_rows = []
         for row in a:
             den = math.lcm(*[v.denominator for v in row])
-            int_rows.append([v.numerator * (den // v.denominator) for v in row])
+            ints = [v.numerator * (den // v.denominator) for v in row]
+            g = math.gcd(*ints)
+            int_rows.append([v // g for v in ints] if g > 1 else ints)
         return _int_rank_bareiss(int_rows)
     echelon = Echelon(field)
     for i, row in enumerate(a):

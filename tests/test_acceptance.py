@@ -328,7 +328,7 @@ def test_criterion_10_barcode():
         bases = [random_invertible_int_matrix(rng, d) for d in dims]
         new_maps = [
             linalg.mat_mul(
-                QQ, bases[i + 1][0], linalg.mat_mul(QQ, m.map_matrix(i), bases[i][1])
+                QQ, bases[i + 1][0], linalg.mat_mul(QQ, m.maps[i], bases[i][1])
             )
             for i in range(length - 1)
         ]
@@ -389,7 +389,7 @@ def test_criterion_12_flatness():
         ]
         m = chain_module(dims, maps)
         injective_all = all(
-            frac_rank(m.map_matrix(i)) == dims[i] for i in range(length - 1)
+            frac_rank(m.maps[i]) == dims[i] for i in range(length - 1)
         )
         assert is_flat(m) == injective_all
     _done(12, "flatness criterion")

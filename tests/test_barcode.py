@@ -1,3 +1,5 @@
+import gc
+import json
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,7 @@ from ordspec import (
     DomainError, Field, QQ, barcode, chain_module, decompose, is_flat, rank_invariant, realize,
 )
 from ordspec import linalg
-from ordspec.jsonio import decode_chain, encode_barcode
+from ordspec.jsonio import decode_chain, encode_barcode, encode_chain
 
 from conftest import subseed
 from oracles import barcode_by_rank_table, frac_rank, modp_rank, random_invertible_int_matrix
@@ -143,7 +145,7 @@ def test_isomorphism_invariance_under_basis_change():
         new_maps = []
         for i in range(m.length - 1):
             conj = linalg.mat_mul(
-                QQ, bases[i + 1][0], linalg.mat_mul(QQ, m.map_matrix(i), bases[i][1])
+                QQ, bases[i + 1][0], linalg.mat_mul(QQ, m.maps[i], bases[i][1])
             )
             new_maps.append(conj)
         conjugated = chain_module(m.dims, new_maps, QQ)
@@ -172,7 +174,7 @@ def test_rank_agrees_with_independent_gaussian():
                 d = m.dims[i]
                 comp = [[QQ.one if r == c else QQ.zero for c in range(d)] for r in range(d)]
                 for t in range(i, j):
-                    comp = linalg.mat_mul(QQ, m.map_matrix(t), comp)
+                    comp = linalg.mat_mul(QQ, m.maps[t], comp)
                 assert rank_invariant(m, i, j) == frac_rank(comp)
 
 
@@ -201,3 +203,118 @@ def test_rank_invariant_and_is_flat_over_prime_fields():
             assert is_flat(m) is flat, (p, m)
             flat_seen.add(flat)
         assert flat_seen == {True, False}
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def random_rational_chain(rng, max_dim=4, max_len=6):
+    """A QQ chain module whose map t has entries with denominators 1 and the
+    t-th prime, so that maps need different denominators."""
+    length = rng.randint(1, max_len)
+    dims = [rng.randint(0, max_dim) for _ in range(length)]
+    maps = [
+        [
+            [Fraction(rng.randint(-4, 4), rng.choice((1, _PRIMES[t]))) for _ in range(dims[t])]
+            for _ in range(dims[t + 1])
+        ]
+        for t in range(length - 1)
+    ]
+    return chain_module(dims, maps, QQ)
+
+
+def test_rational_entries_against_oracles():
+    """Integer storage with one denominator per map: decompose, every rank
+    pair and is_flat against oracles that read the exact rational maps.  The
+    last module has a distinct 21-digit denominator per entry, so that its
+    denominators' lcm has hundreds of digits."""
+    rng = subseed(36)
+    modules = [random_rational_chain(rng) for _ in range(80)]
+    modules.append(chain_module(
+        [4, 4, 3],
+        [
+            [[Fraction(rng.randint(-9, 9), 10**20 + 1 + 4 * r + c) for c in range(4)] for r in range(4)],
+            [[Fraction(rng.randint(-9, 9), 10**20 + 7 + 4 * r + c) for c in range(4)] for r in range(3)],
+        ],
+        QQ,
+    ))
+    assert len(str(modules[-1].dens[0])) > 200
+    flat_seen = set()
+    mixed_denominators = 0
+    for m in modules:
+        mixed_denominators += len({d for d in m.dens if d > 1}) > 1
+        assert decompose(m).as_dict() == barcode_by_rank_table(m)
+        for i in range(m.length):
+            d = m.dims[i]
+            comp = [[Fraction(int(r == c)) for c in range(d)] for r in range(d)]
+            for j in range(i, m.length):
+                if j > i:
+                    comp = linalg.mat_mul(QQ, m.maps[j - 1], comp)
+                assert rank_invariant(m, i, j) == frac_rank(comp), (m, i, j)
+        flat = all(frac_rank(m.maps[t]) == m.dims[t] for t in range(m.length - 1))
+        assert is_flat(m) is flat, m
+        flat_seen.add(flat)
+    assert flat_seen == {True, False}
+    assert mixed_denominators > 10
+
+
+def test_decompose_invariant_under_scaling_one_map():
+    rng = subseed(37)
+    for _ in range(60):
+        m = random_rational_chain(rng)
+        if m.length < 2:
+            continue
+        t = rng.randrange(m.length - 1)
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        maps = [list(mat) for mat in m.maps]
+        maps[t] = [[c * v for v in row] for row in maps[t]]
+        assert decompose(chain_module(m.dims, maps, QQ)) == decompose(m)
+
+
+def test_chain_json_round_trip_is_byte_identical():
+    doc = {
+        "dims": [2, 2, 1, 1],
+        "maps": [[["-3/4", "5/6"], ["0", "7"]], [["1/2", "-1"]], [["0"]]],
+    }
+    text = json.dumps(doc)
+    assert json.dumps(encode_chain(decode_chain(json.loads(text), QQ))) == text
+    f7 = Field(7)
+    doc7 = {"dims": [2, 1], "maps": [[["3", "0"]]]}
+    assert json.dumps(encode_chain(decode_chain(doc7, f7))) == json.dumps(doc7)
+
+
+def _reachable(obj):
+    """Every object reachable from obj by references, types left out."""
+    seen, stack = set(), [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, type):
+            continue
+        seen.add(id(o))
+        yield o
+        stack.extend(gc.get_referents(o))
+
+
+def test_rational_chain_keeps_no_fraction_per_entry():
+    """A QQ chain module holds integer matrices and one denominator per map;
+    the exact entries exist only when ``maps`` is read."""
+    m = decode_chain({"dims": [2, 2], "maps": [[["-3/4", "5/6"], ["0", "7"]]]}, QQ)
+    held = list(_reachable(m))
+    assert any(o is m.ints for o in held)
+    assert not [o for o in held if isinstance(o, Fraction)]
+    assert m.ints == (((-9, 10), (0, 84)),) and m.dens == (12,)
+    assert m.maps == (((Fraction(-3, 4), Fraction(5, 6)), (Fraction(0), Fraction(7))),)
+
+
+def test_prime_field_entries_are_reduced():
+    f7 = Field(7)
+    m = chain_module([1, 1], [[[7]]], f7)
+    assert m.maps == (((0,),),) and m == chain_module([1, 1], [[[0]]], f7)
+    assert not is_flat(m) and rank_invariant(m, 0, 1) == 0
+    assert chain_module([1, 1], [[[-1]]], f7).maps == (((6,),),)
+
+
+def test_entries_that_are_not_rationals_are_refused():
+    with pytest.raises(DomainError) as exc:
+        chain_module([1, 1], [[[0.5]]], QQ)
+    assert exc.value.kind == "bad_chain"

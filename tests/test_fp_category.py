@@ -478,6 +478,21 @@ def test_kernel_cokernel_over_prime_field():
     assert g.is_zero()
 
 
+def test_int_entries_over_rationals_match_fractions():
+    """An int entry over QQ is the rational it names: its inverse is an exact
+    Fraction, so kernel and cokernel do not depend on the entries' type."""
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2) and type(QQ.inv(Fraction(-2, 3))) is Fraction
+    src = FpModule((iv(0, "inf"), iv(0, "inf")))
+    tgt = FpModule((iv(0, "inf"),))
+    ints = FpMorphism(src, tgt, {(0, 0): 3, (1, 0): 2}, QQ)
+    fracs = FpMorphism(src, tgt, {(0, 0): F(3), (1, 0): F(2)}, QQ)
+    K, iota = kernel(ints)
+    assert (K, iota) == kernel(fracs)
+    assert K == FpModule((iv(0, "inf"),))
+    assert cokernel(ints) == cokernel(fracs)
+
+
 def test_grid_roles():
     samples = critical_grid([FpModule((iv(0, 2), iv(1, "inf")))])
     roles = [(s.role, str(s.coord)) for s in samples]
