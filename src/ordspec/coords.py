@@ -310,21 +310,27 @@ def _scaled_floor(x: Coord, denom: int) -> int:
 def rational_between(lo: Coord, hi: Coord) -> Coord:
     """A rational coordinate strictly between lo and hi (lo < hi required).
 
-    For rational endpoints this is the midpoint.  Otherwise dyadic grids of
-    increasing resolution are scanned, so the result is deterministic and
-    works for any pair of coordinates regardless of their radicands.
+    For rational endpoints this is the midpoint.  Otherwise it is the dyadic
+    (floor(lo * 2^k) + 1) / 2^k, above lo, for the least exponent k that puts
+    it below hi, so it is deterministic and works for any radicands.  It does
+    not increase with k, so once it is below hi it stays there: the exponent
+    is doubled until it fits, then bisected for, in O(log k) exact floors.
     """
     if not lo < hi:
         raise DomainError("empty_interval", f"no room between {lo} and {hi}")
     if lo.is_rational and hi.is_rational:
         return Coord((lo.rat + hi.rat) / 2)
-    denom = 1
-    while True:
-        k = _scaled_floor(lo, denom) + 1
-        cand = Coord(Fraction(k, denom))
-        if lo < cand < hi:
-            return cand
-        denom *= 2
+
+    def candidate(k: int) -> Coord:
+        return Coord(Fraction(_scaled_floor(lo, 1 << k) + 1, 1 << k))
+
+    bad, good = -1, 0
+    while not candidate(good) < hi:
+        bad, good = good, 2 * good + 1
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        bad, good = (bad, mid) if candidate(mid) < hi else (mid, good)
+    return candidate(good)
 
 
 def rational_above(x: Coord) -> Coord:

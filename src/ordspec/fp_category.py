@@ -5,32 +5,34 @@ b possibly infinite; a morphism is one scalar per summand pair, nonzero
 only where a nonzero natural transformation exists (the pair criterion
 ``c <= a < d <= b`` for [a,b) -> [c,d)).
 
-Kernels and cokernels are computed by sampling a critical grid: all finite
-summand endpoints, one interior sample per open cell, and one sample beyond
-the largest endpoint.  Interval modules are constant on grid cells, so
-pointwise exact linear algebra on these samples determines everything.  Each
-endpoint is an endpoint sample, so [a, b) is alive at sample s exactly when
-pos(a) <= s < pos(b) for the grid positions pos; which summands are alive is
-read once per module by integer comparison.  One computation serves both
-operations.  The elder-rule sweep of ``barcode`` runs along the grid,
-restricting carried vectors to the alive summands: pointwise kernel vectors
-of f for the kernel; for the cokernel, the kernel of the transposed f along
-the reversed grid, whose vectors are functionals vanishing on the image.
+Kernels and cokernels are computed pointwise on a critical grid, the sorted
+finite summand endpoints e_0 < ... < e_{m-1}: position 2k is e_k and 2k+1
+the open cell above it, unbounded for the last.  Every module involved is
+constant on each position, so exact linear algebra at the 2m positions
+determines everything and no coordinate inside a cell is needed.  [a, b) is
+alive at position s exactly when pos(a) <= s < pos(b) (pos(inf) = 2m);
+which summands are alive is read once per module by integer comparison.
+One computation serves both operations.  The elder-rule sweep of
+``barcode`` runs along the grid, restricting carried vectors to the alive
+summands: pointwise kernel vectors of f for the kernel; for the cokernel,
+the kernel of the transposed f along the reversed grid, whose vectors are
+functionals vanishing on the image.
 
-Bars produced on the grid lift back to intervals: a bar must start at an
-endpoint sample, a bar ending after the interior sample of cell (u, v)
-ends at v, and a bar alive at the beyond-grid sample never ends.  Anything
-else would contradict half-openness and raises AssertionError.
+Bars lift back to intervals by parity: a bar must be born at an even
+position, a bar dying after the cell above e_k ends at e_{k+1}, and a bar
+alive at the last position never ends.  Anything else would contradict
+half-openness and raises AssertionError.
 
-Every answer is then certified at each grid sample t by the kernel
+Every answer is then certified at each grid position by the kernel
 conditions on the (for a cokernel, transposed) matrices: the embedding is
-injective at t (the projection surjective), its composite with f_t
-vanishes, and the new module has the dimension that rank f_t dictates.  The
-result is evaluated from the grid positions of its own summand endpoints,
-and an endpoint off the grid fails the certificate.  The embedding and
-projection are legal morphisms and every module involved is constant on
-grid cells, so pointwise exactness on the grid proves the universal
-property.  A failed check raises AssertionError naming the sample.
+injective there (the projection surjective), its composite with f
+vanishes, and the new module has the dimension that the rank of f
+dictates.  The result is evaluated from the grid positions of its own
+summand endpoints, and an endpoint off the grid fails the certificate.  The
+embedding and projection are legal morphisms, so pointwise exactness on
+the grid proves the universal property.  A failed check raises
+AssertionError naming the position by a sample coordinate in it, which
+only a failure computes.
 """
 
 from __future__ import annotations
@@ -65,13 +67,11 @@ class FpInterval:
 
 
 def _iv_key(iv: FpInterval):
-    if is_inf(iv.end):
-        return (iv.start, 1, iv.start)
-    return (iv.start, 0, iv.end)
+    return (iv.start, iv.end)
 
 
 def _alive(iv: FpInterval, t: Coord) -> bool:
-    return iv.start <= t and (is_inf(iv.end) or t < iv.end)
+    return iv.start <= t < iv.end
 
 
 class FpModule:
@@ -122,14 +122,7 @@ def hom_dim(x: FpInterval, y: FpInterval) -> int:
     Nonzero maps exist exactly when c <= a < d <= b; infinite ends take part
     in the comparison as the top element.
     """
-    a, b, c, d = x.start, x.end, y.start, y.end
-    if not c <= a:
-        return 0
-    if not a < d:
-        return 0
-    if is_inf(d):
-        return 1 if is_inf(b) else 0
-    return 1 if d <= b else 0
+    return 1 if y.start <= x.start < y.end <= x.end else 0
 
 
 def hom_to_injective(model: IndexModel, x: FpInterval, p: DPoint) -> int:
@@ -231,55 +224,43 @@ def compose(f: FpMorphism, g: FpMorphism) -> FpMorphism:
 # Critical grid
 
 
-@dataclass(frozen=True)
-class Sample:
-    coord: Coord
-    role: str  # "end" | "mid" | "beyond"
-    cell: tuple | None = None  # for "mid": (u, v) with u < sample < v
+def critical_grid(modules) -> list[Coord]:
+    """The sorted finite summand endpoints of the modules: grid position 2k
+    is endpoint k, and 2k+1 the open cell above it."""
+    return sorted({c for m in modules for iv in m.summands for c in (iv.start, iv.end) if c != INF})
 
 
-def critical_grid(modules) -> list[Sample]:
-    coords: set[Coord] = set()
-    for m in modules:
-        for iv in m.summands:
-            coords.add(iv.start)
-            if not is_inf(iv.end):
-                coords.add(iv.end)
-    ordered = sorted(coords)
-    if not ordered:
-        return []
-    samples = []
-    for ix, c in enumerate(ordered):
-        samples.append(Sample(c, "end"))
-        if ix + 1 < len(ordered):
-            nxt = ordered[ix + 1]
-            samples.append(Sample(rational_between(c, nxt), "mid", (c, nxt)))
-    samples.append(Sample(rational_above(ordered[-1]), "beyond", (ordered[-1], INF)))
-    return samples
+def _position_name(ends: list[Coord], s: int) -> str:
+    """Grid position s as a failure message names it: its endpoint, or a
+    rational sample inside its open cell."""
+    k, cell = divmod(s, 2)
+    if not cell:
+        return f"end sample {ends[k]}"
+    if k + 1 < len(ends):
+        return f"mid sample {rational_between(ends[k], ends[k + 1])}"
+    return f"beyond sample {rational_above(ends[k])}"
 
 
-def _lift_bar(samples: list[Sample], p: int, q: int) -> FpInterval:
-    """Interval for a bar alive exactly on sample indices p..q (inclusive)."""
-    sp = samples[p]
-    if sp.role != "end":
+def _lift_bar(ends: list[Coord], p: int, q: int) -> FpInterval:
+    """Interval for a bar alive exactly on grid positions p..q (inclusive)."""
+    if p % 2:
         raise AssertionError(
-            f"bar born at {sp.role} sample {sp.coord}; interval modules are half-open"
+            f"bar born at {_position_name(ends, p)}; interval modules are half-open"
         )
-    if q == len(samples) - 1:
-        return FpInterval(sp.coord, INF)
-    sq = samples[q]
-    if sq.role != "mid":
+    if q == 2 * len(ends) - 1:
+        return FpInterval(ends[p // 2], INF)
+    if not q % 2:
         raise AssertionError(
-            f"bar dies right after {sq.role} sample {sq.coord}; interval modules are half-open"
+            f"bar dies right after {_position_name(ends, q)}; interval modules are half-open"
         )
-    return FpInterval(sp.coord, sq.cell[1])
+    return FpInterval(ends[p // 2], ends[q // 2 + 1])
 
 
 # ---------------------------------------------------------------------------
 # Kernel and cokernel
 
 
-# op -> (what its map must be at every sample, whether f is transposed and
+# op -> (what its map must be at every position, whether f is transposed and
 # the grid reversed)
 _SIDES = {"kernel": ("injective", False), "cokernel": ("surjective", True)}
 
@@ -289,19 +270,20 @@ def _swap(entries):
 
 
 def _alive_lists(m: FpModule, pos: dict, n: int):
-    """For each of the n grid samples, the indices of the summands of m alive
-    there: [a, b) is alive at sample s exactly when pos(a) <= s < pos(b)."""
-    spans = [(pos[iv.start], n if is_inf(iv.end) else pos[iv.end]) for iv in m.summands]
+    """For each of the n grid positions, the indices of the summands of m
+    alive there: [a, b) is alive at position s exactly when
+    pos(a) <= s < pos(b)."""
+    spans = [(pos[iv.start], pos[iv.end]) for iv in m.summands]
     return [[i for i, (lo, hi) in enumerate(spans) if lo <= s < hi] for s in range(n)]
 
 
 def _matrix(field: Field, entries, cols, rows):
-    """The matrix at one sample of a map with entries (col -> row)."""
+    """The matrix at one grid position of a map with entries (col -> row)."""
     return [[entries.get((c, r), field.zero) for c in cols] for r in rows]
 
 
 def _null_basis(field: Field, f_cols: dict, dom, cod):
-    """A basis of the kernel of f at one sample, as sparse vectors keyed by
+    """A basis of the kernel of f at one position, as sparse vectors keyed by
     the summands dom alive there; f_cols are f's columns {col: {row: v}}
     and cod the alive summands of its codomain."""
     cod = set(cod)
@@ -327,9 +309,10 @@ def _exact(op: str, f: FpMorphism) -> tuple[FpModule, FpMorphism]:
     flip = _swap if transposed else dict
     dom, cod = (f.target, f.source) if transposed else (f.source, f.target)
     field = f.field
-    samples = critical_grid([f.source, f.target])
-    n = len(samples)
-    pos = {s.coord: k for k, s in enumerate(samples) if s.role == "end"}
+    ends = critical_grid([f.source, f.target])
+    n = 2 * len(ends)
+    pos = {c: 2 * k for k, c in enumerate(ends)}
+    pos[INF] = n
     alive_dom, alive_cod = _alive_lists(dom, pos, n), _alive_lists(cod, pos, n)
     f_entries = flip(f.entries)
     f_cols: dict = {}
@@ -346,25 +329,26 @@ def _exact(op: str, f: FpMorphism) -> tuple[FpModule, FpMorphism]:
     lifted = []
     for birth, death, vec in bars:
         p, q = sorted((order[birth], order[n - 1 if death is None else death - 1]))
-        lifted.append((_lift_bar(samples, p, q), vec))
+        lifted.append((_lift_bar(ends, p, q), vec))
     lifted.sort(key=lambda pair: _iv_key(pair[0]))
     mod = FpModule(iv for iv, _ in lifted)
     emb = {(ell, i): v for ell, (_, vec) in enumerate(lifted) for i, v in vec.items()}
     g = FpMorphism(*((dom, mod) if transposed else (mod, dom)), flip(emb), field)
-    _certify(op, samples, pos, alive_dom, alive_cod, f_entries, mod, flip(g.entries), field)
+    _certify(op, ends, pos, alive_dom, alive_cod, f_entries, mod, flip(g.entries), field)
     return mod, g
 
 
-def _certify(op: str, samples, pos, alive_dom, alive_cod, f_entries, mod, g_entries, field) -> None:
-    """Check at every grid sample that the map g of mod into the domain of the
-    (possibly transposed) f is a kernel of f there, or raise AssertionError.
-    g is evaluated on the grid positions of mod's own endpoints, and both
-    maps as dense matrices, apart from the sparse route of the sweep."""
+def _certify(op: str, ends, pos, alive_dom, alive_cod, f_entries, mod, g_entries, field) -> None:
+    """Check at every grid position that the map g of mod into the domain of
+    the (possibly transposed) f is a kernel of f there, or raise
+    AssertionError.  g is evaluated on the grid positions of mod's own
+    endpoints, and both maps as dense matrices, apart from the sparse route
+    of the sweep."""
     for iv in mod.summands:
-        if iv.start not in pos or not (is_inf(iv.end) or iv.end in pos):
+        if iv.start not in pos or iv.end not in pos:
             raise AssertionError(f"{op} certificate failed: summand {iv} is off the grid")
-    alive_mod = _alive_lists(mod, pos, len(samples))
-    for s, dom, cod, new in zip(samples, alive_dom, alive_cod, alive_mod):
+    alive_mod = _alive_lists(mod, pos, len(alive_dom))
+    for s, (dom, cod, new) in enumerate(zip(alive_dom, alive_cod, alive_mod)):
         f_t = _matrix(field, f_entries, dom, cod)
         g_t = _matrix(field, g_entries, new, dom)
         failed = None
@@ -375,7 +359,7 @@ def _certify(op: str, samples, pos, alive_dom, alive_cod, f_entries, mod, g_entr
         elif len(new) != len(dom) - linalg.rank(field, f_t):
             failed = f"dimension {len(new)} is not {len(dom)} - rank f"
         if failed:
-            raise AssertionError(f"{op} certificate failed at {s.role} sample {s.coord}: {failed}")
+            raise AssertionError(f"{op} certificate failed at {_position_name(ends, s)}: {failed}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ time whose rows record the combinations of added vectors they came from; it
 computes nullspaces, the deaths and births of the elder-rule sweep in
 ``barcode`` and generator reduction in ``fp_category``.  Dense matrices,
 lists of row lists, serve ``mat_mul`` and ``rank``: the kernel and cokernel
-certificate, and the rank invariant and flatness of chain modules.  Over the
-rationals ``rank`` takes its own fraction-free integer path (rows are
-cleared of denominators, then Bareiss elimination), so that the certificate
-checks the sweep's nullspaces by an independent route.
+certificate, and the rank invariant and flatness of chain modules.  ``rank``
+takes its own fraction-free integer path (over the rationals rows are
+cleared of denominators, then Bareiss elimination; over F_p the same loop
+reduces mod p), so that over either field the certificate checks the
+sweep's nullspaces by a route that shares no code with ``Echelon``.
 """
 
 from __future__ import annotations
@@ -45,8 +46,12 @@ def mat_mul(field: Field, a, b):
     return out
 
 
-def _int_rank_bareiss(rows: list[list[int]]) -> int:
-    a = [r[:] for r in rows]
+def _int_rank_bareiss(rows: list[list[int]], p: int | None = None) -> int:
+    """The rank of an integer matrix by fraction-free elimination: over the
+    rationals each update is divided exactly by the previous pivot
+    (Bareiss); modulo the prime p it is reduced mod p instead, and the
+    rows below need no rescaling."""
+    a = [r[:] for r in rows] if p is None else [[v % p for v in r] for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
     rank = 0
@@ -69,10 +74,14 @@ def _int_rank_bareiss(rows: list[list[int]]) -> int:
             row_i = a[i]
             row_r = a[rank]
             if ric:
-                for j in range(c + 1, n):
-                    row_i[j] = (pc * row_i[j] - ric * row_r[j]) // prev
+                if p is None:
+                    for j in range(c + 1, n):
+                        row_i[j] = (pc * row_i[j] - ric * row_r[j]) // prev
+                else:
+                    for j in range(c + 1, n):
+                        row_i[j] = (pc * row_i[j] - ric * row_r[j]) % p
                 row_i[c] = 0
-            elif prev != pc:
+            elif p is None and prev != pc:
                 for j in range(c + 1, n):
                     row_i[j] = (pc * row_i[j]) // prev
         prev = pc
@@ -96,10 +105,7 @@ def rank(field: Field, a) -> int:
             g = math.gcd(*ints)
             int_rows.append([v // g for v in ints] if g > 1 else ints)
         return _int_rank_bareiss(int_rows)
-    echelon = Echelon(field)
-    for i, row in enumerate(a):
-        echelon.add({j: v for j, v in enumerate(row) if v}, i)
-    return len(echelon.rows)
+    return _int_rank_bareiss(a, field.p)
 
 
 class Echelon:

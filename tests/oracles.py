@@ -201,6 +201,19 @@ def ideal_alive(coord, principal: bool, t: Coord) -> bool:
     return principal and t == coord
 
 
+def rational_between_by_scan(lo: Coord, hi: Coord) -> Coord:
+    """``rational_between`` for lo < hi with a surd end, by scanning the
+    dyadic exponents k = 0, 1, 2, ... for the first (floor(lo * 2^k) + 1) / 2^k
+    below hi: one exact floor per exponent."""
+    denom = 1
+    while True:
+        k = Coord(lo.rat * denom, lo.coef * denom, lo.rad).floor() + 1
+        cand = Coord(Fraction(k, denom))
+        if lo < cand < hi:
+            return cand
+        denom *= 2
+
+
 def sample_grid(coords, pad: int = 1) -> list[Coord]:
     """Endpoint coordinates, a point inside every open cell, and outer samples."""
     uniq = sorted(set(coords))
@@ -350,17 +363,20 @@ def random_fp_module(rng, max_summands=4, hi=8):
     return FpModule(tuple(out))
 
 
-def random_fp_morphism(rng, max_summands=4, hi=8):
+def random_fp_morphism(rng, max_summands=4, hi=8, field=None):
+    """A random morphism over field (the rationals by default); its scalars
+    are random rationals, read mod p over F_p."""
     from ordspec import FpMorphism, QQ, hom_dim
 
+    field = field or QQ
     src = random_fp_module(rng, max_summands, hi)
     tgt = random_fp_module(rng, max_summands, hi)
     entries = {}
     for i, x in enumerate(src.summands):
         for j, y in enumerate(tgt.summands):
             if hom_dim(x, y) == 1 and rng.random() < 0.55:
-                entries[(i, j)] = random_scalar(rng)
-    return FpMorphism(src, tgt, entries, QQ)
+                entries[(i, j)] = field.parse(str(random_scalar(rng)))
+    return FpMorphism(src, tgt, entries, field)
 
 
 def random_symbolic_set(rng, model, max_components=5, lo=-10, hi=10, surds=False,

@@ -7,6 +7,7 @@ from ordspec import Coord, DomainError, INF
 from ordspec.coords import rational_above, rational_below, rational_between
 
 from conftest import subseed
+from oracles import rational_between_by_scan
 
 
 def test_rational_comparisons_and_canonical_form():
@@ -110,6 +111,44 @@ def test_rational_between_any_pair():
         assert mid.is_rational
     with pytest.raises(DomainError):
         rational_between(Coord(1), Coord(1))
+
+
+def _random_surd(rng, scale: int) -> Coord:
+    rat = Fraction(rng.randint(-20 * scale, 20 * scale), rng.randint(1, scale))
+    coef = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+    return Coord(rat, coef, rng.choice((2, 3, 5, 6, 7)))
+
+
+def test_rational_between_matches_linear_scan():
+    """The doubling-and-bisection search returns the scan's dyadic: pairs far
+    apart, surds near rationals and surds near each other."""
+    rng = subseed(3)
+    pairs = []
+    for _ in range(300):
+        a = _random_surd(rng, rng.choice((1, 10, 1000)))
+        gap = Fraction(1, rng.choice((1, 3, 2**20, 10**12)))
+        for b in (_random_surd(rng, 10), Coord(a.rat + gap, a.coef, a.rad), Coord(a.floor() + 1)):
+            if a != b:
+                pairs.append((min(a, b), max(a, b)))
+    for lo, hi in pairs:
+        assert rational_between(lo, hi) == rational_between_by_scan(lo, hi), (lo, hi)
+
+
+def test_rational_between_takes_logarithmically_many_floors(monkeypatch):
+    """Two surds 10^-4000 apart need the dyadic exponent 13287: the search
+    takes at most two exact floors per bit of it, not one per exponent."""
+    from ordspec import coords
+
+    lo = Coord(0, 1, 2)
+    hi = Coord(Fraction(1, 10**4000), 1, 2)
+    calls = []
+    real = coords._scaled_floor
+    monkeypatch.setattr(coords, "_scaled_floor", lambda x, d: calls.append(d) or real(x, d))
+    mid = rational_between(lo, hi)
+    assert lo < mid < hi and mid.is_rational
+    k = mid.rat.denominator.bit_length() - 1
+    assert mid.rat.denominator == 2**k and k > 13000
+    assert len(calls) <= 2 * k.bit_length() + 2
 
 
 def test_rational_above_below():

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from ordspec import (
     DENSE_REAL,
     TOP_IDEAL,
 )
-from ordspec.fp_category import _iv_key, critical_grid
+from ordspec.fp_category import _iv_key, _lift_bar, critical_grid
 
 from conftest import subseed
 from oracles import (
@@ -42,6 +43,7 @@ from oracles import (
     frac_rank,
     in_span,
     interval_alive,
+    modp_rank,
     random_fp_morphism as random_morphism,
     random_scalar,
     sample_grid,
@@ -173,7 +175,7 @@ def _pointwise(f, t):
     src_alive = [i for i, s in enumerate(f.source.summands) if interval_alive(s.start, s.end, t)]
     tgt_alive = [j for j, s in enumerate(f.target.summands) if interval_alive(s.start, s.end, t)]
     mat = [
-        [f.entries.get((i, j), F(0)) for i in src_alive]
+        [f.entries.get((i, j), f.field.zero) for i in src_alive]
         for j in tgt_alive
     ]
     return mat, src_alive, tgt_alive
@@ -202,14 +204,21 @@ def test_kernel_cokernel_pointwise_identities():
 
 
 def test_first_isomorphism_pointwise():
+    """The image of f, as the kernel of its cokernel projection, has the
+    pointwise rank of f and equals the coimage, the cokernel of its kernel
+    embedding: kernel and cokernel checked against each other."""
     rng = subseed(41)
-    for _ in range(15):
-        f = random_morphism(rng, max_summands=3, hi=6)
-        _, pi = cokernel(f)
-        Kpi, _ = kernel(pi)
-        for t in _test_samples(f):
-            mat, _, _ = _pointwise(f, t)
-            assert Kpi.dim_at(t) == frac_rank(mat)
+    for field in (QQ, Field(5)):
+        for _ in range(15):
+            f = random_morphism(rng, max_summands=3, hi=6, field=field)
+            _, iota = kernel(f)
+            _, pi = cokernel(f)
+            image, _ = kernel(pi)
+            assert image == cokernel(iota)[0], (f.entries, field)
+            for t in _test_samples(f):
+                mat, _, _ = _pointwise(f, t)
+                rk = frac_rank(mat) if field.p is None else modp_rank(mat, field.p)
+                assert image.dim_at(t) == rk
 
 
 def _with_extra_summands(m: FpModule, extra):
@@ -331,8 +340,8 @@ def test_certificate_rejects_summand_off_the_grid(monkeypatch):
     real = fp_category._lift_bar
     for op, f, shift in ((kernel, summing, Fraction(1, 2)), (cokernel, diagonal, Fraction(-1, 2))):
 
-        def lift(samples, p, q):
-            bar = real(samples, p, q)
+        def lift(ends, p, q):
+            bar = real(ends, p, q)
             return FpInterval(Coord(bar.start.rat + shift), bar.end)
 
         with monkeypatch.context() as mp:
@@ -493,9 +502,67 @@ def test_int_entries_over_rationals_match_fractions():
     assert cokernel(ints) == cokernel(fracs)
 
 
-def test_grid_roles():
-    samples = critical_grid([FpModule((iv(0, 2), iv(1, "inf")))])
-    roles = [(s.role, str(s.coord)) for s in samples]
-    assert roles[0] == ("end", "0")
-    assert roles[-1][0] == "beyond"
-    assert any(r == "mid" for r, _ in roles)
+def test_grid_positions(monkeypatch):
+    """The grid is the sorted finite endpoints.  A bar lifts by the parity of
+    its first and last positions, and only a failure names a sample
+    coordinate inside a cell: kernel and cokernel never compute one."""
+    from ordspec import fp_category
+
+    ends = critical_grid([FpModule((iv(0, 2), iv(1, "inf"))), FpModule((iv(1, 2),))])
+    assert ends == [Coord(0), Coord(1), Coord(2)]
+    assert _lift_bar(ends, 0, 3) == iv(0, 2)
+    assert _lift_bar(ends, 2, 5) == iv(1, "inf")
+    surds = [Coord(0, 1, 2), Coord(0, 1, 3)]
+    for grid, p, q, named in (
+        (ends, 1, 3, "bar born at mid sample 1/2"),
+        (ends, 5, 5, "bar born at beyond sample 3"),
+        (ends, 0, 2, "bar dies right after end sample 1"),
+        (surds, 1, 1, "bar born at mid sample 3/2"),
+        (surds, 0, 2, "bar dies right after end sample 1*sqrt(3)"),
+    ):
+        message = f"{named}; interval modules are half-open"
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            _lift_bar(grid, p, q)
+
+    def refuse(*args):
+        raise AssertionError("a sample coordinate was computed")
+
+    rng = subseed(44)
+    fs = [random_morphism(rng) for _ in range(20)]
+    above, below = (FpModule((FpInterval(c, INF),)) for c in reversed(surds))
+    fs.append(FpMorphism(above, below, {(0, 0): F(1)}))
+    expected = [(kernel(f), cokernel(f)) for f in fs]
+    monkeypatch.setattr(fp_category, "rational_between", refuse)
+    monkeypatch.setattr(fp_category, "rational_above", refuse)
+    assert [(kernel(f), cokernel(f)) for f in fs] == expected
+
+
+def test_certificate_shares_no_code_with_echelon(monkeypatch):
+    """The certificate's ranks take no part of the elimination engine the
+    sweep uses: with ``Echelon.add`` raising while ``_certify`` runs, kernel
+    and cokernel over QQ and over F_p return the answers they return
+    without the fault."""
+    from ordspec import fp_category, linalg
+
+    real = fp_category._certify
+    certified = []
+
+    def add(self, vec, tag):
+        raise RuntimeError("Echelon.add called by the certificate")
+
+    def certify(*args):
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg.Echelon, "add", add)
+            with pytest.raises(RuntimeError):
+                linalg.nullspace(QQ, {0: {0: F(1)}})
+            real(*args)
+        certified.append(args[0])
+
+    rng = subseed(45)
+    for field in (QQ, Field(7)):
+        fs = [random_morphism(rng, field=field) for _ in range(15)]
+        expected = [(kernel(f), cokernel(f)) for f in fs]
+        with monkeypatch.context() as mp:
+            mp.setattr(fp_category, "_certify", certify)
+            assert [(kernel(f), cokernel(f)) for f in fs] == expected
+    assert certified.count("kernel") == certified.count("cokernel") == 30
