@@ -31,7 +31,6 @@ arithmetic is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import accumulate
 
@@ -53,7 +52,6 @@ def _check_size(dims) -> None:
         )
 
 
-@dataclass(frozen=True)
 class ChainModule:
     """dims[t] for t in 0..L-1 plus structure maps; map i has shape dims[i+1] x dims[i].
 
@@ -64,25 +62,56 @@ class ChainModule:
     Build one with ``chain_module``.
     """
 
-    dims: tuple[int, ...]
-    ints: tuple[tuple[tuple[int, ...], ...], ...]
-    dens: tuple[int, ...]
-    field: Field = dc_field(default_factory=lambda: QQ)
+    __slots__ = ("dims", "ints", "dens", "field")
 
-    def __post_init__(self):
-        if len(self.dims) < 1:
+    def __init__(
+        self,
+        dims: tuple[int, ...],
+        ints: tuple[tuple[tuple[int, ...], ...], ...],
+        dens: tuple[int, ...],
+        field: Field = QQ,
+    ):
+        if len(dims) < 1:
             raise DomainError("bad_chain", "a chain module needs positive length")
-        if any(d < 0 for d in self.dims):
+        if any(d < 0 for d in dims):
             raise DomainError("bad_chain", "dimensions must be non-negative")
-        _check_size(self.dims)
-        if len(self.ints) != len(self.dims) - 1:
+        _check_size(dims)
+        if len(ints) != len(dims) - 1:
             raise DomainError("bad_chain", "expected one map per consecutive pair")
-        for i, m in enumerate(self.ints):
-            rows, cols = self.dims[i + 1], self.dims[i]
+        for i, m in enumerate(ints):
+            rows, cols = dims[i + 1], dims[i]
             if len(m) != rows or any(len(r) != cols for r in m):
                 raise DomainError(
                     "bad_chain", f"map {i} must have shape {rows}x{cols}"
                 )
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "dens", dens)
+        object.__setattr__(self, "field", field)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("ChainModule is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.dims == other.dims
+            and self.ints == other.ints
+            and self.dens == other.dens
+            and self.field == other.field
+        )
+
+    def __hash__(self):
+        return hash((self.dims, self.ints, self.dens, self.field))
+
+    def __repr__(self):
+        return (
+            f"ChainModule(dims={self.dims!r}, ints={self.ints!r}, "
+            f"dens={self.dens!r}, field={self.field!r})"
+        )
 
     @property
     def length(self) -> int:
@@ -123,18 +152,36 @@ def chain_module(dims, maps, field: Field = QQ) -> ChainModule:
     return ChainModule(tuple(dims), tuple(ints), tuple(dens), field)
 
 
-@dataclass(frozen=True)
 class Barcode:
-    """Multiset of grid bars [i, j), 0 <= i < j <= L; j = L means alive to the end."""
+    """Multiset of grid bars [i, j), 0 <= i < j <= L; j = L means alive to the end.
 
-    bars: tuple[tuple[int, int, int], ...]  # (start, end, multiplicity), sorted
+    ``bars`` holds sorted (start, end, multiplicity) triples."""
 
-    def __post_init__(self):
-        for s, e, m in self.bars:
+    __slots__ = ("bars",)
+
+    def __init__(self, bars: tuple[tuple[int, int, int], ...]):
+        for s, e, m in bars:
             if not (0 <= s < e):
                 raise DomainError("bad_barcode", f"bar [{s},{e}) is not a valid range")
             if m < 1:
                 raise DomainError("bad_barcode", "multiplicities must be positive")
+        object.__setattr__(self, "bars", bars)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("Barcode is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bars == other.bars
+
+    def __hash__(self):
+        return hash((self.bars,))
+
+    def __repr__(self):
+        return f"Barcode(bars={self.bars!r})"
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {(s, e): m for s, e, m in self.bars}

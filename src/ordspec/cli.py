@@ -12,46 +12,21 @@ with {"error": {...}}; malformed input exits 2; a broken internal invariant
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import jsonio
-from .barcode import decompose as chain_decompose, is_flat, rank_invariant, realize as chain_realize
 from .errors import DomainError, SchemaError
 from .fields import Field, QQ, parse_rational
-from .fp_category import (
-    cokernel,
-    compose,
-    hom_dim,
-    hom_to_injective,
-    kernel,
-    reduce_generators,
-    validate_module,
-)
-from .interleaving import (
-    ball,
-    brute_force_distance,
-    distance,
-    is_interleaved,
-    shift_ideal,
-    shift_interval,
-)
-from .order_core import DENSE_RATIONAL_WITH_CUTS, DENSE_REAL, FiniteChain, classify_ideal
-from .spectrum import (
-    Strategy,
-    closure,
-    closure_all_strategies,
-    complement,
-    intersect,
-    is_closed,
-    left_orthogonal,
-    member,
-    right_orthogonal,
-    separate,
-    union,
-)
+from .order_core import DENSE_RATIONAL_WITH_CUTS, DENSE_REAL, FiniteChain
+
+
+def _lib(layer: str):
+    """The library module ``ordspec.<layer>``, imported on first use."""
+    return importlib.import_module(f"{__package__}.{layer}")
 
 
 def _load_text(value: str) -> str:
@@ -162,42 +137,52 @@ class _Request:
 
 # ---------------------------------------------------------------------------
 # Calls; each runs one library function and returns the JSON-ready object.
-# The calls name library functions at call time rather than storing them in
-# the tables, so a name rebound in this module (bench/tracing.py does so)
-# reaches every call.
+# A call looks its function up on the function's module when it runs, as
+# ``_lib("spectrum").closure``, rather than the tables storing it: so a call
+# imports only the layers it uses, and a function rebound on its module
+# (bench/tracing.py does so) reaches every call.
 
 
-def _exact(r, op):
+def _exact(r, op: str):
+    fp_category = _lib("fp_category")
     f = r("f")
-    validate_module(r.model, f.source)
-    validate_module(r.model, f.target)
-    mod, mor = op(f)
+    fp_category.validate_module(r.model, f.source)
+    fp_category.validate_module(r.model, f.target)
+    mod, mor = getattr(fp_category, op)(f)
     return {"module": jsonio.encode_module(mod), "morphism": jsonio.encode_morphism(mor)}
 
 
 def _reduce_gens(r):
     ambient = r("ambient")
     gens = jsonio.decode_generators(r("gens"), len(ambient.summands), r.field)
-    return {"retained": reduce_generators(ambient, gens, r.field)}
+    return {"retained": _lib("fp_category").reduce_generators(ambient, gens, r.field)}
 
 
 def _separate(r):
-    first, second = separate(r.model, r("p"), r("q"))
+    first, second = _lib("spectrum").separate(r.model, r("p"), r("q"))
     return {
         "first": jsonio.encode_set(r.model, first),
         "second": jsonio.encode_set(r.model, second),
     }
 
 
-def _closure(r, close):
+def _closure(r, strategy: str):
+    spectrum = _lib("spectrum")
     u = r("set")
-    closed = close(r.model, u)
+    if strategy == "all":
+        closed = spectrum.closure_all_strategies(r.model, u)
+    else:
+        closed = spectrum.closure(r.model, u, spectrum.Strategy(strategy))
     return {"closed": closed == u, "closure": jsonio.encode_set(r.model, closed)}
 
 
 _SHIFTS = {
-    "interval": lambda r, eps: jsonio.encode_interval(shift_interval(r.model, r("interval"), eps)),
-    "ideal": lambda r, eps: jsonio.encode_dpoint(shift_ideal(r.model, r("ideal"), eps)),
+    "interval": lambda r, eps: jsonio.encode_interval(
+        _lib("interleaving").shift_interval(r.model, r("interval"), eps)
+    ),
+    "ideal": lambda r, eps: jsonio.encode_dpoint(
+        _lib("interleaving").shift_ideal(r.model, r("ideal"), eps)
+    ),
 }
 
 
@@ -228,47 +213,55 @@ _INT = {"required": True, "type": int}
 _COMMANDS = {
     "hom": _Command(
         {"interval": _REQ, "ideal": _REQ},
-        lambda r: {"dim": hom_to_injective(r.model, r("interval"), r("ideal"))},
+        lambda r: {"dim": _lib("fp_category").hom_to_injective(r.model, r("interval"), r("ideal"))},
     ),
-    "hom-fp": _Command({"x": _REQ, "y": _REQ}, lambda r: {"dim": hom_dim(r("x"), r("y"))}),
+    "hom-fp": _Command(
+        {"x": _REQ, "y": _REQ}, lambda r: {"dim": _lib("fp_category").hom_dim(r("x"), r("y"))}
+    ),
     "compose": _Command(
-        {"f": _REQ, "g": _REQ}, lambda r: jsonio.encode_morphism(compose(r("f"), r("g")))
+        {"f": _REQ, "g": _REQ},
+        lambda r: jsonio.encode_morphism(_lib("fp_category").compose(r("f"), r("g"))),
     ),
-    "kernel": _Command({"f": _REQ}, lambda r: _exact(r, kernel)),
-    "cokernel": _Command({"f": _REQ}, lambda r: _exact(r, cokernel)),
+    "kernel": _Command({"f": _REQ}, lambda r: _exact(r, "kernel")),
+    "cokernel": _Command({"f": _REQ}, lambda r: _exact(r, "cokernel")),
     "reduce-gens": _Command({"ambient": _REQ, "gens": _REQ}, _reduce_gens),
-    "is-flat": _Command({"module": _REQ}, lambda r: {"flat": is_flat(r("module"))}),
+    "is-flat": _Command({"module": _REQ}, lambda r: {"flat": _lib("barcode").is_flat(r("module"))}),
     "decompose": _Command(
-        {"module": _REQ}, lambda r: jsonio.encode_barcode(chain_decompose(r("module")))
+        {"module": _REQ}, lambda r: jsonio.encode_barcode(_lib("barcode").decompose(r("module")))
     ),
     "realize": _Command(
         {"barcode": _REQ, "length": _INT},
-        lambda r: jsonio.encode_chain(chain_realize(r("barcode"), r("length"), r.field)),
+        lambda r: jsonio.encode_chain(_lib("barcode").realize(r("barcode"), r("length"), r.field)),
     ),
     "rank": _Command(
         {"module": _REQ, "i": _INT, "j": _INT},
-        lambda r: {"rank": rank_invariant(r("module"), r("i"), r("j"))},
+        lambda r: {"rank": _lib("barcode").rank_invariant(r("module"), r("i"), r("j"))},
     ),
     "classify": _Command(
-        {"ideal": _REQ}, lambda r: {"type": classify_ideal(r.model, r("ideal")).value}
+        {"ideal": _REQ},
+        lambda r: {"type": _lib("order_core").classify_ideal(r.model, r("ideal")).value},
     ),
+    # the strategies in the order of spectrum.Strategy, then "all"
     "closure": _Command(
         {"set": _REQ, "strategy": {"default": "all"}},
         {
-            **{
-                s.value: lambda r, s=s: _closure(r, lambda model, u: closure(model, u, s))
-                for s in Strategy
-            },
-            "all": lambda r: _closure(r, closure_all_strategies),
+            s: lambda r, s=s: _closure(r, s)
+            for s in ("double-orth", "supinf", "order", "all")
         },
         mode="strategy",
     ),
-    "is-closed": _Command({"set": _REQ}, lambda r: {"closed": is_closed(r.model, r("set"))}),
+    "is-closed": _Command(
+        {"set": _REQ}, lambda r: {"closed": _lib("spectrum").is_closed(r.model, r("set"))}
+    ),
     "orthogonal": _Command(
         {"direction": _REQ, "set": _OPT, "region": _OPT},
         {
-            "left": lambda r: jsonio.encode_region(r.model, left_orthogonal(r.model, r("set"))),
-            "right": lambda r: jsonio.encode_set(r.model, right_orthogonal(r.model, r("region"))),
+            "left": lambda r: jsonio.encode_region(
+                r.model, _lib("spectrum").left_orthogonal(r.model, r("set"))
+            ),
+            "right": lambda r: jsonio.encode_set(
+                r.model, _lib("spectrum").right_orthogonal(r.model, r("region"))
+            ),
         },
         mode="direction",
     ),
@@ -276,31 +269,39 @@ _COMMANDS = {
     "set": _Command(
         {"op": _REQ, "a": _REQ, "b": _OPT, "point": _OPT},
         {
-            "union": lambda r: jsonio.encode_set(r.model, union(r("a"), r("b"))),
+            "union": lambda r: jsonio.encode_set(r.model, _lib("spectrum").union(r("a"), r("b"))),
             "intersect": lambda r: jsonio.encode_set(
-                r.model, intersect(r.model, r("a"), r("b"))
+                r.model, _lib("spectrum").intersect(r.model, r("a"), r("b"))
             ),
-            "complement": lambda r: jsonio.encode_set(r.model, complement(r.model, r("a"))),
-            "member": lambda r: {"member": member(r.model, r("a"), r("point"))},
+            "complement": lambda r: jsonio.encode_set(
+                r.model, _lib("spectrum").complement(r.model, r("a"))
+            ),
+            "member": lambda r: {"member": _lib("spectrum").member(r.model, r("a"), r("point"))},
         },
         mode="op",
     ),
     "shift": _Command({"interval": _OPT, "ideal": _OPT, "eps": _REQ}, _shift),
     "interleaved": _Command(
         {"p": _REQ, "q": _REQ, "eps": _REQ},
-        lambda r: {"interleaved": is_interleaved(r.model, r("p"), r("q"), r("eps"))},
+        lambda r: {
+            "interleaved": _lib("interleaving").is_interleaved(r.model, r("p"), r("q"), r("eps"))
+        },
     ),
     "distance": _Command(
         {"p": _REQ, "q": _REQ},
-        lambda r: jsonio.encode_distance(distance(r.model, r("p"), r("q"))),
+        lambda r: jsonio.encode_distance(_lib("interleaving").distance(r.model, r("p"), r("q"))),
     ),
     "ball": _Command(
         {"center": _REQ, "eps": _REQ},
-        lambda r: jsonio.encode_set(r.model, ball(r.model, r("center"), r("eps"))),
+        lambda r: jsonio.encode_set(
+            r.model, _lib("interleaving").ball(r.model, r("center"), r("eps"))
+        ),
     ),
     "distance-oracle": _Command(
         {"p": _REQ, "q": _REQ, "step": _REQ},
-        lambda r: jsonio.encode_bracket(brute_force_distance(r.model, r("p"), r("q"), r("step"))),
+        lambda r: jsonio.encode_bracket(
+            _lib("interleaving").brute_force_distance(r.model, r("p"), r("q"), r("step"))
+        ),
     ),
 }
 
@@ -329,8 +330,21 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise SchemaError(f"{self.prog}: {message}")
 
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        for flag, value in vars(parsed).items():
+            # argparse drops the value of --flag=-- and stores an empty list,
+            # past any choices or type check
+            if isinstance(value, list):
+                self.error(f"argument --{flag}: expected one argument")
+        return parsed
 
-def _build_parser() -> argparse.ArgumentParser:
+
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, when argv starts with a subcommand,
+    of that one alone: no other subparser can take part in parsing such an
+    argv, and building all of them costs more than a small call's work."""
+    names = [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--field", default="rat", help="rat or fp:<p>")
@@ -340,7 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = _Parser(prog="ordspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
+    for name in names:
+        command = _COMMANDS[name]
         p = sub.add_parser(name, parents=[common])
         for flag, opts in command.flags.items():
             if flag == command.mode:
@@ -376,7 +391,8 @@ def _render_text(obj, indent="") -> str:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _build_parser(argv).parse_args(argv)
         model = _parse_model(args.model)
         field = _parse_field(args.field)
         result = _run(args, model, field)

@@ -37,33 +37,16 @@ only a failure computes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .barcode import _sweep
 from .coords import Coord, ExtCoord, INF, is_inf, rational_above, rational_between
 from .errors import DomainError
 from .fields import Field, QQ
 from . import linalg
-from .order_core import DPoint, Flavor, IndexModel, cmp_d, Ordering, validate_dpoint
+from .order_core import DPoint, Flavor, FpInterval, IndexModel, cmp_d, Ordering, validate_dpoint
 
 
 # ---------------------------------------------------------------------------
 # Objects and morphisms
-
-
-@dataclass(frozen=True, slots=True)
-class FpInterval:
-    """The interval module supported on [start, end)."""
-
-    start: Coord
-    end: ExtCoord
-
-    def __post_init__(self):
-        if not self.start < self.end:
-            raise DomainError("bad_interval", f"need start < end, got [{self.start},{self.end})")
-
-    def __str__(self):
-        return f"[{self.start},{self.end})"
 
 
 def _iv_key(iv: FpInterval):
@@ -366,12 +349,30 @@ def _certify(op: str, ends, pos, alive_dom, alive_cod, f_entries, mod, g_entries
 # Generator reduction
 
 
-@dataclass(frozen=True)
 class GeneratorElement:
     """An element of a projective module: a position and one scalar per summand."""
 
-    position: Coord
-    coeffs: tuple
+    __slots__ = ("position", "coeffs")
+
+    def __init__(self, position: Coord, coeffs: tuple):
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("GeneratorElement is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.position == other.position and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.position, self.coeffs))
+
+    def __repr__(self):
+        return f"GeneratorElement(position={self.position!r}, coeffs={self.coeffs!r})"
 
 
 def reduce_generators(ambient: FpModule, gens, field: Field = QQ) -> list[int]:

@@ -15,14 +15,19 @@ distance from everything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coords import Coord, INF, is_inf
 from .errors import DomainError
-from .fp_category import FpInterval
-from .order_core import DPoint, IndexModel, Ordering, cmp_d, require_dense, validate_dpoint
-from .spectrum import SymbolicSet, INF_LOW, TOP, finite_cut
+from .order_core import (
+    DPoint,
+    FpInterval,
+    IndexModel,
+    Ordering,
+    cmp_d,
+    require_dense,
+    validate_dpoint,
+)
 
 _SUBJECT = "interleaving is"
 
@@ -34,11 +39,29 @@ def eps_value(value) -> Fraction:
     return eps
 
 
-@dataclass(frozen=True, slots=True)
 class ExtDistance:
     """A non-negative exact distance or the infinite value."""
 
-    value: Coord | None  # None encodes infinity
+    __slots__ = ("value",)
+
+    def __init__(self, value: Coord | None):  # None encodes infinity
+        object.__setattr__(self, "value", value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("ExtDistance is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __repr__(self):
+        return f"ExtDistance(value={self.value!r})"
 
     @property
     def is_infinite(self) -> bool:
@@ -102,6 +125,8 @@ def distance(model: IndexModel, i: DPoint, j: DPoint) -> ExtDistance:
 
 def ball(model: IndexModel, p: DPoint, eps) -> SymbolicSet:
     """The open metric ball around p; the ball around the full ideal is itself."""
+    from .spectrum import INF_LOW, TOP, SymbolicSet, finite_cut
+
     require_dense(model, _SUBJECT)
     validate_dpoint(model, p)
     eps = eps_value(eps)
@@ -115,12 +140,30 @@ def ball(model: IndexModel, p: DPoint, eps) -> SymbolicSet:
     return SymbolicSet(((lo, hi),))
 
 
-@dataclass(frozen=True, slots=True)
 class DistanceBracket:
     """Result of the grid scan: a bracket of width <= step, or infinity."""
 
-    lower: Fraction | None
-    upper: Fraction | None
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, lower: Fraction | None, upper: Fraction | None):
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("DistanceBracket is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lower == other.lower and self.upper == other.upper
+
+    def __hash__(self):
+        return hash((self.lower, self.upper))
+
+    def __repr__(self):
+        return f"DistanceBracket(lower={self.lower!r}, upper={self.upper!r})"
 
     @property
     def is_infinite(self) -> bool:

@@ -7,29 +7,21 @@ while well-formed data describing an invalid value surfaces the library's
 DomainError.  A Serre region is written as its gaps, each with the cover
 derived from it; a region document whose gaps overlap or touch, or whose
 ``covered`` piece is not its gap's cover, is refused as ``bad_region``.
+
+Only the coordinate and order layers are imported with this module.  Each
+codec of a barcode, chain, fp module, set or region value imports its layer
+when it runs, so a command line call loads only the layers its values
+belong to.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .barcode import Barcode, ChainModule, barcode, chain_module
 from .coords import Coord, ExtCoord, INF, is_inf
 from .errors import DomainError, SchemaError
 from .fields import Field, parse_rational
-from .fp_category import FpInterval, FpModule, FpMorphism, GeneratorElement
-from .interleaving import DistanceBracket, ExtDistance
-from .order_core import DPoint, Flavor, IndexModel
-from .spectrum import (
-    BELOW_ALL,
-    DEndpoint,
-    SerreRegion,
-    SymbolicSet,
-    cover_of_gap,
-    interval_cuts,
-    lower_endpoint_of_cut,
-    upper_endpoint_of_cut,
-)
+from .order_core import DPoint, Flavor, FpInterval, IndexModel
 
 
 def _is_int(v) -> bool:
@@ -127,6 +119,8 @@ def encode_module(m: FpModule):
 
 
 def decode_module(obj) -> FpModule:
+    from .fp_category import FpModule
+
     if not isinstance(obj, dict) or set(obj) != {"summands"}:
         raise SchemaError("a module is {'summands': [interval, ...]}")
     if not isinstance(obj["summands"], list):
@@ -147,6 +141,8 @@ def encode_morphism(f: FpMorphism):
 
 
 def decode_morphism(obj, field: Field) -> FpMorphism:
+    from .fp_category import FpMorphism
+
     if not isinstance(obj, dict) or set(obj) != {"source", "target", "entries"}:
         raise SchemaError("a morphism is {'source': ..., 'target': ..., 'entries': [...]}")
     source = decode_module(obj["source"])
@@ -172,6 +168,8 @@ def encode_chain(m: ChainModule):
 
 
 def decode_chain(obj, field: Field) -> ChainModule:
+    from .barcode import chain_module
+
     if not isinstance(obj, dict) or set(obj) != {"dims", "maps"}:
         raise SchemaError("a chain module is {'dims': [...], 'maps': [[[...]]...]}")
     dims = obj["dims"]
@@ -192,6 +190,8 @@ def encode_barcode(b: Barcode):
 
 
 def decode_barcode(obj) -> Barcode:
+    from .barcode import barcode
+
     if not isinstance(obj, dict) or set(obj) != {"bars"}:
         raise SchemaError("a barcode is {'bars': [{'start':i,'end':j,'mult':m}, ...]}")
     if not isinstance(obj["bars"], list):
@@ -208,11 +208,15 @@ def decode_barcode(obj) -> Barcode:
 
 
 def encode_endpoint(e: DEndpoint):
+    from .spectrum import BELOW_ALL
+
     point = "below_all" if e.point == BELOW_ALL else encode_dpoint(e.point)
     return {"point": point, "included": e.included}
 
 
 def decode_endpoint(obj) -> DEndpoint:
+    from .spectrum import BELOW_ALL, DEndpoint
+
     if not isinstance(obj, dict) or set(obj) != {"point", "included"}:
         raise SchemaError("an endpoint is {'point': ideal|'below_all', 'included': bool}")
     included = obj["included"]
@@ -224,6 +228,8 @@ def decode_endpoint(obj) -> DEndpoint:
 
 
 def _encode_piece(model: IndexModel, lo, hi):
+    from .spectrum import lower_endpoint_of_cut, upper_endpoint_of_cut
+
     return {
         "lo": encode_endpoint(lower_endpoint_of_cut(model, lo)),
         "hi": encode_endpoint(upper_endpoint_of_cut(model, hi)),
@@ -232,6 +238,8 @@ def _encode_piece(model: IndexModel, lo, hi):
 
 def _decode_piece(model: IndexModel, obj):
     """The (lo, hi) cuts of one nonempty interval."""
+    from .spectrum import interval_cuts
+
     if not isinstance(obj, dict) or set(obj) != {"lo", "hi"}:
         raise SchemaError("a component is {'lo': endpoint, 'hi': endpoint}")
     return interval_cuts(model, decode_endpoint(obj["lo"]), decode_endpoint(obj["hi"]))
@@ -242,6 +250,8 @@ def encode_set(model: IndexModel, s: SymbolicSet):
 
 
 def decode_set(model: IndexModel, obj) -> SymbolicSet:
+    from .spectrum import SymbolicSet
+
     if not isinstance(obj, dict) or set(obj) != {"components"}:
         raise SchemaError("a set is {'components': [{'lo': ..., 'hi': ...}, ...]}")
     if not isinstance(obj["components"], list):
@@ -250,6 +260,8 @@ def decode_set(model: IndexModel, obj) -> SymbolicSet:
 
 
 def encode_region(model: IndexModel, r: SerreRegion):
+    from .spectrum import cover_of_gap
+
     gaps = []
     for lo, hi in r.gaps.parts:
         cover = cover_of_gap(model, lo, hi)
@@ -263,6 +275,8 @@ def encode_region(model: IndexModel, r: SerreRegion):
 
 
 def decode_region(model: IndexModel, obj) -> SerreRegion:
+    from .spectrum import SerreRegion, SymbolicSet, cover_of_gap
+
     if not isinstance(obj, dict) or set(obj) != {"gaps"}:
         raise SchemaError("a region is {'gaps': [{'gap': ..., 'covered': ...}, ...]}")
     if not isinstance(obj["gaps"], list):
@@ -295,6 +309,8 @@ def encode_bracket(b: DistanceBracket):
 
 
 def decode_generators(obj, n_summands: int, field: Field):
+    from .fp_category import GeneratorElement
+
     if not isinstance(obj, list):
         raise SchemaError("generators must be a list")
     out = []

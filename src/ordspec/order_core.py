@@ -11,12 +11,16 @@ dense unbounded line whose coordinates are exact rationals, optionally
 extended by quadratic surds.  In the dense model with rational membership,
 a surd coordinate is a valid cut position without being an element of T,
 which is what makes bounded ideals without a supremum representable.
+
+``FpInterval``, the interval module on [start, end), lives here as well,
+beside the ideals it is compared with, so that the layers that only read
+intervals (``spectrum``, ``interleaving``, ``jsonio``) need not import
+``fp_category``, which re-exports it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .coords import (
     Coord,
@@ -53,15 +57,31 @@ class Membership(enum.Enum):
     RATIONALS_ONLY = "rationals"
 
 
-@dataclass(frozen=True)
 class FiniteChain:
     """T = {0, ..., length-1} with the usual order."""
 
-    length: int
+    __slots__ = ("length",)
 
-    def __post_init__(self):
-        if self.length < 1:
+    def __init__(self, length: int):
+        if length < 1:
             raise DomainError("bad_model", "chain length must be positive")
+        object.__setattr__(self, "length", length)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("FiniteChain is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.length == other.length
+
+    def __hash__(self):
+        return hash((self.length,))
+
+    def __repr__(self):
+        return f"FiniteChain(length={self.length!r})"
 
     def is_valid_coord(self, c: Coord) -> bool:
         if not c.is_rational or c.rat.denominator != 1:
@@ -72,11 +92,29 @@ class FiniteChain:
         return self.is_valid_coord(c)
 
 
-@dataclass(frozen=True)
 class DenseLine:
     """An unbounded dense line; the stand-in for the real or rational index set."""
 
-    membership: Membership = Membership.ALL_COORDS
+    __slots__ = ("membership",)
+
+    def __init__(self, membership: Membership = Membership.ALL_COORDS):
+        object.__setattr__(self, "membership", membership)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("DenseLine is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.membership is other.membership
+
+    def __hash__(self):
+        return hash((self.membership,))
+
+    def __repr__(self):
+        return f"DenseLine(membership={self.membership!r})"
 
     def is_valid_coord(self, c: Coord) -> bool:
         return True
@@ -91,20 +129,67 @@ DENSE_REAL = DenseLine(Membership.ALL_COORDS)
 DENSE_RATIONAL_WITH_CUTS = DenseLine(Membership.RATIONALS_ONLY)
 
 
-@dataclass(frozen=True, slots=True)
 class DPoint:
     """An ideal of T: coordinate plus flavor.  ``(INF, STRICT)`` is all of T."""
 
-    coord: ExtCoord
-    flavor: Flavor
+    __slots__ = ("coord", "flavor")
 
-    def __post_init__(self):
-        if is_inf(self.coord) and self.flavor is not Flavor.STRICT:
+    def __init__(self, coord: ExtCoord, flavor: Flavor):
+        if is_inf(coord) and flavor is not Flavor.STRICT:
             raise DomainError("bad_dpoint", "the infinite ideal must have strict flavor")
+        object.__setattr__(self, "coord", coord)
+        object.__setattr__(self, "flavor", flavor)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("DPoint is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coord == other.coord and self.flavor is other.flavor
+
+    def __hash__(self):
+        return hash((self.coord, self.flavor))
+
+    def __repr__(self):
+        return f"DPoint(coord={self.coord!r}, flavor={self.flavor!r})"
 
     def __str__(self):
         tag = "P" if self.flavor is Flavor.PRINCIPAL else "S"
         return f"({self.coord},{tag})"
+
+
+class FpInterval:
+    """The interval module supported on [start, end)."""
+
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: Coord, end: ExtCoord):
+        if not start < end:
+            raise DomainError("bad_interval", f"need start < end, got [{start},{end})")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("FpInterval is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.start == other.start and self.end == other.end
+
+    def __hash__(self):
+        return hash((self.start, self.end))
+
+    def __repr__(self):
+        return f"FpInterval(start={self.start!r}, end={self.end!r})"
+
+    def __str__(self):
+        return f"[{self.start},{self.end})"
 
 
 def strict_at(x) -> DPoint:

@@ -47,16 +47,15 @@ from __future__ import annotations
 import enum
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from weakref import WeakValueDictionary
 
 from .coords import Coord, ExtCoord, INF, is_inf
 from .errors import DomainError
-from .fp_category import FpInterval
 from .order_core import (
     DPoint,
     Flavor,
+    FpInterval,
     IndexModel,
     Ordering,
     cmp_d_unchecked,
@@ -199,17 +198,33 @@ def point_ending_at(model: IndexModel, c: Cut) -> DPoint | None:
 BELOW_ALL = "below_all"
 
 
-@dataclass(frozen=True, slots=True)
 class DEndpoint:
     """An endpoint of a D interval: a point (or the phantom below everything)
     together with an inclusion flag."""
 
-    point: DPoint | str
-    included: bool
+    __slots__ = ("point", "included")
 
-    def __post_init__(self):
-        if self.point == BELOW_ALL and self.included:
+    def __init__(self, point: DPoint | str, included: bool):
+        if point == BELOW_ALL and included:
             raise DomainError("bad_endpoint", "there is no least ideal to include")
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "included", included)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("DEndpoint is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.point == other.point and self.included == other.included
+
+    def __hash__(self):
+        return hash((self.point, self.included))
+
+    def __repr__(self):
+        return f"DEndpoint(point={self.point!r}, included={self.included!r})"
 
 
 def _merged(parts):
@@ -457,17 +472,33 @@ def upper_endpoint_of_cut(model: IndexModel, c: Cut) -> DEndpoint:
 # Windows and the orthogonality engine
 
 
-@dataclass(frozen=True)
 class Window:
     """The D interval [(a, P), (b, S)]: ideals admitting a nonzero map from
     the interval module [a, b)."""
 
-    a: Coord
-    b: ExtCoord
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if not self.a < self.b:
+    def __init__(self, a: Coord, b: ExtCoord):
+        if not a < b:
             raise DomainError("bad_window", "need a < b")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("Window is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __repr__(self):
+        return f"Window(a={self.a!r}, b={self.b!r})"
 
 
 def _window_cuts(model: IndexModel, a: Coord, b: ExtCoord) -> tuple[Cut, Cut]:

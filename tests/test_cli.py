@@ -171,6 +171,10 @@ def test_exit_codes():
         ["hom", "--interval", "[0,1)"],
         ["shift", "--interval", "[0,1)", "--eps", "-3/4"],
         [],
+        # a value "--" joined to its flag, which argparse drops
+        ["set", "--op=--", "--a", ROW2_SET],
+        ["rank", "--module", '{"dims":[1],"maps":[]}', "--i=--", "--j", "0"],
+        ["classify", "--ideal", '{"coord":"0","flavor":"strict"}', "--format=--"],
     ):
         code, out = run_cli(argv)
         assert code == 2, argv
@@ -292,6 +296,17 @@ def test_remaining_subcommands_smoke():
     assert code == 0 and json.loads(out) == {"closed": True}
 
 
+def test_closure_strategy_choices_follow_strategy():
+    """The choices of closure --strategy are written out in cli; they stay the
+    values of spectrum.Strategy, in its order, then "all"."""
+    from ordspec import Strategy, cli
+
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command").choices["closure"]
+    strategy = next(a for a in sub._actions if a.dest == "strategy")
+    assert list(strategy.choices) == [s.value for s in Strategy] + ["all"]
+
+
 def test_internal_invariant_exits_3(monkeypatch):
     from ordspec import fp_category
     from test_fp_category import _corrupt_first_pair
@@ -330,6 +345,53 @@ def test_strategy_disagreement_carries_its_witness(monkeypatch):
     assert set(witness) == {"input", "double-orth", "supinf", "order"}
     assert witness["input"] == witness["supinf"] == encode_set(DENSE_REAL, u)
     assert witness["double-orth"] == witness["order"] != witness["input"]
+
+
+# The ordspec modules every call loads: the package (which binds the function
+# ``barcode`` and so loads its module), the front end and the codecs' layers.
+_BASE_MODULES = {
+    "ordspec", "ordspec.barcode", "ordspec.cli", "ordspec.coords", "ordspec.errors",
+    "ordspec.fields", "ordspec.jsonio", "ordspec.linalg", "ordspec.order_core",
+}
+_IMPORT_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from ordspec import cli
+with redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "ordspec"),
+                  "dataclasses" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "args, extra",
+    [
+        (["classify", "--ideal", '{"coord":"0","flavor":"strict"}'], set()),
+        (["decompose", "--module", '{"dims":[1,2,1],"maps":[[["1"],["0"]],[["0","1"]]]}'], set()),
+        (["closure", "--set", ROW2_SET], {"ordspec.spectrum"}),
+        (["distance", "--p", '{"coord":"0","flavor":"strict"}',
+          "--q", '{"coord":"3","flavor":"principal"}'], {"ordspec.interleaving"}),
+        (["kernel", "--f", json.dumps({
+            "source": {"summands": ["[1,3)", "[2,4)"]},
+            "target": {"summands": ["[0,3)"]},
+            "entries": [{"from": 0, "to": 0, "value": "1"}, {"from": 1, "to": 0, "value": "1"}],
+        })], {"ordspec.fp_category"}),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_a_call_imports_only_its_layers(args, extra):
+    """In a fresh interpreter a subcommand loads the base modules and its own
+    layer, no other, and never ``dataclasses``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(args)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules, dataclasses_loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert set(modules) == _BASE_MODULES | extra
+    assert not dataclasses_loaded
 
 
 def test_minimum_python_gives_the_same_stdout():

@@ -116,13 +116,17 @@ def run_cli(args):
     return code, buf.getvalue()
 
 
-def test_commands_cover_every_subcommand_and_flag():
+def subparsers():
+    """Subcommand -> its argparse parser."""
     parser = cli._build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_commands_cover_every_subcommand_and_flag():
     common = {"help", "format", "field", "model"}
     flags = {
         name: {a.dest for a in p._actions if a.option_strings and a.dest not in common}
-        for name, p in sub.choices.items()
+        for name, p in subparsers().items()
     }
     assert flags == {name: set(values) for name, values in COMMANDS.items()}
 
@@ -150,5 +154,54 @@ def test_every_subcommand_answers_with_one_json_document(command):
         assert code in (0, 1, 2), (argv, out)
         assert out.endswith("\n") and out.count("\n") == 1, (argv, out)
         json.loads(out)
+
+    check()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_bad_choices_and_missing_flags_exit_2(command):
+    """A value outside a flag's choices (a mode or --format), or a required
+    flag left out, is malformed input: exit 2 and one JSON error document."""
+    actions = subparsers()[command]._actions
+    required = sorted(a.dest for a in actions if a.required)
+    choices = {a.dest: a.choices for a in actions if a.choices}
+    fault = st.one_of(
+        st.tuples(st.just("drop"), st.sampled_from(required), st.none()),
+        st.sampled_from(sorted(choices)).flatmap(
+            lambda flag: st.tuples(
+                st.just("bad"),
+                st.just(flag),
+                st.one_of(st.sampled_from(ODD_STRINGS), st.text(max_size=6)).filter(
+                    lambda v: v not in choices[flag]
+                ),
+            )
+        ),
+    )
+
+    @seed(SEED)
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        values=st.fixed_dictionaries(COMMANDS[command]),
+        fault=fault,
+        field=field_flag,
+        model=model_flag,
+    )
+    def check(values, fault, field, model):
+        kind, flag, bad = fault
+        values = {**values, "format": "json"}
+        if kind == "drop":
+            del values[flag]
+        else:
+            values[flag] = bad
+        argv = [command, "--field", field, "--model", model]
+        argv += [f"--{name}={value}" for name, value in values.items()]
+        code, out = run_cli(argv)
+        assert code == 2, (argv, out)
+        assert out.endswith("\n") and out.count("\n") == 1, (argv, out)
+        assert json.loads(out)["error"]["kind"] == "schema", (argv, out)
 
     check()
