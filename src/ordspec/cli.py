@@ -16,7 +16,6 @@ import importlib
 import json
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import jsonio
 from .errors import DomainError, SchemaError
@@ -200,10 +199,13 @@ def _shift(r):
 # dict's keys are that flag's choices).
 
 
-class _Command(NamedTuple):
-    flags: dict
-    call: object  # request -> JSON-ready object, or mode value -> such a call
-    mode: str | None = None
+class _Command:
+    __slots__ = ("flags", "call", "mode")
+
+    def __init__(self, flags: dict, call, mode: str | None = None):
+        self.flags = flags
+        self.call = call  # request -> JSON-ready object, or mode value -> such a call
+        self.mode = mode
 
 
 _REQ = {"required": True}

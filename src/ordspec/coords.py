@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 from .errors import DomainError
 
@@ -287,7 +286,7 @@ class _Infinity:
 INF = _Infinity()
 ZERO = Coord(0)
 
-ExtCoord = Union[Coord, _Infinity]
+ExtCoord = Coord | _Infinity
 
 
 def is_inf(x: ExtCoord) -> bool:

@@ -27,7 +27,10 @@ Every answer is then certified at each grid position by the kernel
 conditions on the (for a cokernel, transposed) matrices: the embedding is
 injective there (the projection surjective), its composite with f
 vanishes, and the new module has the dimension that the rank of f
-dictates.  The result is evaluated from the grid positions of its own
+dictates.  The checks run on integers: each row of f and each column of
+the embedding is cleared of denominators once, the composite is a sparse
+integer dot product and the ranks are ``linalg.rank``'s Bareiss
+elimination.  The result is evaluated from the grid positions of its own
 summand endpoints, and an endpoint off the grid fails the certificate.  The
 embedding and projection are legal morphisms, so pointwise exactness on
 the grid proves the universal property.  A failed check raises
@@ -36,6 +39,8 @@ only a failure computes.
 """
 
 from __future__ import annotations
+
+import math
 
 from .barcode import _sweep
 from .coords import Coord, ExtCoord, INF, is_inf, rational_above, rational_between
@@ -126,6 +131,14 @@ def hom_to_injective(model: IndexModel, x: FpInterval, p: DPoint) -> int:
     return 1
 
 
+# Entry keys (i, j) of two ints below _SHARED come from one table, as CPython
+# shares small ints: the key tuple is the largest part of a morphism's
+# memory, and a program that keeps many answers (kernels, cokernels) then
+# holds one tuple per distinct small pair, not one per entry.
+_SHARED = 64
+_PAIRS: dict = {}
+
+
 class FpMorphism:
     """A scalar matrix between fp modules; entry (i -> j) maps source summand i
     into target summand j."""
@@ -144,7 +157,10 @@ class FpMorphism:
                     "illegal_entry",
                     f"no nonzero maps {source.summands[i]} -> {target.summands[j]}",
                 )
-            clean[(i, j)] = v
+            key = (i, j)
+            if i.__class__ is j.__class__ is int and i < _SHARED and j < _SHARED:
+                key = _PAIRS.setdefault(key, key)
+            clean[key] = v
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "entries", clean)
@@ -260,11 +276,6 @@ def _alive_lists(m: FpModule, pos: dict, n: int):
     return [[i for i, (lo, hi) in enumerate(spans) if lo <= s < hi] for s in range(n)]
 
 
-def _matrix(field: Field, entries, cols, rows):
-    """The matrix at one grid position of a map with entries (col -> row)."""
-    return [[entries.get((c, r), field.zero) for c in cols] for r in rows]
-
-
 def _null_basis(field: Field, f_cols: dict, dom, cod):
     """A basis of the kernel of f at one position, as sparse vectors keyed by
     the summands dom alive there; f_cols are f's columns {col: {row: v}}
@@ -325,24 +336,58 @@ def _certify(op: str, ends, pos, alive_dom, alive_cod, f_entries, mod, g_entries
     """Check at every grid position that the map g of mod into the domain of
     the (possibly transposed) f is a kernel of f there, or raise
     AssertionError.  g is evaluated on the grid positions of mod's own
-    endpoints, and both maps as dense matrices, apart from the sparse route
-    of the sweep."""
+    endpoints.  The checks run on integers, apart from the sparse route of
+    the sweep: over the rationals each row of f and each column of g is
+    scaled once by the lcm of its denominators, which changes neither a rank
+    nor whether f g vanishes and commutes with restricting to the alive
+    summands; over F_p the entries are residues already."""
     for iv in mod.summands:
         if iv.start not in pos or iv.end not in pos:
             raise AssertionError(f"{op} certificate failed: summand {iv} is off the grid")
+    p = field.p
+    f_rows = _integer_lines(f_entries, 1, p)
+    g_cols = _integer_lines(g_entries, 0, p)
     alive_mod = _alive_lists(mod, pos, len(alive_dom))
     for s, (dom, cod, new) in enumerate(zip(alive_dom, alive_cod, alive_mod)):
-        f_t = _matrix(field, f_entries, dom, cod)
-        g_t = _matrix(field, g_entries, new, dom)
+        alive = set(dom)
+        f_t = [{c: v for c, v in f_rows[r].items() if c in alive} for r in cod if r in f_rows]
+        f_t = [row for row in f_t if row]
+        g_t = [g_cols.get(ell, {}) for ell in new]
         failed = None
-        if linalg.rank(field, g_t) != len(new):
+        if linalg.rank(field, [[col.get(d, 0) for d in dom] for col in g_t]) != len(new):
             failed = f"the {op} map is not {_SIDES[op][0]}"
-        elif any(not field.is_zero(v) for row in linalg.mat_mul(field, f_t, g_t) for v in row):
+        elif any(_dot(row, col, p) for row in f_t for col in g_t):
             failed = "the composite with f is not zero"
-        elif len(new) != len(dom) - linalg.rank(field, f_t):
+        elif len(new) != len(dom) - linalg.rank(field, [[row.get(c, 0) for c in dom] for row in f_t]):
             failed = f"dimension {len(new)} is not {len(dom)} - rank f"
         if failed:
             raise AssertionError(f"{op} certificate failed at {_position_name(ends, s)}: {failed}")
+
+
+def _integer_lines(entries, axis: int, p) -> dict:
+    """The entries {(col, row): v} of a map grouped into its columns (axis 0)
+    or rows (axis 1), each a sparse vector of integers: over the rationals
+    the line is multiplied by the lcm of its denominators."""
+    lines: dict = {}
+    for key, v in entries.items():
+        lines.setdefault(key[axis], {})[key[1 - axis]] = v
+    if p is None:
+        for k, line in lines.items():
+            den = math.lcm(*[v.denominator for v in line.values()])
+            lines[k] = {i: v.numerator * (den // v.denominator) for i, v in line.items()}
+    return lines
+
+
+def _dot(a: dict, b: dict, p) -> int:
+    """The dot product of two sparse integer vectors, mod p over F_p."""
+    if len(b) < len(a):
+        a, b = b, a
+    total = 0
+    for i, v in a.items():
+        w = b.get(i)
+        if w:
+            total += v * w
+    return total if p is None else total % p
 
 
 # ---------------------------------------------------------------------------

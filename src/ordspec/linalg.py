@@ -6,44 +6,20 @@ per key.  ``combine`` applies a map to a vector (the sum of coefficient
 times column).  ``Echelon`` is a sparse echelon form grown one vector at a
 time whose rows record the combinations of added vectors they came from; it
 computes nullspaces, the deaths and births of the elder-rule sweep in
-``barcode`` and generator reduction in ``fp_category``.  Dense matrices,
-lists of row lists, serve ``mat_mul`` and ``rank``: the kernel and cokernel
-certificate, and the rank invariant and flatness of chain modules.  ``rank``
-takes its own fraction-free integer path (over the rationals rows are
-cleared of denominators, then Bareiss elimination; over F_p the same loop
-reduces mod p), so that over either field the certificate checks the
-sweep's nullspaces by a route that shares no code with ``Echelon``.
+``barcode`` and generator reduction in ``fp_category``.  ``rank`` is the
+one dense routine, on lists of row lists: it serves the kernel and
+cokernel certificate, and the rank invariant and flatness of chain
+modules.  It takes its own fraction-free integer path (over the rationals
+rows are cleared of denominators, then Bareiss elimination; over F_p the
+same loop reduces mod p), so that over either field the certificate checks
+the sweep's nullspaces by a route that shares no code with ``Echelon``.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DomainError
 from .fields import Field
-
-
-def mat_mul(field: Field, a, b):
-    m = len(a)
-    if m == 0:
-        return []
-    k = len(a[0])
-    n = len(b[0]) if b else 0
-    if k != len(b):
-        raise DomainError("shape_mismatch", "matrix product shape mismatch")
-    p = field.p
-    out = []
-    for row in a:
-        nr = []
-        for j in range(n):
-            s = field.zero
-            for t in range(k):
-                x = row[t]
-                if x:
-                    s += x * b[t][j]
-            nr.append(s if p is None else s % p)
-        out.append(nr)
-    return out
 
 
 def _int_rank_bareiss(rows: list[list[int]], p: int | None = None) -> int:

@@ -60,6 +60,22 @@ def modp_rank(rows, p: int) -> int:
     return r
 
 
+def mat_mul(field, a, b):
+    """The dense product a b over field."""
+    p = field.p
+    out = []
+    for row in a:
+        nr = []
+        for j in range(len(b[0]) if b else 0):
+            s = field.zero
+            for t, x in enumerate(row):
+                if x:
+                    s += x * b[t][j]
+            nr.append(s if p is None else s % p)
+        out.append(nr)
+    return out
+
+
 def frac_nullity(rows, n_cols: int) -> int:
     return n_cols - frac_rank(rows)
 
@@ -348,29 +364,75 @@ def brutal_is_interleaved(i_coord, i_principal, j_coord, j_principal, eps: Fract
 
 
 # ---------------------------------------------------------------------------
+# Kernel / cokernel certificate, the dense route
+
+
+def certify_dense(op, ends, pos, alive_dom, alive_cod, f_entries, mod, g_entries, field) -> None:
+    """``fp_category._certify`` on dense matrices of field scalars: at every
+    grid position, f_t and g_t as row lists, the composite by ``mat_mul``
+    and the ranks by this module's elimination.  Same arguments, same
+    checks in the same order and the same failure messages."""
+    from ordspec.fp_category import _alive_lists, _position_name
+
+    def matrix(entries, cols, rows):
+        return [[entries.get((c, r), field.zero) for c in cols] for r in rows]
+
+    def rank(rows):
+        return frac_rank(rows) if field.p is None else modp_rank(rows, field.p)
+
+    side = {"kernel": "injective", "cokernel": "surjective"}[op]
+    for iv in mod.summands:
+        if iv.start not in pos or iv.end not in pos:
+            raise AssertionError(f"{op} certificate failed: summand {iv} is off the grid")
+    alive_mod = _alive_lists(mod, pos, len(alive_dom))
+    for s, (dom, cod, new) in enumerate(zip(alive_dom, alive_cod, alive_mod)):
+        f_t = matrix(f_entries, dom, cod)
+        g_t = matrix(g_entries, new, dom)
+        failed = None
+        if rank(g_t) != len(new):
+            failed = f"the {op} map is not {side}"
+        elif any(v for row in mat_mul(field, f_t, g_t) for v in row):
+            failed = "the composite with f is not zero"
+        elif len(new) != len(dom) - rank(f_t):
+            failed = f"dimension {len(new)} is not {len(dom)} - rank f"
+        if failed:
+            raise AssertionError(f"{op} certificate failed at {_position_name(ends, s)}: {failed}")
+
+
+# ---------------------------------------------------------------------------
 # Random fixtures
 
 
-def random_fp_module(rng, max_summands=4, hi=8):
+def random_fp_module(rng, max_summands=4, hi=8, points=None):
+    """A random sum of intervals with endpoints among points[0..hi] (the
+    integers by default)."""
     from ordspec import FpInterval, FpModule
 
+    points = points or [Coord(k) for k in range(hi + 1)]
     n = rng.randint(0, max_summands)
     out = []
     for _ in range(n):
         a = rng.randint(0, hi - 1)
         b = rng.choice([rng.randint(a + 1, hi), "inf"])
-        out.append(FpInterval(Coord(a), INF if b == "inf" else Coord(b)))
+        out.append(FpInterval(points[a], INF if b == "inf" else points[b]))
     return FpModule(tuple(out))
 
 
-def random_fp_morphism(rng, max_summands=4, hi=8, field=None):
+def random_fp_morphism(rng, max_summands=4, hi=8, field=None, surds=False):
     """A random morphism over field (the rationals by default); its scalars
-    are random rationals, read mod p over F_p."""
+    are random rationals, read mod p over F_p.  With surds about a third of
+    the endpoints k become k + sqrt(2)/4 or k + sqrt(3)/4."""
     from ordspec import FpMorphism, QQ, hom_dim
 
     field = field or QQ
-    src = random_fp_module(rng, max_summands, hi)
-    tgt = random_fp_module(rng, max_summands, hi)
+    points = None
+    if surds:
+        points = [
+            Coord(k, Fraction(1, 4), rng.choice((2, 3))) if rng.random() < 0.3 else Coord(k)
+            for k in range(hi + 1)
+        ]
+    src = random_fp_module(rng, max_summands, hi, points)
+    tgt = random_fp_module(rng, max_summands, hi, points)
     entries = {}
     for i, x in enumerate(src.summands):
         for j, y in enumerate(tgt.summands):

@@ -70,6 +70,7 @@ from oracles import (
     brutal_hom_interval_to_ideal,
     frac_rank,
     interval_alive,
+    mat_mul,
     random_fp_morphism,
     random_fraction,
     random_invertible_int_matrix,
@@ -77,7 +78,6 @@ from oracles import (
     random_symbolic_set,
     sample_grid,
 )
-from ordspec import linalg
 
 M = DENSE_REAL
 MQ = DENSE_RATIONAL_WITH_CUTS
@@ -327,8 +327,8 @@ def test_criterion_10_barcode():
             assert before.total_at(t) == dims[t]
         bases = [random_invertible_int_matrix(rng, d) for d in dims]
         new_maps = [
-            linalg.mat_mul(
-                QQ, bases[i + 1][0], linalg.mat_mul(QQ, m.maps[i], bases[i][1])
+            mat_mul(
+                QQ, bases[i + 1][0], mat_mul(QQ, m.maps[i], bases[i][1])
             )
             for i in range(length - 1)
         ]

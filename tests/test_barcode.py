@@ -7,11 +7,10 @@ import pytest
 from ordspec import (
     DomainError, Field, QQ, barcode, chain_module, decompose, is_flat, rank_invariant, realize,
 )
-from ordspec import linalg
 from ordspec.jsonio import decode_chain, encode_barcode, encode_chain
 
 from conftest import subseed
-from oracles import barcode_by_rank_table, frac_rank, modp_rank, random_invertible_int_matrix
+from oracles import barcode_by_rank_table, frac_rank, mat_mul, modp_rank, random_invertible_int_matrix
 
 
 def F(x):
@@ -137,15 +136,15 @@ def test_isomorphism_invariance_under_basis_change():
         bases = []
         for d in m.dims:
             mat, inv = random_invertible_int_matrix(rng, d)
-            ident = linalg.mat_mul(QQ, mat, inv)
+            ident = mat_mul(QQ, mat, inv)
             assert all(
                 ident[i][j] == (1 if i == j else 0) for i in range(d) for j in range(d)
             )
             bases.append((mat, inv))
         new_maps = []
         for i in range(m.length - 1):
-            conj = linalg.mat_mul(
-                QQ, bases[i + 1][0], linalg.mat_mul(QQ, m.maps[i], bases[i][1])
+            conj = mat_mul(
+                QQ, bases[i + 1][0], mat_mul(QQ, m.maps[i], bases[i][1])
             )
             new_maps.append(conj)
         conjugated = chain_module(m.dims, new_maps, QQ)
@@ -174,7 +173,7 @@ def test_rank_agrees_with_independent_gaussian():
                 d = m.dims[i]
                 comp = [[QQ.one if r == c else QQ.zero for c in range(d)] for r in range(d)]
                 for t in range(i, j):
-                    comp = linalg.mat_mul(QQ, m.maps[t], comp)
+                    comp = mat_mul(QQ, m.maps[t], comp)
                 assert rank_invariant(m, i, j) == frac_rank(comp)
 
 
@@ -249,7 +248,7 @@ def test_rational_entries_against_oracles():
             comp = [[Fraction(int(r == c)) for c in range(d)] for r in range(d)]
             for j in range(i, m.length):
                 if j > i:
-                    comp = linalg.mat_mul(QQ, m.maps[j - 1], comp)
+                    comp = mat_mul(QQ, m.maps[j - 1], comp)
                 assert rank_invariant(m, i, j) == frac_rank(comp), (m, i, j)
         flat = all(frac_rank(m.maps[t]) == m.dims[t] for t in range(m.length - 1))
         assert is_flat(m) is flat, m

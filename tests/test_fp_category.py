@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import re
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -38,6 +39,7 @@ from ordspec.fp_category import _iv_key, _lift_bar, critical_grid
 from conftest import subseed
 from oracles import (
     brutal_hom_interval_to_interval,
+    certify_dense,
     circuit_deletion,
     frac_nullspace,
     frac_rank,
@@ -269,6 +271,17 @@ def _corrupt_first_pair(real):
     return basis
 
 
+def test_small_entry_keys_are_shared_between_morphisms():
+    """A kept morphism holds no key tuple of its own for small index pairs:
+    equal (i, j) of two ints come from one table.  A key of another type,
+    such as a bool index, stays as given."""
+    m = FpModule((iv(0, "inf"),) * 2)
+    a, b = (FpMorphism(m, m, {(i, 0): F(1)}) for i in (1, 1))
+    assert next(iter(a.entries)) is next(iter(b.entries))
+    flagged = FpMorphism(m, m, {(True, 0): F(1)})
+    assert type(next(iter(flagged.entries))[0]) is bool
+
+
 def _summing_and_diagonal():
     """[0,inf)^2 -> [0,inf) adding the summands, and [0,inf) -> [0,inf)^2."""
     two = FpModule((iv(0, "inf"), iv(0, "inf")))
@@ -349,6 +362,146 @@ def test_certificate_rejects_summand_off_the_grid(monkeypatch):
             failure = f"^{op.__name__} certificate failed: summand \\[{shift},inf\\) is off"
             with pytest.raises(AssertionError, match=failure):
                 op(f)
+
+
+# distinct 20-digit denominators
+_DENS = (10**19 + 3, 10**19 + 7, 10**19 + 9)
+
+
+def _summing_and_diagonal_of_three(field):
+    """[0,inf)^3 -> [0,inf) and [0,inf) -> [0,inf)^3, with the scalars 1/d
+    for the denominators above over QQ and 1, 2, 3 over F_p: the kernel of
+    the first and the cokernel of the second have two summands."""
+    three = FpModule((iv(0, "inf"),) * 3)
+    one = FpModule((iv(0, "inf"),))
+    scalars = [Fraction(1, d) for d in _DENS] if field.is_rational else [1, 2, 3]
+    summing = FpMorphism(three, one, {(i, 0): v for i, v in enumerate(scalars)}, field)
+    diagonal = FpMorphism(one, three, {(0, i): v for i, v in enumerate(scalars)}, field)
+    return summing, diagonal
+
+
+def _corrupt_bars(real, fault: str):
+    """Wrap the sweep so that its first bar is duplicated or dropped."""
+
+    def sweep(*args):
+        bars = real(*args)
+        return bars + bars[:1] if fault == "duplicate" else bars[1:]
+
+    return sweep
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["QQ", "F5"])
+def test_certificate_rejects_each_fault(monkeypatch, field):
+    """Each pointwise check fails on the fault it is there for: a duplicated
+    kernel vector (cokernel functional) leaves the map not injective (not
+    surjective), a doubled entry leaves the composite nonzero, and a dropped
+    summand leaves the dimension short of the rank of f."""
+    from ordspec import fp_category
+
+    summing, diagonal = _summing_and_diagonal_of_three(field)
+    for op, f, side in ((kernel, summing, "injective"), (cokernel, diagonal, "surjective")):
+        assert len(op(f)[0]) == 2
+        for name, wrapped, failure in (
+            ("_sweep", _corrupt_bars(fp_category._sweep, "duplicate"), f"the {op.__name__} map is not {side}"),
+            ("_null_basis", _corrupt_first_pair(fp_category._null_basis), "the composite with f is not zero"),
+            ("_sweep", _corrupt_bars(fp_category._sweep, "drop"), "dimension 1 is not 3 - rank f"),
+        ):
+            message = f"{op.__name__} certificate failed at end sample 0: {failure}"
+            with monkeypatch.context() as mp:
+                mp.setattr(fp_category, name, wrapped)
+                with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+                    op(f)
+
+
+def _outcome(certify, args):
+    """The failure message of a certificate, or None when it passes."""
+    try:
+        certify(*args)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def _corrupted(rng, args):
+    """The certificate's arguments with the map g or its module corrupted
+    five ways: an entry doubled, dropped or added, a summand duplicated (with
+    its column) or dropped."""
+    op, ends, pos, alive_dom, alive_cod, f_entries, mod, g_entries, field = args
+    out = []
+
+    def variant(summands, entries):
+        out.append((op, ends, pos, alive_dom, alive_cod, f_entries, FpModule(summands), entries, field))
+
+    summands = mod.summands
+    if g_entries:
+        key = rng.choice(sorted(g_entries))
+        variant(summands, {**g_entries, key: field.add(g_entries[key], g_entries[key])})
+        variant(summands, {k: v for k, v in g_entries.items() if k != key})
+    n_dom = 1 + max((i for dom in alive_dom for i in dom), default=-1)
+    if summands and n_dom:
+        key = (rng.randrange(len(summands)), rng.randrange(n_dom))
+        variant(summands, {**g_entries, key: field.parse(str(random_scalar(rng)))})
+        ell = rng.randrange(len(summands))
+        twice = {(e + (e > ell), d): v for (e, d), v in g_entries.items()}
+        twice.update({(ell + 1, d): v for (e, d), v in g_entries.items() if e == ell})
+        variant(summands[: ell + 1] + summands[ell:], twice)
+        dropped = {(e - (e > ell), d): v for (e, d), v in g_entries.items() if e != ell}
+        variant(summands[:ell] + summands[ell + 1 :], dropped)
+    return out
+
+
+def test_certificate_agrees_with_the_dense_route(monkeypatch):
+    """On the kernels and cokernels of random morphisms, over QQ with surd
+    endpoints and over F_5, and on corrupted copies of each answer, the
+    integer certificate passes or fails exactly when the dense one on field
+    scalars does, with the same message."""
+    from ordspec import fp_category
+
+    real = fp_category._certify
+    calls = []
+
+    def certify(*args):
+        calls.append(args)
+        real(*args)
+
+    monkeypatch.setattr(fp_category, "_certify", certify)
+    rng = subseed(46)
+    for field in (QQ, Field(5)):
+        for _ in range(40):
+            f = random_morphism(rng, max_summands=6, field=field, surds=field.is_rational)
+            kernel(f)
+            cokernel(f)
+    verdicts = []
+    for args in calls:
+        assert _outcome(certify_dense, args) is None
+        for bad in _corrupted(rng, args):
+            got = _outcome(real, bad)
+            assert got == _outcome(certify_dense, bad), bad
+            verdicts.append(got)
+    assert None in verdicts
+    for failure in ("map is not", "composite with f", "dimension"):
+        assert any(v and failure in v for v in verdicts), failure
+
+
+def test_outputs_match_the_golden_file():
+    """``ordspec kernel`` and ``ordspec cokernel`` print, byte for byte, what
+    they printed when tests/data/exact_golden.json was recorded (by
+    tests/data/make_exact_golden.py), on 40 seeded morphisms over QQ with
+    surd endpoints and 20-digit denominators and over four prime fields."""
+    from ordspec import cli
+
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "exact_golden.json")
+    with open(path, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    assert len(cases) == 40
+    for case in cases:
+        field = "rat" if case["p"] is None else f"fp:{case['p']}"
+        f = json.dumps(case["f"], sort_keys=True, separators=(",", ":"))
+        for op in ("kernel", "cokernel"):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = cli.main([op, "--f", f, "--field", field])
+            assert code == 0 and buf.getvalue() == case[op], (op, case["f"])
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,19 @@ def test_barcode_stays_the_function_whatever_is_imported_first():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_loads_neither_typing_nor_dataclasses():
+    # -S: without site hooks, which may import typing themselves
+    probe = (
+        "import sys, ordspec.cli; "
+        "print(sorted(m for m in ('typing', 'dataclasses') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # one value per former dataclass, an equal copy built apart from it, and an
 # unequal value of the same class
 _VALUES = [
