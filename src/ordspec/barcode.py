@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import DomainError
+from .errors import DomainError, Value
 from .fields import Field, QQ
 from . import linalg
 
@@ -52,7 +52,7 @@ def _check_size(dims) -> None:
         )
 
 
-class ChainModule:
+class ChainModule(Value):
     """dims[t] for t in 0..L-1 plus structure maps; map i has shape dims[i+1] x dims[i].
 
     Map i is stored as the integer matrix ``ints[i]`` and the positive
@@ -88,30 +88,6 @@ class ChainModule:
         object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "dens", dens)
         object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("ChainModule is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.dims == other.dims
-            and self.ints == other.ints
-            and self.dens == other.dens
-            and self.field == other.field
-        )
-
-    def __hash__(self):
-        return hash((self.dims, self.ints, self.dens, self.field))
-
-    def __repr__(self):
-        return (
-            f"ChainModule(dims={self.dims!r}, ints={self.ints!r}, "
-            f"dens={self.dens!r}, field={self.field!r})"
-        )
 
     @property
     def length(self) -> int:
@@ -152,7 +128,7 @@ def chain_module(dims, maps, field: Field = QQ) -> ChainModule:
     return ChainModule(tuple(dims), tuple(ints), tuple(dens), field)
 
 
-class Barcode:
+class Barcode(Value):
     """Multiset of grid bars [i, j), 0 <= i < j <= L; j = L means alive to the end.
 
     ``bars`` holds sorted (start, end, multiplicity) triples."""
@@ -166,22 +142,6 @@ class Barcode:
             if m < 1:
                 raise DomainError("bad_barcode", "multiplicities must be positive")
         object.__setattr__(self, "bars", bars)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Barcode is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bars == other.bars
-
-    def __hash__(self):
-        return hash((self.bars,))
-
-    def __repr__(self):
-        return f"Barcode(bars={self.bars!r})"
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {(s, e): m for s, e, m in self.bars}

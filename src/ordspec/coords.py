@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, Value
 
 _SQUAREFREE_CACHE: dict[int, tuple[int, int]] = {}
 
@@ -92,7 +92,7 @@ def _sign_two_radicals(a: int, b: int, d: int, c: int, e: int) -> int:
 _ZERO_COEF = Fraction(0)
 
 
-class Coord:
+class Coord(Value):
     """Immutable exact coordinate ``rat + coef*sqrt(rad)``."""
 
     __slots__ = ("rat", "coef", "rad")
@@ -117,9 +117,6 @@ class Coord:
         object.__setattr__(self, "rat", rat)
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "rad", rad)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Coord is immutable")
 
     @property
     def is_rational(self) -> bool:

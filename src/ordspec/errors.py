@@ -1,4 +1,10 @@
-"""Error types shared across the library."""
+"""Error types and the immutable value base shared across the library.
+
+Every layer imports this module, so the base of its record classes lives
+here too and adds no module to any import.
+"""
+
+from operator import attrgetter
 
 
 class DomainError(Exception):
@@ -16,3 +22,45 @@ class DomainError(Exception):
 
 class SchemaError(Exception):
     """Malformed input: unparseable JSON or JSON not matching a schema."""
+
+
+class Value:
+    """An immutable record whose fields are the ``__slots__`` of its class.
+
+    Instances have no ``__dict__`` and refuse every attribute assignment and
+    deletion; constructors store their fields with ``object.__setattr__``.
+    Two values are equal when they are of the same class and their fields
+    are equal, a value hashes as the tuple of its fields, and its repr is
+    ``Name(field=value!r, ...)``.  A subclass may define its own
+    comparisons, hash or repr in place of these.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(n for n in cls.__slots__ if n != "__weakref__")
+        # over one name attrgetter returns the value, over several a tuple
+        cls._get = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        values = self._get(self)
+        return (values,) if len(self._fields) == 1 else values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        get = self._get
+        return get(self) == get(other)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{self.__class__.__name__}({args})"

@@ -44,7 +44,7 @@ import math
 
 from .barcode import _sweep
 from .coords import Coord, ExtCoord, INF, is_inf, rational_above, rational_between
-from .errors import DomainError
+from .errors import DomainError, Value
 from .fields import Field, QQ
 from . import linalg
 from .order_core import DPoint, Flavor, FpInterval, IndexModel, cmp_d, Ordering, validate_dpoint
@@ -62,22 +62,13 @@ def _alive(iv: FpInterval, t: Coord) -> bool:
     return iv.start <= t < iv.end
 
 
-class FpModule:
+class FpModule(Value):
     """A finite direct sum of interval modules, kept in canonical order."""
 
     __slots__ = ("summands",)
 
     def __init__(self, summands=()):
         object.__setattr__(self, "summands", tuple(sorted(summands, key=_iv_key)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FpModule is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, FpModule) and self.summands == other.summands
-
-    def __hash__(self):
-        return hash(self.summands)
 
     def __len__(self):
         return len(self.summands)
@@ -139,11 +130,13 @@ _SHARED = 64
 _PAIRS: dict = {}
 
 
-class FpMorphism:
+class FpMorphism(Value):
     """A scalar matrix between fp modules; entry (i -> j) maps source summand i
     into target summand j."""
 
     __slots__ = ("source", "target", "entries", "field")
+    # entries is a dict, which has no hash
+    __hash__ = None
 
     def __init__(self, source: FpModule, target: FpModule, entries, field: Field = QQ):
         clean = {}
@@ -165,18 +158,6 @@ class FpMorphism:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FpMorphism is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FpMorphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.entries == other.entries
-            and self.field == other.field
-        )
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -394,7 +375,7 @@ def _dot(a: dict, b: dict, p) -> int:
 # Generator reduction
 
 
-class GeneratorElement:
+class GeneratorElement(Value):
     """An element of a projective module: a position and one scalar per summand."""
 
     __slots__ = ("position", "coeffs")
@@ -402,22 +383,6 @@ class GeneratorElement:
     def __init__(self, position: Coord, coeffs: tuple):
         object.__setattr__(self, "position", position)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("GeneratorElement is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.position == other.position and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.position, self.coeffs))
-
-    def __repr__(self):
-        return f"GeneratorElement(position={self.position!r}, coeffs={self.coeffs!r})"
 
 
 def reduce_generators(ambient: FpModule, gens, field: Field = QQ) -> list[int]:

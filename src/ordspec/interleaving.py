@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coords import Coord, INF, is_inf
-from .errors import DomainError
+from .errors import DomainError, Value
 from .order_core import (
     DPoint,
     FpInterval,
@@ -39,29 +39,13 @@ def eps_value(value) -> Fraction:
     return eps
 
 
-class ExtDistance:
+class ExtDistance(Value):
     """A non-negative exact distance or the infinite value."""
 
     __slots__ = ("value",)
 
     def __init__(self, value: Coord | None):  # None encodes infinity
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("ExtDistance is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value,))
-
-    def __repr__(self):
-        return f"ExtDistance(value={self.value!r})"
 
     @property
     def is_infinite(self) -> bool:
@@ -140,7 +124,7 @@ def ball(model: IndexModel, p: DPoint, eps) -> SymbolicSet:
     return SymbolicSet(((lo, hi),))
 
 
-class DistanceBracket:
+class DistanceBracket(Value):
     """Result of the grid scan: a bracket of width <= step, or infinity."""
 
     __slots__ = ("lower", "upper")
@@ -148,22 +132,6 @@ class DistanceBracket:
     def __init__(self, lower: Fraction | None, upper: Fraction | None):
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("DistanceBracket is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.lower == other.lower and self.upper == other.upper
-
-    def __hash__(self):
-        return hash((self.lower, self.upper))
-
-    def __repr__(self):
-        return f"DistanceBracket(lower={self.lower!r}, upper={self.upper!r})"
 
     @property
     def is_infinite(self) -> bool:

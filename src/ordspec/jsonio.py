@@ -203,6 +203,9 @@ def decode_barcode(obj) -> Barcode:
         s, t, m = e["start"], e["end"], e["mult"]
         if not all(_is_int(v) for v in (s, t, m)):
             raise SchemaError("bar fields must be integers")
+        # checked per entry: merged, a negative entry could hide behind another
+        if m < 1:
+            raise DomainError("bad_barcode", "multiplicities must be positive")
         bars[(s, t)] = bars.get((s, t), 0) + m
     return barcode(bars)
 

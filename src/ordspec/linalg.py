@@ -7,12 +7,14 @@ times column).  ``Echelon`` is a sparse echelon form grown one vector at a
 time whose rows record the combinations of added vectors they came from; it
 computes nullspaces, the deaths and births of the elder-rule sweep in
 ``barcode`` and generator reduction in ``fp_category``.  ``rank`` is the
-one dense routine, on lists of row lists: it serves the kernel and
-cokernel certificate, and the rank invariant and flatness of chain
-modules.  It takes its own fraction-free integer path (over the rationals
-rows are cleared of denominators, then Bareiss elimination; over F_p the
-same loop reduces mod p), so that over either field the certificate checks
-the sweep's nullspaces by a route that shares no code with ``Echelon``.
+one dense routine, on rows of integers: it serves the kernel and cokernel
+certificate, and the rank invariant and flatness of chain modules, whose
+callers scale their rational rows to integers first (scaling a row leaves
+the rank alone) and over F_p pass residues.  It takes its own fraction-free
+path (over the rationals each row is divided by the gcd of its entries,
+then Bareiss elimination; over F_p the same loop reduces mod p), so that
+over either field the certificate checks the sweep's nullspaces by a route
+that shares no code with ``Echelon``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ def _int_rank_bareiss(rows: list[list[int]], p: int | None = None) -> int:
     rationals each update is divided exactly by the previous pivot
     (Bareiss); modulo the prime p it is reduced mod p instead, and the
     rows below need no rescaling."""
-    a = [r[:] for r in rows] if p is None else [[v % p for v in r] for r in rows]
+    a = [list(r) for r in rows] if p is None else [[v % p for v in r] for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
     rank = 0
@@ -66,20 +68,18 @@ def _int_rank_bareiss(rows: list[list[int]], p: int | None = None) -> int:
 
 
 def rank(field: Field, a) -> int:
+    """The rank of the matrix a, given as rows of integers."""
     m = len(a)
     if m == 0 or len(a[0]) == 0:
         return 0
     if field.is_rational:
-        # each row becomes the primitive integer vector on its line: cleared
-        # of denominators, then divided by the gcd of its entries, so that
-        # rows scaled by a large common number (the integer matrices of
-        # ``barcode``) cost no more than the rationals they stand for
+        # each row becomes the primitive integer vector on its line, so that
+        # rows scaled by a large common number (the lcm-cleared lines of the
+        # certificate) cost no more than the rationals they stand for
         int_rows = []
         for row in a:
-            den = math.lcm(*[v.denominator for v in row])
-            ints = [v.numerator * (den // v.denominator) for v in row]
-            g = math.gcd(*ints)
-            int_rows.append([v // g for v in ints] if g > 1 else ints)
+            g = math.gcd(*row)
+            int_rows.append([v // g for v in row] if g > 1 else row)
         return _int_rank_bareiss(int_rows)
     return _int_rank_bareiss(a, field.p)
 

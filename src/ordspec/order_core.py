@@ -32,7 +32,7 @@ from .coords import (
     rational_below,
     rational_between,
 )
-from .errors import DomainError
+from .errors import DomainError, Value
 
 
 class Flavor(enum.Enum):
@@ -57,7 +57,7 @@ class Membership(enum.Enum):
     RATIONALS_ONLY = "rationals"
 
 
-class FiniteChain:
+class FiniteChain(Value):
     """T = {0, ..., length-1} with the usual order."""
 
     __slots__ = ("length",)
@@ -66,22 +66,6 @@ class FiniteChain:
         if length < 1:
             raise DomainError("bad_model", "chain length must be positive")
         object.__setattr__(self, "length", length)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("FiniteChain is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.length == other.length
-
-    def __hash__(self):
-        return hash((self.length,))
-
-    def __repr__(self):
-        return f"FiniteChain(length={self.length!r})"
 
     def is_valid_coord(self, c: Coord) -> bool:
         if not c.is_rational or c.rat.denominator != 1:
@@ -92,29 +76,13 @@ class FiniteChain:
         return self.is_valid_coord(c)
 
 
-class DenseLine:
+class DenseLine(Value):
     """An unbounded dense line; the stand-in for the real or rational index set."""
 
     __slots__ = ("membership",)
 
     def __init__(self, membership: Membership = Membership.ALL_COORDS):
         object.__setattr__(self, "membership", membership)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("DenseLine is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.membership is other.membership
-
-    def __hash__(self):
-        return hash((self.membership,))
-
-    def __repr__(self):
-        return f"DenseLine(membership={self.membership!r})"
 
     def is_valid_coord(self, c: Coord) -> bool:
         return True
@@ -129,7 +97,7 @@ DENSE_REAL = DenseLine(Membership.ALL_COORDS)
 DENSE_RATIONAL_WITH_CUTS = DenseLine(Membership.RATIONALS_ONLY)
 
 
-class DPoint:
+class DPoint(Value):
     """An ideal of T: coordinate plus flavor.  ``(INF, STRICT)`` is all of T."""
 
     __slots__ = ("coord", "flavor")
@@ -140,28 +108,12 @@ class DPoint:
         object.__setattr__(self, "coord", coord)
         object.__setattr__(self, "flavor", flavor)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError("DPoint is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coord == other.coord and self.flavor is other.flavor
-
-    def __hash__(self):
-        return hash((self.coord, self.flavor))
-
-    def __repr__(self):
-        return f"DPoint(coord={self.coord!r}, flavor={self.flavor!r})"
-
     def __str__(self):
         tag = "P" if self.flavor is Flavor.PRINCIPAL else "S"
         return f"({self.coord},{tag})"
 
 
-class FpInterval:
+class FpInterval(Value):
     """The interval module supported on [start, end)."""
 
     __slots__ = ("start", "end")
@@ -171,22 +123,6 @@ class FpInterval:
             raise DomainError("bad_interval", f"need start < end, got [{start},{end})")
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("FpInterval is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.start == other.start and self.end == other.end
-
-    def __hash__(self):
-        return hash((self.start, self.end))
-
-    def __repr__(self):
-        return f"FpInterval(start={self.start!r}, end={self.end!r})"
 
     def __str__(self):
         return f"[{self.start},{self.end})"

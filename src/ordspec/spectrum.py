@@ -51,7 +51,7 @@ from operator import itemgetter
 from weakref import WeakValueDictionary
 
 from .coords import Coord, ExtCoord, INF, is_inf
-from .errors import DomainError
+from .errors import DomainError, Value
 from .order_core import (
     DPoint,
     Flavor,
@@ -84,7 +84,7 @@ _SUBJECT = "symbolic spectrum subsets are"
 _BOTTOM_KIND, _FINITE_KIND, _INF_KIND = 0, 1, 2
 
 
-class Cut:
+class Cut(Value):
     """A position between points of D, ordered by (kind, coord, level).
 
     BOTTOM and the two cuts around the top ideal carry coord=None.  Finite
@@ -98,9 +98,6 @@ class Cut:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "coord", coord)
         object.__setattr__(self, "level", level)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cut is immutable")
 
     def __lt__(self, other: "Cut") -> bool:
         # the kind decides first; at most one Coord compare follows
@@ -128,9 +125,6 @@ class Cut:
 
     def __hash__(self):
         return hash((self.kind, self.coord, self.level))
-
-    def __repr__(self):
-        return f"Cut(kind={self.kind!r}, coord={self.coord!r}, level={self.level!r})"
 
 
 BOTTOM = Cut(_BOTTOM_KIND, None, 0)
@@ -198,7 +192,7 @@ def point_ending_at(model: IndexModel, c: Cut) -> DPoint | None:
 BELOW_ALL = "below_all"
 
 
-class DEndpoint:
+class DEndpoint(Value):
     """An endpoint of a D interval: a point (or the phantom below everything)
     together with an inclusion flag."""
 
@@ -209,22 +203,6 @@ class DEndpoint:
             raise DomainError("bad_endpoint", "there is no least ideal to include")
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "included", included)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("DEndpoint is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.point == other.point and self.included == other.included
-
-    def __hash__(self):
-        return hash((self.point, self.included))
-
-    def __repr__(self):
-        return f"DEndpoint(point={self.point!r}, included={self.included!r})"
 
 
 def _merged(parts):
@@ -242,7 +220,7 @@ def _merged(parts):
     return tuple(out)
 
 
-class SymbolicSet:
+class SymbolicSet(Value):
     """A finite union of D intervals in canonical cut form.
 
     ``cuts`` is one flat tuple lo0, hi0, lo1, hi1, ... of strictly increasing
@@ -258,15 +236,6 @@ class SymbolicSet:
         if cuts is None:
             cuts = _merged(sorted(parts, key=itemgetter(0)))
         object.__setattr__(self, "cuts", cuts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymbolicSet is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, SymbolicSet) and self.cuts == other.cuts
-
-    def __hash__(self):
-        return hash(self.cuts)
 
     @property
     def parts(self) -> tuple:
@@ -472,7 +441,7 @@ def upper_endpoint_of_cut(model: IndexModel, c: Cut) -> DEndpoint:
 # Windows and the orthogonality engine
 
 
-class Window:
+class Window(Value):
     """The D interval [(a, P), (b, S)]: ideals admitting a nonzero map from
     the interval module [a, b)."""
 
@@ -483,22 +452,6 @@ class Window:
             raise DomainError("bad_window", "need a < b")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Window is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        return f"Window(a={self.a!r}, b={self.b!r})"
 
 
 def _window_cuts(model: IndexModel, a: Coord, b: ExtCoord) -> tuple[Cut, Cut]:
@@ -547,7 +500,7 @@ def cover_of_gap(model: IndexModel, lo: Cut, hi: Cut):
     return None
 
 
-class SerreRegion:
+class SerreRegion(Value):
     """Intervals [a, b) with no nonzero maps into a given set of ideals.
 
     A region is its ``gaps``: the canonical set of ideals outside that given
@@ -560,15 +513,6 @@ class SerreRegion:
 
     def __init__(self, gaps: SymbolicSet):
         object.__setattr__(self, "gaps", gaps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SerreRegion is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, SerreRegion) and self.gaps == other.gaps
-
-    def __hash__(self):
-        return hash(self.gaps)
 
     def covered_set(self, model: IndexModel) -> SymbolicSet:
         """The union of the covers, the ideals some interval of the region

@@ -8,6 +8,7 @@ of it calls the library code paths it is used to check.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ordspec import Coord, DomainError, INF, is_inf
@@ -41,6 +42,16 @@ def frac_rank(rows) -> int:
         if r == m:
             break
     return r
+
+
+def integer_rows(rows) -> list:
+    """Each row of rationals times the lcm of its denominators: integer rows
+    spanning the same lines, the form ``linalg.rank`` takes over QQ."""
+    out = []
+    for row in rows:
+        den = math.lcm(*(Fraction(v).denominator for v in row))
+        out.append([int(v * den) for v in row])
+    return out
 
 
 def modp_rank(rows, p: int) -> int:

@@ -181,6 +181,23 @@ def test_exit_codes():
         assert json.loads(out)["error"]["kind"] == "schema"
 
 
+def test_barcode_multiplicities_are_checked_before_merging():
+    # each entry below 1 is refused, also when another entry of the same bar
+    # would make the sum positive or zero
+    for mults in ((-1, 2), (2, -2), (0,), (-1,), (1, 0)):
+        bars = [{"start": 0, "end": 2, "mult": m} for m in mults]
+        code, out = run_cli(["realize", "--barcode", json.dumps({"bars": bars}), "--length", "2"])
+        assert code == 1, mults
+        assert json.loads(out)["error"] == {
+            "kind": "bad_barcode", "detail": "multiplicities must be positive"
+        }
+    # positive entries of one bar still add up
+    code, out = run_cli(["realize", "--barcode",
+                         '{"bars":[{"start":0,"end":2,"mult":1},{"start":0,"end":2,"mult":2}]}',
+                         "--length", "2"])
+    assert code == 0 and json.loads(out)["dims"] == [3, 3]
+
+
 def test_interval_shorthand_forms(monkeypatch):
     code, out = run_cli(["hom-fp", "--x", "[1,3)", "--y", "[0,2)"])
     assert code == 0 and json.loads(out) == {"dim": 1}

@@ -7,7 +7,7 @@ from ordspec.errors import SchemaError
 from ordspec import linalg
 
 from conftest import subseed
-from oracles import frac_nullspace, frac_rank, mat_mul, modp_rank
+from oracles import frac_nullspace, frac_rank, integer_rows, mat_mul, modp_rank
 
 
 def _random_matrix(rng, m, n, frac=True):
@@ -24,7 +24,7 @@ def test_rank_matches_independent_gaussian():
     for _ in range(120):
         m, n = rng.randint(0, 5), rng.randint(0, 5)
         a = _random_matrix(rng, m, n, frac=rng.random() < 0.5)
-        assert linalg.rank(QQ, a) == frac_rank(a)
+        assert linalg.rank(QQ, integer_rows(a)) == frac_rank(a)
 
 
 def test_rank_prime_field():
@@ -32,7 +32,7 @@ def test_rank_prime_field():
     a = [[f5.of_int(5), f5.of_int(1)], [f5.of_int(0), f5.of_int(10)]]
     # both diagonal entries vanish mod 5
     assert linalg.rank(f5, a) == 1
-    assert linalg.rank(QQ, [[Fraction(5), Fraction(1)], [Fraction(0), Fraction(10)]]) == 2
+    assert linalg.rank(QQ, integer_rows([[Fraction(5), Fraction(1)], [Fraction(0), Fraction(10)]])) == 2
 
 
 def _columns(a, n, keys=None):
@@ -52,12 +52,12 @@ def test_nullspace_vectors_annihilate():
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = _random_matrix(rng, m, n)
         basis = [_dense(v, n) for v in linalg.nullspace(QQ, _columns(a, n))]
-        assert len(basis) == n - linalg.rank(QQ, a)
+        assert len(basis) == n - linalg.rank(QQ, integer_rows(a))
         for v in basis:
             assert all(row[0] == 0 for row in mat_mul(QQ, a, [[x] for x in v]))
         if len(basis) > 1:
             cols = [[v[i] for v in basis] for i in range(n)]
-            assert linalg.rank(QQ, cols) == len(basis)
+            assert linalg.rank(QQ, integer_rows(cols)) == len(basis)
 
 
 def _rank_deficient(rng, m, n, r, entry):

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 import ordspec
 from ordspec import (
     DENSE_REAL,
+    EMPTY_SET,
     INF,
     QQ,
     Barcode,
@@ -24,10 +26,16 @@ from ordspec import (
     FiniteChain,
     Flavor,
     FpInterval,
+    FpModule,
+    FpMorphism,
     GeneratorElement,
     Membership,
+    SerreRegion,
+    SymbolicSet,
     Window,
+    window_set,
 )
+from ordspec.errors import Value
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -76,7 +84,7 @@ def test_cli_import_loads_neither_typing_nor_dataclasses():
     assert proc.stdout.strip() == "[]"
 
 
-# one value per former dataclass, an equal copy built apart from it, and an
+# one value per record class, an equal copy built apart from it, and an
 # unequal value of the same class
 _VALUES = [
     (lambda: FiniteChain(4), lambda: FiniteChain(5)),
@@ -90,6 +98,12 @@ _VALUES = [
     (lambda: Window(Coord(0), Coord(1)), lambda: Window(Coord(0), INF)),
     (lambda: ExtDistance(Coord(2)), lambda: ExtDistance(None)),
     (lambda: DistanceBracket(Fraction(0), Fraction(1, 64)), lambda: DistanceBracket(None, None)),
+    (
+        lambda: FpModule([FpInterval(Coord(1), INF), FpInterval(Coord(0), Coord(1))]),
+        lambda: FpModule([FpInterval(Coord(0), Coord(1))]),
+    ),
+    (lambda: window_set(DENSE_REAL, Window(Coord(0), Coord(1))), lambda: SymbolicSet(())),
+    (lambda: SerreRegion(window_set(DENSE_REAL, Window(Coord(0), INF))), lambda: SerreRegion(EMPTY_SET)),
 ]
 
 
@@ -115,6 +129,44 @@ def test_value_classes_are_immutable_and_compare_by_class_then_fields(make, make
     assert value == twin
     args = ", ".join(f"{f}={getattr(value, f)!r}" for f in fields)
     assert repr(value) == f"{cls.__name__}({args})"
+
+
+def test_morphisms_are_immutable_unhashable_and_compare_by_class_then_fields():
+    # the entries are a dict, so a morphism has no hash
+    module = FpModule([FpInterval(Coord(0), Coord(2))])
+    f, twin, other = (FpMorphism(module, module, {(0, 0): Fraction(v)}) for v in (1, 1, 2))
+    assert not hasattr(f, "__dict__")
+    assert f is not twin and f == twin and f != other
+    assert f != tuple(getattr(f, name) for name in FpMorphism.__slots__)
+    with pytest.raises(TypeError):
+        hash(f)
+    for name in FpMorphism.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(f, name, getattr(other, name))
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert f == twin
+
+
+def test_only_the_value_base_writes_the_record_contract():
+    """No class but ``Value`` guards its own attributes, and only the ordered
+    classes, whose compares are hot paths, and the mutable ``Field`` compare
+    and hash by hand."""
+    own_order = {"Coord", "Cut", "_Infinity", "Field"}
+    seen = set()
+    for info in pkgutil.iter_modules(ordspec.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"ordspec.{info.name}")
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__ or cls is Value:
+                continue
+            seen.add(cls.__name__)
+            own = vars(cls)
+            assert "__setattr__" not in own and "__delattr__" not in own, cls
+            if cls.__name__ not in own_order:
+                assert "__eq__" not in own and own.get("__hash__") is None, cls
+    assert own_order | {"FpMorphism", "SerreRegion"} <= seen
 
 
 def test_equal_fields_in_two_classes_are_unequal():
