@@ -2,11 +2,12 @@
 
 Inputs are inline JSON by default; an argument of the form ``@path`` reads
 the file at path and ``-`` reads standard input.  Interval arguments also
-accept the shorthand "[a,b)" and "[a,inf)".  On success a single canonical
-JSON document goes to stdout and the exit code is 0.  Domain errors exit 1
-with {"error": {...}}; malformed input exits 2; a broken internal invariant
-(a failed certificate or consistency check) exits 3 with the error kind
-"internal_invariant".
+accept the shorthand "[a,b)" and "[a,inf)".  Every interval read, on its own
+or as a summand, must have its finite ends in the index set of ``--model``.
+On success a single canonical JSON document goes to stdout and the exit code
+is 0.  Domain errors exit 1 with {"error": {...}}; malformed input exits 2; a
+broken internal invariant (a failed certificate or consistency check) exits 3
+with the error kind "internal_invariant".
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import jsonio
 from .errors import DomainError, SchemaError
 from .fields import Field, QQ, parse_rational
 from .order_core import DENSE_RATIONAL_WITH_CUTS, DENSE_REAL, FiniteChain
+from .order_core import validate_interval, validate_module
 
 
 def _lib(layer: str):
@@ -51,10 +53,12 @@ def _load_json(value: str):
     return _parse_json(_load_text(value))
 
 
-def _load_interval(value: str):
-    text = _load_text(value)  # once: standard input cannot be read twice
-    shorthand = text.strip()
-    return jsonio.decode_interval(shorthand if shorthand.startswith("[") else _parse_json(text))
+def _suffix_int(name: str, what: str) -> int:
+    """The integer after the ':' of ``<name>:<int>``."""
+    try:
+        return int(name.split(":", 1)[1])
+    except ValueError as exc:
+        raise SchemaError(f"bad {what} in {name!r}") from exc
 
 
 def _parse_model(name: str):
@@ -63,11 +67,7 @@ def _parse_model(name: str):
     if name == "dense-surd":
         return DENSE_RATIONAL_WITH_CUTS
     if name.startswith("chain:"):
-        try:
-            length = int(name.split(":", 1)[1])
-        except ValueError as exc:
-            raise SchemaError(f"bad chain length in {name!r}") from exc
-        return FiniteChain(length)
+        return FiniteChain(_suffix_int(name, "chain length"))
     raise SchemaError(f"unknown model {name!r}; use dense, dense-surd or chain:<L>")
 
 
@@ -75,11 +75,7 @@ def _parse_field(name: str) -> Field:
     if name == "rat":
         return QQ
     if name.startswith("fp:"):
-        try:
-            p = int(name.split(":", 1)[1])
-        except ValueError as exc:
-            raise SchemaError(f"bad prime in {name!r}") from exc
-        return Field(p)
+        return Field(_suffix_int(name, "prime"))
     raise SchemaError(f"unknown field {name!r}; use rat or fp:<p>")
 
 
@@ -93,19 +89,40 @@ def _parse_eps(value: str) -> Fraction:
 # ---------------------------------------------------------------------------
 # Readers: flag -> (text, model, field) -> value.  A flag means the same thing
 # in every subcommand.  Flags without a reader (the integers and the modes)
-# reach the call as argparse parsed them.
+# reach the call as argparse parsed them.  The readers of the values that
+# hold intervals check each one against the model.
+
+
+def _read_interval(text: str, model, field):
+    text = _load_text(text)  # once: standard input cannot be read twice
+    shorthand = text.strip()
+    iv = jsonio.decode_interval(shorthand if shorthand.startswith("[") else _parse_json(text))
+    validate_interval(model, iv)
+    return iv
+
+
+def _read_morphism(text: str, model, field: Field):
+    f = jsonio.decode_morphism(_load_json(text), field)
+    validate_module(model, f.source)
+    validate_module(model, f.target)
+    return f
+
+
+def _read_ambient(text: str, model, field):
+    m = jsonio.decode_module(_load_json(text))
+    validate_module(model, m)
+    return m
+
 
 _READERS = {
-    **dict.fromkeys(("interval", "x", "y"), lambda text, model, field: _load_interval(text)),
+    **dict.fromkeys(("interval", "x", "y"), _read_interval),
     **dict.fromkeys(
         ("ideal", "p", "q", "center", "point"),
         lambda text, model, field: jsonio.decode_dpoint(_load_json(text)),
     ),
-    **dict.fromkeys(
-        ("f", "g"), lambda text, model, field: jsonio.decode_morphism(_load_json(text), field)
-    ),
+    **dict.fromkeys(("f", "g"), _read_morphism),
     "module": lambda text, model, field: jsonio.decode_chain(_load_json(text), field),
-    "ambient": lambda text, model, field: jsonio.decode_module(_load_json(text)),
+    "ambient": _read_ambient,
     # plain JSON: the call decodes it against the ambient's summand count
     "gens": lambda text, model, field: _load_json(text),
     **dict.fromkeys(
@@ -143,11 +160,7 @@ class _Request:
 
 
 def _exact(r, op: str):
-    fp_category = _lib("fp_category")
-    f = r("f")
-    fp_category.validate_module(r.model, f.source)
-    fp_category.validate_module(r.model, f.target)
-    mod, mor = getattr(fp_category, op)(f)
+    mod, mor = getattr(_lib("fp_category"), op)(r("f"))
     return {"module": jsonio.encode_module(mod), "morphism": jsonio.encode_morphism(mor)}
 
 

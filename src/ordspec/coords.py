@@ -77,9 +77,7 @@ def _sign_two_radicals(a: int, b: int, d: int, c: int, e: int) -> int:
     sx = _sign_one_radical(a, b, d)
     sy = -_sign(c)
     if sx != sy:
-        if sx > sy:
-            return 1
-        return -1
+        return 1 if sx > sy else -1
     s = sx
     if s == 0:
         return 0
@@ -93,7 +91,12 @@ _ZERO_COEF = Fraction(0)
 
 
 class Coord(Value):
-    """Immutable exact coordinate ``rat + coef*sqrt(rad)``."""
+    """Immutable exact coordinate ``rat + coef*sqrt(rad)``.
+
+    Equality is the value base's, of ``(rat, coef, rad)``; it is exact, as a
+    squarefree radicand makes the form unique (1, sqrt(d) and sqrt(e) are
+    linearly independent over the rationals for distinct squarefree d, e).
+    """
 
     __slots__ = ("rat", "coef", "rad")
 
@@ -151,49 +154,21 @@ class Coord(Value):
             return _sign_one_radical(a, b + c, d)
         return _sign_two_radicals(a, b, d, c, e)
 
-    def __eq__(self, other):
-        """Equality of the stored triple ``(rat, coef, rad)``.
-
-        This is exact: with a squarefree radicand the form is unique, since
-        1, sqrt(d) and sqrt(e) are linearly independent over the rationals
-        for distinct squarefree d, e >= 2.  ``__hash__`` hashes the same triple.
-        """
-        if isinstance(other, Coord):
-            return self.rad == other.rad and self.rat == other.rat and self.coef == other.coef
-        if isinstance(other, _Infinity):
-            return False
-        return NotImplemented
-
+    # against INF these return NotImplemented, and INF's reflected compare answers
     def __lt__(self, other):
-        if isinstance(other, Coord):
-            return self._cmp(other) < 0
-        if isinstance(other, _Infinity):
-            return True
-        return NotImplemented
+        return self._cmp(other) < 0 if isinstance(other, Coord) else NotImplemented
 
     def __le__(self, other):
-        if isinstance(other, Coord):
-            return self._cmp(other) <= 0
-        if isinstance(other, _Infinity):
-            return True
-        return NotImplemented
+        return self._cmp(other) <= 0 if isinstance(other, Coord) else NotImplemented
 
     def __gt__(self, other):
-        if isinstance(other, Coord):
-            return self._cmp(other) > 0
-        if isinstance(other, _Infinity):
-            return False
-        return NotImplemented
+        return self._cmp(other) > 0 if isinstance(other, Coord) else NotImplemented
 
     def __ge__(self, other):
-        if isinstance(other, Coord):
-            return self._cmp(other) >= 0
-        if isinstance(other, _Infinity):
-            return False
-        return NotImplemented
+        return self._cmp(other) >= 0 if isinstance(other, Coord) else NotImplemented
 
     def __hash__(self):
-        # the triple that __eq__ compares, hashed through its integers
+        # the triple that equality compares, hashed through its integers
         return hash((*self.rat.as_integer_ratio(), *self.coef.as_integer_ratio(), self.rad))
 
     def __add__(self, other):
@@ -216,19 +191,14 @@ class Coord(Value):
         return -self if self._cmp(ZERO) < 0 else self
 
     def floor(self) -> int:
-        """Largest integer <= self, decided exactly."""
-        if self.coef == 0:
-            return math.floor(self.rat)
-        # isqrt(floor(x)) = floor(sqrt(x)) exactly, so the guess is off by at most one
-        root = math.isqrt(math.floor(self.coef * self.coef * self.rad))
-        guess = math.floor(self.rat) + (root if self.coef > 0 else -root)
-        g = Coord(guess)
-        while g > self:
-            guess -= 1
-            g = Coord(guess)
-        while Coord(guess + 1) <= self:
-            guess += 1
-        return guess
+        """Largest integer <= self, decided exactly: with rat = p/q and coef = m/n,
+        floor((p*n + floor(m*q*sqrt(rad))) / (q*n)), the inner floor by isqrt."""
+        p, q = self.rat.as_integer_ratio()
+        if not self.rad:
+            return p // q
+        m, n = self.coef.as_integer_ratio()
+        r = math.isqrt(m * m * q * q * self.rad)  # m*q*sqrt(rad) is irrational
+        return (p * n + (r if m > 0 else -r - 1)) // (q * n)
 
     def __str__(self):
         if self.coef == 0:
@@ -251,24 +221,16 @@ class _Infinity:
         return isinstance(other, _Infinity)
 
     def __lt__(self, other):
-        if isinstance(other, (_Infinity, Coord)):
-            return False
-        return NotImplemented
+        return False if isinstance(other, (_Infinity, Coord)) else NotImplemented
 
     def __le__(self, other):
         return isinstance(other, _Infinity)
 
     def __gt__(self, other):
-        if isinstance(other, _Infinity):
-            return False
-        if isinstance(other, Coord):
-            return True
-        return NotImplemented
+        return isinstance(other, Coord) if isinstance(other, (_Infinity, Coord)) else NotImplemented
 
     def __ge__(self, other):
-        if isinstance(other, (_Infinity, Coord)):
-            return True
-        return NotImplemented
+        return True if isinstance(other, (_Infinity, Coord)) else NotImplemented
 
     def __hash__(self):
         return hash("ordspec.INF")

@@ -31,8 +31,8 @@ class Value:
     deletion; constructors store their fields with ``object.__setattr__``.
     Two values are equal when they are of the same class and their fields
     are equal, a value hashes as the tuple of its fields, and its repr is
-    ``Name(field=value!r, ...)``.  A subclass may define its own
-    comparisons, hash or repr in place of these.
+    ``Name(field=value!r, ...)``.  ``Coord`` and ``Cut`` use this equality
+    and write only their order compares (and ``Coord`` an integer hash).
     """
 
     __slots__ = ()

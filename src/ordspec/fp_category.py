@@ -48,6 +48,7 @@ from .errors import DomainError, Value
 from .fields import Field, QQ
 from . import linalg
 from .order_core import DPoint, Flavor, FpInterval, IndexModel, cmp_d, Ordering, validate_dpoint
+from .order_core import validate_interval, validate_module  # re-exported, as FpInterval is
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +82,6 @@ class FpModule(Value):
 
 
 ZERO_MODULE = FpModule(())
-
-
-def validate_interval(model: IndexModel, iv: FpInterval) -> None:
-    if not model.is_member(iv.start):
-        raise DomainError("bad_interval", f"start {iv.start} is not an element of T")
-    if not is_inf(iv.end) and not model.is_member(iv.end):
-        raise DomainError("bad_interval", f"end {iv.end} is not an element of T")
-
-
-def validate_module(model: IndexModel, m: FpModule) -> None:
-    for iv in m.summands:
-        validate_interval(model, iv)
 
 
 def hom_dim(x: FpInterval, y: FpInterval) -> int:

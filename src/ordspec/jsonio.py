@@ -29,6 +29,19 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _record(obj, keys: set, shape: str) -> None:
+    """Raise SchemaError(shape) unless obj is a JSON object with exactly these keys."""
+    if not isinstance(obj, dict) or set(obj) != keys:
+        raise SchemaError(shape)
+
+
+def _list(value, message: str) -> list:
+    """value, when it is a JSON list; else raise SchemaError(message)."""
+    if not isinstance(value, list):
+        raise SchemaError(message)
+    return value
+
+
 def _fraction_from_str(s) -> Fraction:
     if not isinstance(s, str):
         raise SchemaError(f"expected a rational string, got {s!r}")
@@ -80,8 +93,7 @@ def encode_dpoint(p: DPoint):
 
 
 def decode_dpoint(obj) -> DPoint:
-    if not isinstance(obj, dict) or set(obj) != {"coord", "flavor"}:
-        raise SchemaError("an ideal is {'coord': ..., 'flavor': 'strict'|'principal'}")
+    _record(obj, {"coord", "flavor"}, "an ideal is {'coord': ..., 'flavor': 'strict'|'principal'}")
     flavor = obj["flavor"]
     if flavor not in ("strict", "principal"):
         raise SchemaError(f"unknown flavor {flavor!r}")
@@ -95,8 +107,7 @@ def encode_interval(iv: FpInterval):
 def decode_interval(obj) -> FpInterval:
     if isinstance(obj, str):
         return _interval_from_shorthand(obj)
-    if not isinstance(obj, dict) or set(obj) != {"start", "end"}:
-        raise SchemaError("an interval is {'start': coord, 'end': coord|'inf'}")
+    _record(obj, {"start", "end"}, "an interval is {'start': coord, 'end': coord|'inf'}")
     return FpInterval(decode_coord(obj["start"]), decode_ext_coord(obj["end"]))
 
 
@@ -121,11 +132,9 @@ def encode_module(m: FpModule):
 def decode_module(obj) -> FpModule:
     from .fp_category import FpModule
 
-    if not isinstance(obj, dict) or set(obj) != {"summands"}:
-        raise SchemaError("a module is {'summands': [interval, ...]}")
-    if not isinstance(obj["summands"], list):
-        raise SchemaError("summands must be a list")
-    return FpModule(tuple(decode_interval(o) for o in obj["summands"]))
+    _record(obj, {"summands"}, "a module is {'summands': [interval, ...]}")
+    summands = _list(obj["summands"], "summands must be a list")
+    return FpModule(tuple(decode_interval(o) for o in summands))
 
 
 def encode_morphism(f: FpMorphism):
@@ -143,16 +152,15 @@ def encode_morphism(f: FpMorphism):
 def decode_morphism(obj, field: Field) -> FpMorphism:
     from .fp_category import FpMorphism
 
-    if not isinstance(obj, dict) or set(obj) != {"source", "target", "entries"}:
-        raise SchemaError("a morphism is {'source': ..., 'target': ..., 'entries': [...]}")
+    _record(
+        obj, {"source", "target", "entries"},
+        "a morphism is {'source': ..., 'target': ..., 'entries': [...]}",
+    )
     source = decode_module(obj["source"])
     target = decode_module(obj["target"])
     entries = {}
-    if not isinstance(obj["entries"], list):
-        raise SchemaError("entries must be a list")
-    for e in obj["entries"]:
-        if not isinstance(e, dict) or set(e) != {"from", "to", "value"}:
-            raise SchemaError("an entry is {'from': i, 'to': j, 'value': scalar}")
+    for e in _list(obj["entries"], "entries must be a list"):
+        _record(e, {"from", "to", "value"}, "an entry is {'from': i, 'to': j, 'value': scalar}")
         i, j = e["from"], e["to"]
         if not _is_int(i) or not _is_int(j):
             raise SchemaError("entry indices must be integers")
@@ -170,15 +178,12 @@ def encode_chain(m: ChainModule):
 def decode_chain(obj, field: Field) -> ChainModule:
     from .barcode import chain_module
 
-    if not isinstance(obj, dict) or set(obj) != {"dims", "maps"}:
-        raise SchemaError("a chain module is {'dims': [...], 'maps': [[[...]]...]}")
+    _record(obj, {"dims", "maps"}, "a chain module is {'dims': [...], 'maps': [[[...]]...]}")
     dims = obj["dims"]
     if not isinstance(dims, list) or not all(_is_int(d) for d in dims):
         raise SchemaError("dims must be a list of integers")
     maps = []
-    if not isinstance(obj["maps"], list):
-        raise SchemaError("maps must be a list of matrices")
-    for mat in obj["maps"]:
+    for mat in _list(obj["maps"], "maps must be a list of matrices"):
         if not isinstance(mat, list) or not all(isinstance(r, list) for r in mat):
             raise SchemaError("each map must be a matrix (list of rows)")
         maps.append([[field.parse(v) for v in row] for row in mat])
@@ -192,14 +197,10 @@ def encode_barcode(b: Barcode):
 def decode_barcode(obj) -> Barcode:
     from .barcode import barcode
 
-    if not isinstance(obj, dict) or set(obj) != {"bars"}:
-        raise SchemaError("a barcode is {'bars': [{'start':i,'end':j,'mult':m}, ...]}")
-    if not isinstance(obj["bars"], list):
-        raise SchemaError("bars must be a list")
+    _record(obj, {"bars"}, "a barcode is {'bars': [{'start':i,'end':j,'mult':m}, ...]}")
     bars = {}
-    for e in obj["bars"]:
-        if not isinstance(e, dict) or set(e) != {"start", "end", "mult"}:
-            raise SchemaError("a bar is {'start': i, 'end': j, 'mult': m}")
+    for e in _list(obj["bars"], "bars must be a list"):
+        _record(e, {"start", "end", "mult"}, "a bar is {'start': i, 'end': j, 'mult': m}")
         s, t, m = e["start"], e["end"], e["mult"]
         if not all(_is_int(v) for v in (s, t, m)):
             raise SchemaError("bar fields must be integers")
@@ -220,8 +221,7 @@ def encode_endpoint(e: DEndpoint):
 def decode_endpoint(obj) -> DEndpoint:
     from .spectrum import BELOW_ALL, DEndpoint
 
-    if not isinstance(obj, dict) or set(obj) != {"point", "included"}:
-        raise SchemaError("an endpoint is {'point': ideal|'below_all', 'included': bool}")
+    _record(obj, {"point", "included"}, "an endpoint is {'point': ideal|'below_all', 'included': bool}")
     included = obj["included"]
     if not isinstance(included, bool):
         raise SchemaError("included must be a boolean")
@@ -243,8 +243,7 @@ def _decode_piece(model: IndexModel, obj):
     """The (lo, hi) cuts of one nonempty interval."""
     from .spectrum import interval_cuts
 
-    if not isinstance(obj, dict) or set(obj) != {"lo", "hi"}:
-        raise SchemaError("a component is {'lo': endpoint, 'hi': endpoint}")
+    _record(obj, {"lo", "hi"}, "a component is {'lo': endpoint, 'hi': endpoint}")
     return interval_cuts(model, decode_endpoint(obj["lo"]), decode_endpoint(obj["hi"]))
 
 
@@ -255,11 +254,9 @@ def encode_set(model: IndexModel, s: SymbolicSet):
 def decode_set(model: IndexModel, obj) -> SymbolicSet:
     from .spectrum import SymbolicSet
 
-    if not isinstance(obj, dict) or set(obj) != {"components"}:
-        raise SchemaError("a set is {'components': [{'lo': ..., 'hi': ...}, ...]}")
-    if not isinstance(obj["components"], list):
-        raise SchemaError("components must be a list")
-    return SymbolicSet([_decode_piece(model, comp) for comp in obj["components"]])
+    _record(obj, {"components"}, "a set is {'components': [{'lo': ..., 'hi': ...}, ...]}")
+    components = _list(obj["components"], "components must be a list")
+    return SymbolicSet([_decode_piece(model, comp) for comp in components])
 
 
 def encode_region(model: IndexModel, r: SerreRegion):
@@ -280,14 +277,10 @@ def encode_region(model: IndexModel, r: SerreRegion):
 def decode_region(model: IndexModel, obj) -> SerreRegion:
     from .spectrum import SerreRegion, SymbolicSet, cover_of_gap
 
-    if not isinstance(obj, dict) or set(obj) != {"gaps"}:
-        raise SchemaError("a region is {'gaps': [{'gap': ..., 'covered': ...}, ...]}")
-    if not isinstance(obj["gaps"], list):
-        raise SchemaError("gaps must be a list")
+    _record(obj, {"gaps"}, "a region is {'gaps': [{'gap': ..., 'covered': ...}, ...]}")
     pieces = []
-    for g in obj["gaps"]:
-        if not isinstance(g, dict) or set(g) != {"gap", "covered"}:
-            raise SchemaError("a gap entry is {'gap': interval, 'covered': interval|null}")
+    for g in _list(obj["gaps"], "gaps must be a list"):
+        _record(g, {"gap", "covered"}, "a gap entry is {'gap': interval, 'covered': interval|null}")
         gap = _decode_piece(model, g["gap"])
         covered = None if g["covered"] is None else _decode_piece(model, g["covered"])
         if covered != cover_of_gap(model, *gap):
@@ -314,12 +307,9 @@ def encode_bracket(b: DistanceBracket):
 def decode_generators(obj, n_summands: int, field: Field):
     from .fp_category import GeneratorElement
 
-    if not isinstance(obj, list):
-        raise SchemaError("generators must be a list")
     out = []
-    for g in obj:
-        if not isinstance(g, dict) or set(g) != {"position", "coeffs"}:
-            raise SchemaError("a generator is {'position': coord, 'coeffs': [scalar,...]}")
+    for g in _list(obj, "generators must be a list"):
+        _record(g, {"position", "coeffs"}, "a generator is {'position': coord, 'coeffs': [scalar,...]}")
         coeffs = g["coeffs"]
         if not isinstance(coeffs, list) or len(coeffs) != n_summands:
             raise SchemaError(f"coeffs must list one scalar per summand ({n_summands})")

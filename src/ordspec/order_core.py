@@ -13,9 +13,10 @@ a surd coordinate is a valid cut position without being an element of T,
 which is what makes bounded ideals without a supremum representable.
 
 ``FpInterval``, the interval module on [start, end), lives here as well,
-beside the ideals it is compared with, so that the layers that only read
-intervals (``spectrum``, ``interleaving``, ``jsonio``) need not import
-``fp_category``, which re-exports it.
+beside the ideals it is compared with, and so do ``validate_interval`` and
+``validate_module``, its check against a model: the layers that only read
+intervals (``spectrum``, ``interleaving``, ``jsonio``, ``cli``) need not
+import ``fp_category``, which re-exports them.
 """
 
 from __future__ import annotations
@@ -168,8 +169,18 @@ def validate_dpoint(model: IndexModel, p: DPoint) -> None:
         )
 
 
-def _flavor_rank(f: Flavor) -> int:
-    return 0 if f is Flavor.STRICT else 1
+def validate_interval(model: IndexModel, iv: FpInterval) -> None:
+    """Raise ``bad_interval`` unless both finite ends of iv are elements of T."""
+    if not model.is_member(iv.start):
+        raise DomainError("bad_interval", f"start {iv.start} is not an element of T")
+    if not is_inf(iv.end) and not model.is_member(iv.end):
+        raise DomainError("bad_interval", f"end {iv.end} is not an element of T")
+
+
+def validate_module(model: IndexModel, m) -> None:
+    """``validate_interval`` on every summand of the fp module m."""
+    for iv in m.summands:
+        validate_interval(model, iv)
 
 
 def cmp_d(model: IndexModel, p: DPoint, q: DPoint) -> Ordering:
@@ -182,16 +193,11 @@ def cmp_d(model: IndexModel, p: DPoint, q: DPoint) -> Ordering:
 def cmp_d_unchecked(p: DPoint, q: DPoint) -> Ordering:
     pi, qi = is_inf(p.coord), is_inf(q.coord)
     if pi or qi:
-        if pi and qi:
-            return Ordering.EQUAL
-        return Ordering.GREATER if pi else Ordering.LESS
-    sign = p.coord._cmp(q.coord)
-    if sign:
-        return Ordering.LESS if sign < 0 else Ordering.GREATER
-    fp, fq = _flavor_rank(p.flavor), _flavor_rank(q.flavor)
-    if fp == fq:
-        return Ordering.EQUAL
-    return Ordering.LESS if fp < fq else Ordering.GREATER
+        sign = pi - qi
+    else:
+        principal = Flavor.PRINCIPAL
+        sign = p.coord._cmp(q.coord) or (p.flavor is principal) - (q.flavor is principal)
+    return Ordering(sign)
 
 
 def contains(model: IndexModel, p: DPoint, t) -> bool:
@@ -200,11 +206,8 @@ def contains(model: IndexModel, p: DPoint, t) -> bool:
     t = as_coord(t)
     if not model.is_member(t):
         raise DomainError("not_a_member", f"{t} is not an element of T")
-    if is_inf(p.coord):
-        return True
-    if t < p.coord:
-        return True
-    return t == p.coord and p.flavor is Flavor.PRINCIPAL
+    # t lies in p exactly when its principal ideal does
+    return cmp_d_unchecked(DPoint(t, Flavor.PRINCIPAL), p) is not Ordering.GREATER
 
 
 def classify_ideal(model: IndexModel, p: DPoint) -> IdealType:

@@ -90,6 +90,7 @@ class Cut(Value):
     BOTTOM and the two cuts around the top ideal carry coord=None.  Finite
     cuts are made by ``finite_cut``, which keeps one object per equal
     (coord, level), so most comparisons of equal cuts end at identity.
+    Equality and hash are the value base's, of (kind, coord, level).
     """
 
     __slots__ = ("kind", "coord", "level", "__weakref__")
@@ -115,16 +116,6 @@ class Cut(Value):
     def __le__(self, other: "Cut") -> bool:
         # > and >= reflect to < and <=
         return not other < self
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Cut):
-            return NotImplemented
-        return self.kind == other.kind and self.level == other.level and self.coord == other.coord
-
-    def __hash__(self):
-        return hash((self.kind, self.coord, self.level))
 
 
 BOTTOM = Cut(_BOTTOM_KIND, None, 0)
@@ -241,10 +232,6 @@ class SymbolicSet(Value):
     def parts(self) -> tuple:
         c = self.cuts
         return tuple(zip(c[0::2], c[1::2]))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.cuts
 
     def __str__(self):
         if not self.cuts:

@@ -228,13 +228,28 @@ def ideal_alive(coord, principal: bool, t: Coord) -> bool:
     return principal and t == coord
 
 
+def floor_by_search(x: Coord) -> int:
+    """``Coord.floor`` by a guess from an integer square root, corrected by
+    exact Coord compares until floor(x) <= x < floor(x) + 1 holds."""
+    if x.coef == 0:
+        return math.floor(x.rat)
+    # isqrt(floor(y)) = floor(sqrt(y)) exactly, so the guess is off by at most one
+    root = math.isqrt(math.floor(x.coef * x.coef * x.rad))
+    guess = math.floor(x.rat) + (root if x.coef > 0 else -root)
+    while Coord(guess) > x:
+        guess -= 1
+    while Coord(guess + 1) <= x:
+        guess += 1
+    return guess
+
+
 def rational_between_by_scan(lo: Coord, hi: Coord) -> Coord:
     """``rational_between`` for lo < hi with a surd end, by scanning the
     dyadic exponents k = 0, 1, 2, ... for the first (floor(lo * 2^k) + 1) / 2^k
-    below hi: one exact floor per exponent."""
+    below hi: one floor by search per exponent."""
     denom = 1
     while True:
-        k = Coord(lo.rat * denom, lo.coef * denom, lo.rad).floor() + 1
+        k = floor_by_search(Coord(lo.rat * denom, lo.coef * denom, lo.rad)) + 1
         cand = Coord(Fraction(k, denom))
         if lo < cand < hi:
             return cand

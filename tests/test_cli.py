@@ -237,6 +237,38 @@ def test_models_and_fields():
     assert code == 0 and json.loads(out) == {"flat": True}
 
 
+# [sqrt(2), inf): a start outside T under dense-surd, inside it under dense
+_SURD_RAY = {"start": {"rat": "0", "surd": {"q": "1", "d": 2}}, "end": "inf"}
+_SURD_ENDO = json.dumps({"source": {"summands": [_SURD_RAY]}, "target": {"summands": [_SURD_RAY]},
+                         "entries": [{"from": 0, "to": 0, "value": "1"}]})
+
+
+@pytest.mark.parametrize(
+    "model, args",
+    [
+        ("dense-surd", ["hom", "--interval", json.dumps(_SURD_RAY), "--ideal", '{"coord":"2","flavor":"principal"}']),
+        ("dense-surd", ["hom-fp", "--x", json.dumps(_SURD_RAY), "--y", "[0,inf)"]),
+        ("dense-surd", ["compose", "--f", _SURD_ENDO, "--g", _SURD_ENDO]),
+        ("dense-surd", ["kernel", "--f", _SURD_ENDO]),
+        ("dense-surd", ["cokernel", "--f", _SURD_ENDO]),
+        ("dense-surd", ["reduce-gens", "--ambient", json.dumps({"summands": [_SURD_RAY]}), "--gens", "[]"]),
+        ("dense-surd", ["shift", "--interval", json.dumps(_SURD_RAY), "--eps", "1"]),
+        # a rational start outside the chain
+        ("chain:3", ["hom-fp", "--x", "[1/2,2)", "--y", "[0,2)"]),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else v,
+)
+def test_every_subcommand_checks_intervals_against_the_model(model, args):
+    code, out = run_cli([*args, "--model", model])
+    assert code == 1 and json.loads(out)["error"]["kind"] == "bad_interval"
+    assert run_cli([*args, "--model", "dense"])[0] == 0
+
+
+def test_a_bad_interval_reports_before_a_later_malformed_flag():
+    code, out = run_cli(["compose", "--model", "dense-surd", "--f", _SURD_ENDO, "--g", "{"])
+    assert code == 1 and json.loads(out)["error"]["kind"] == "bad_interval"
+
+
 def test_text_format():
     code, out = run_cli(
         ["distance", "--format", "text",

@@ -7,7 +7,7 @@ from ordspec import Coord, DomainError, INF
 from ordspec.coords import rational_above, rational_below, rational_between
 
 from conftest import subseed
-from oracles import rational_between_by_scan
+from oracles import floor_by_search, rational_between_by_scan
 
 
 def test_rational_comparisons_and_canonical_form():
@@ -90,6 +90,44 @@ def test_floor_exact_at_boundaries():
     # far beyond float range: decided by integer square roots alone
     assert Coord(0, 10**400, 2).floor() == math.isqrt(2 * 10**800)
     assert Coord(0, -10**400, 2).floor() == -math.isqrt(2 * 10**800) - 1
+
+
+def _differential_surds(rng):
+    """Surds with both signs of coef, radicands 2, 3, 5 and 6, magnitudes up to
+    10^400, and surds within 10^-30 of an integer on either side of it."""
+    out = []
+    for _ in range(150):
+        big = 10 ** rng.choice((1, 20, 100, 400))
+        rat = Fraction(rng.randint(-big, big), rng.randint(1, big))
+        coef = Fraction(rng.choice((-1, 1)) * rng.randint(1, big), rng.randint(1, big))
+        out.append(Coord(rat, coef, rng.choice((2, 3, 5, 6))))
+    for _ in range(150):
+        d = rng.choice((2, 3, 5, 6))
+        big = 10 ** rng.choice((1, 20, 100, 400))
+        m, n = rng.randint(1, big), rng.randint(1, 10**6)
+        k = rng.randint(-big, big)
+        # a is below (m/n)*sqrt(d) by less than 10^-40
+        a = Fraction(math.isqrt(m * m * d * 10**80), n * 10**40)
+        out.append(Coord(k - a, Fraction(m, n), d))  # just above k
+        out.append(Coord(k + a, Fraction(-m, n), d))  # just below k
+    return out
+
+
+def test_floor_matches_search():
+    """The isqrt floor equals the reference search's, and rational_between on
+    pairs of the same surds equals the scan, which floors by search."""
+    rng = subseed(5)
+    surds = _differential_surds(rng)
+    for x in surds:
+        assert x.floor() == floor_by_search(x), x
+    # neighbours in sorted order give close pairs, shuffled ones far pairs
+    ordered = sorted(set(surds))
+    shuffled = rng.sample(ordered, len(ordered))
+    pairs = list(zip(ordered, ordered[1:])) + [
+        (min(a, b), max(a, b)) for a, b in zip(shuffled, shuffled[1:])
+    ]
+    for lo, hi in pairs:
+        assert rational_between(lo, hi) == rational_between_by_scan(lo, hi), (lo, hi)
 
 
 def test_rational_between_any_pair():

@@ -1,4 +1,5 @@
-"""The public namespace of the package and the immutable value classes."""
+"""The public namespace of the package, the immutable value classes and the
+error kinds."""
 
 import importlib
 import os
@@ -11,7 +12,9 @@ import pytest
 
 import ordspec
 from ordspec import (
+    DENSE_RATIONAL_WITH_CUTS,
     DENSE_REAL,
+    DomainError,
     EMPTY_SET,
     INF,
     QQ,
@@ -23,6 +26,7 @@ from ordspec import (
     DistanceBracket,
     DPoint,
     ExtDistance,
+    Field,
     FiniteChain,
     Flavor,
     FpInterval,
@@ -33,9 +37,20 @@ from ordspec import (
     SerreRegion,
     SymbolicSet,
     Window,
+    brute_force_distance,
+    closure,
+    compose,
+    identity_morphism,
+    integer_cover_member,
+    interval_set,
+    principal_at,
+    reduce_generators,
+    strict_at,
     window_set,
 )
 from ordspec.errors import Value
+from ordspec.order_core import validate_interval
+from ordspec.spectrum import BOTTOM, upper_endpoint_of_cut
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -178,3 +193,38 @@ def test_equal_fields_in_two_classes_are_unequal():
 def test_default_fields():
     assert DenseLine() == DENSE_REAL
     assert ChainModule((1,), (), ()).field == QQ
+
+
+_CHAIN = FiniteChain(3)
+_SURD_LINE = DENSE_RATIONAL_WITH_CUTS
+_RAY = FpModule((FpInterval(Coord(0), INF),))
+_SQRT2 = Coord(0, 1, 2)
+
+_ERRORS = [
+    # a start, an end outside T
+    ("bad_interval", lambda: validate_interval(_CHAIN, FpInterval(Coord(Fraction(1, 2)), Coord(2)))),
+    ("bad_interval", lambda: validate_interval(_CHAIN, FpInterval(Coord(0), Coord(7)))),
+    ("field_mismatch", lambda: compose(identity_morphism(_RAY), identity_morphism(_RAY, Field(5)))),
+    # the coefficient count
+    ("bad_generator", lambda: reduce_generators(_RAY, [GeneratorElement(Coord(1), (1, 2))])),
+    # below_all as an upper end
+    ("bad_endpoint", lambda: interval_set(
+        DENSE_REAL, DEndpoint(principal_at(0), True), DEndpoint("below_all", False)
+    )),
+    ("bad_cut", lambda: upper_endpoint_of_cut(DENSE_REAL, BOTTOM)),
+    # a >= b, a start outside T, an end outside T
+    ("bad_window", lambda: Window(Coord(1), Coord(1))),
+    ("bad_window", lambda: window_set(_SURD_LINE, Window(_SQRT2, INF))),
+    ("bad_window", lambda: window_set(_SURD_LINE, Window(Coord(0), _SQRT2))),
+    ("bad_strategy", lambda: closure(DENSE_REAL, EMPTY_SET, "order")),
+    ("bad_cover_index", lambda: integer_cover_member(DENSE_REAL, 1)),
+    ("irrational_gap", lambda: brute_force_distance(DENSE_REAL, strict_at(_SQRT2), strict_at(0), 1)),
+]
+
+
+@pytest.mark.parametrize("kind, call", _ERRORS, ids=[kind for kind, _ in _ERRORS])
+def test_each_error_kind_is_raised(kind, call):
+    """Each error kind, raised by one library call."""
+    with pytest.raises(DomainError) as err:
+        call()
+    assert err.value.kind == kind
