@@ -4,6 +4,7 @@ Inputs are inline JSON by default; an argument of the form ``@path`` reads
 the file at path and ``-`` reads standard input.  Interval arguments also
 accept the shorthand "[a,b)" and "[a,inf)".  Every interval read, on its own
 or as a summand, must have its finite ends in the index set of ``--model``.
+Generator positions of ``reduce-gens`` must be elements too.
 On success a single canonical JSON document goes to stdout and the exit code
 is 0.  Domain errors exit 1 with {"error": {...}}; malformed input exits 2; a
 broken internal invariant (a failed certificate or consistency check) exits 3
@@ -123,7 +124,7 @@ _READERS = {
     **dict.fromkeys(("f", "g"), _read_morphism),
     "module": lambda text, model, field: jsonio.decode_chain(_load_json(text), field),
     "ambient": _read_ambient,
-    # plain JSON: the call decodes it against the ambient's summand count
+    # plain JSON: _reduce_gens decodes it against the ambient's summand count
     "gens": lambda text, model, field: _load_json(text),
     **dict.fromkeys(
         ("set", "a", "b"), lambda text, model, field: jsonio.decode_set(model, _load_json(text))
@@ -167,6 +168,9 @@ def _exact(r, op: str):
 def _reduce_gens(r):
     ambient = r("ambient")
     gens = jsonio.decode_generators(r("gens"), len(ambient.summands), r.field)
+    for g in gens:  # checked as the readers check intervals
+        if not r.model.is_member(g.position):
+            raise DomainError("bad_generator", f"position {g.position} is not an element of T")
     return {"retained": _lib("fp_category").reduce_generators(ambient, gens, r.field)}
 
 

@@ -47,8 +47,7 @@ from .coords import Coord, ExtCoord, INF, is_inf, rational_above, rational_betwe
 from .errors import DomainError, Value
 from .fields import Field, QQ
 from . import linalg
-from .order_core import DPoint, Flavor, FpInterval, IndexModel, cmp_d, Ordering, validate_dpoint
-from .order_core import validate_interval, validate_module  # re-exported, as FpInterval is
+from .order_core import DPoint, FpInterval, IndexModel, validate_dpoint, validate_interval, window_ends
 
 
 # ---------------------------------------------------------------------------
@@ -96,19 +95,14 @@ def hom_dim(x: FpInterval, y: FpInterval) -> int:
 def hom_to_injective(model: IndexModel, x: FpInterval, p: DPoint) -> int:
     """Dimension (0 or 1) of the maps from [a,b) into the injective at ideal p.
 
-    Nonzero exactly when the principal ideal at a is contained in p and,
-    for finite b, p is contained in the strict ideal at b; in the double
-    line order: (a, principal) <= p <= (b, strict).
+    Nonzero exactly when p lies in the window of [a,b): (a, principal) <= p
+    <= (b, strict), the ends ``order_core.window_ends`` gives.  Only x and p
+    are checked against the model; the ends are compared unchecked.
     """
     validate_interval(model, x)
     validate_dpoint(model, p)
-    lower = DPoint(x.start, Flavor.PRINCIPAL)
-    if cmp_d(model, lower, p) is Ordering.GREATER:
-        return 0
-    upper = DPoint(x.end, Flavor.STRICT) if not is_inf(x.end) else None
-    if upper is not None and cmp_d(model, p, upper) is Ordering.GREATER:
-        return 0
-    return 1
+    lo, hi = window_ends(x.start, x.end)
+    return int(lo <= p <= hi)
 
 
 # Entry keys (i, j) of two ints below _SHARED come from one table, as CPython

@@ -19,15 +19,7 @@ from fractions import Fraction
 
 from .coords import Coord, INF, is_inf
 from .errors import DomainError, Value
-from .order_core import (
-    DPoint,
-    FpInterval,
-    IndexModel,
-    Ordering,
-    cmp_d,
-    require_dense,
-    validate_dpoint,
-)
+from .order_core import DPoint, Flavor, FpInterval, IndexModel, require_dense, validate_dpoint
 
 _SUBJECT = "interleaving is"
 
@@ -88,10 +80,7 @@ def is_interleaved(model: IndexModel, i: DPoint, j: DPoint, eps) -> bool:
     eps = eps_value(eps)
     si = shift_ideal(model, i, eps)
     sj = shift_ideal(model, j, eps)
-    return (
-        cmp_d(model, sj, i) is not Ordering.GREATER
-        and cmp_d(model, si, j) is not Ordering.GREATER
-    )
+    return sj <= i and si <= j
 
 
 def distance(model: IndexModel, i: DPoint, j: DPoint) -> ExtDistance:
@@ -109,7 +98,7 @@ def distance(model: IndexModel, i: DPoint, j: DPoint) -> ExtDistance:
 
 def ball(model: IndexModel, p: DPoint, eps) -> SymbolicSet:
     """The open metric ball around p; the ball around the full ideal is itself."""
-    from .spectrum import INF_LOW, TOP, SymbolicSet, finite_cut
+    from .spectrum import INF_LOW, TOP, SymbolicSet, cut_above, cut_below
 
     require_dense(model, _SUBJECT)
     validate_dpoint(model, p)
@@ -119,8 +108,8 @@ def ball(model: IndexModel, p: DPoint, eps) -> SymbolicSet:
     if is_inf(p.coord):
         return SymbolicSet(((INF_LOW, TOP),))
     delta = Coord(eps)
-    lo = finite_cut(model, p.coord - delta, 2)
-    hi = finite_cut(model, p.coord + delta, 0)
+    lo = cut_above(model, DPoint(p.coord - delta, Flavor.PRINCIPAL))
+    hi = cut_below(model, DPoint(p.coord + delta, Flavor.STRICT))
     return SymbolicSet(((lo, hi),))
 
 

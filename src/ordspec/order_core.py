@@ -12,11 +12,16 @@ extended by quadratic surds.  In the dense model with rational membership,
 a surd coordinate is a valid cut position without being an element of T,
 which is what makes bounded ideals without a supremum representable.
 
+Each double-line decision is written here once: the order of ideals by
+inclusion (``DPoint._cmp``; ``cmp_d`` on checked ideals), and the window of
+[a, b), the ideals with a nonzero map from it, whose two end ideals
+``window_ends`` gives to ``hom_to_injective`` and to ``spectrum``'s cuts.
+
 ``FpInterval``, the interval module on [start, end), lives here as well,
 beside the ideals it is compared with, and so do ``validate_interval`` and
 ``validate_module``, its check against a model: the layers that only read
 intervals (``spectrum``, ``interleaving``, ``jsonio``, ``cli``) need not
-import ``fp_category``, which re-exports them.
+import ``fp_category``, which re-exports ``FpInterval``.
 """
 
 from __future__ import annotations
@@ -73,8 +78,7 @@ class FiniteChain(Value):
             return False
         return 0 <= c.rat.numerator < self.length
 
-    def is_member(self, c: Coord) -> bool:
-        return self.is_valid_coord(c)
+    is_member = is_valid_coord
 
 
 class DenseLine(Value):
@@ -99,7 +103,11 @@ DENSE_RATIONAL_WITH_CUTS = DenseLine(Membership.RATIONALS_ONLY)
 
 
 class DPoint(Value):
-    """An ideal of T: coordinate plus flavor.  ``(INF, STRICT)`` is all of T."""
+    """An ideal of T: coordinate plus flavor.  ``(INF, STRICT)`` is all of T.
+
+    Ordered by inclusion on the ideals a model checks (``validate_dpoint``);
+    ``>`` and ``>=`` reflect to ``<`` and ``<=``.  Equality is the value base's.
+    """
 
     __slots__ = ("coord", "flavor")
 
@@ -108,6 +116,20 @@ class DPoint(Value):
             raise DomainError("bad_dpoint", "the infinite ideal must have strict flavor")
         object.__setattr__(self, "coord", coord)
         object.__setattr__(self, "flavor", flavor)
+
+    def _cmp(self, other: "DPoint") -> int:
+        """The sign of the inclusion order; strict-at-x sits just below principal-at-x."""
+        pi, qi = is_inf(self.coord), is_inf(other.coord)
+        if pi or qi:
+            return pi - qi
+        principal = Flavor.PRINCIPAL
+        return self.coord._cmp(other.coord) or (self.flavor is principal) - (other.flavor is principal)
+
+    def __lt__(self, other: "DPoint") -> bool:
+        return self._cmp(other) < 0
+
+    def __le__(self, other: "DPoint") -> bool:
+        return self._cmp(other) <= 0
 
     def __str__(self):
         tag = "P" if self.flavor is Flavor.PRINCIPAL else "S"
@@ -138,6 +160,12 @@ def principal_at(x) -> DPoint:
 
 
 TOP_IDEAL = DPoint(INF, Flavor.STRICT)
+
+
+def window_ends(a: Coord, b: ExtCoord) -> tuple[DPoint, DPoint]:
+    """The ends of the window of [a, b), the closed stretch of ideals with a nonzero
+    map from [a, b): (a, principal) and (b, strict), the top ideal for infinite b."""
+    return DPoint(a, Flavor.PRINCIPAL), DPoint(b, Flavor.STRICT)
 
 
 def require_dense(model: IndexModel, subject: str) -> None:
@@ -183,21 +211,15 @@ def validate_module(model: IndexModel, m) -> None:
         validate_interval(model, iv)
 
 
+# indexed by the sign of DPoint._cmp
+_ORDERINGS = (Ordering.EQUAL, Ordering.GREATER, Ordering.LESS)
+
+
 def cmp_d(model: IndexModel, p: DPoint, q: DPoint) -> Ordering:
     """Total order on ideals by inclusion; strict-at-x sits just below principal-at-x."""
     validate_dpoint(model, p)
     validate_dpoint(model, q)
-    return cmp_d_unchecked(p, q)
-
-
-def cmp_d_unchecked(p: DPoint, q: DPoint) -> Ordering:
-    pi, qi = is_inf(p.coord), is_inf(q.coord)
-    if pi or qi:
-        sign = pi - qi
-    else:
-        principal = Flavor.PRINCIPAL
-        sign = p.coord._cmp(q.coord) or (p.flavor is principal) - (q.flavor is principal)
-    return Ordering(sign)
+    return _ORDERINGS[p._cmp(q)]
 
 
 def contains(model: IndexModel, p: DPoint, t) -> bool:
@@ -207,7 +229,7 @@ def contains(model: IndexModel, p: DPoint, t) -> bool:
     if not model.is_member(t):
         raise DomainError("not_a_member", f"{t} is not an element of T")
     # t lies in p exactly when its principal ideal does
-    return cmp_d_unchecked(DPoint(t, Flavor.PRINCIPAL), p) is not Ordering.GREATER
+    return DPoint(t, Flavor.PRINCIPAL) <= p
 
 
 def classify_ideal(model: IndexModel, p: DPoint) -> IdealType:
@@ -220,28 +242,18 @@ def classify_ideal(model: IndexModel, p: DPoint) -> IdealType:
     return IdealType.TYPE2 if model.is_member(p.coord) else IdealType.TYPE3
 
 
-def member_between(model: IndexModel, a: Coord, b: Coord) -> Coord:
-    """An element of T strictly between a and b (dense models only)."""
-    if isinstance(model, FiniteChain):
-        lo = a.floor() + 1
-        cand = Coord(lo)
-        if a < cand < b and model.is_member(cand):
-            return cand
-        raise DomainError("no_member_between", f"no chain element in ({a},{b})")
+def member_between(model: DenseLine, a: Coord, b: Coord) -> Coord:
+    """An element of the dense line strictly between a and b."""
     return rational_between(a, b)
 
 
-def member_below(model: IndexModel, x: Coord) -> Coord:
-    """An element of T strictly below x.  Prefers x - 1 when that is a member."""
-    if isinstance(model, FiniteChain):
-        raise DomainError("unbounded_only", "finite chains are bounded below")
+def member_below(model: DenseLine, x: Coord) -> Coord:
+    """An element of the dense line strictly below x.  Prefers x - 1 when that is a member."""
     shifted = x - Coord(1)
     return shifted if model.is_member(shifted) else rational_below(x)
 
 
-def member_above(model: IndexModel, x: Coord) -> Coord:
-    """An element of T strictly above x.  Prefers x + 1 when that is a member."""
-    if isinstance(model, FiniteChain):
-        raise DomainError("unbounded_only", "finite chains are bounded above")
+def member_above(model: DenseLine, x: Coord) -> Coord:
+    """An element of the dense line strictly above x.  Prefers x + 1 when that is a member."""
     shifted = x + Coord(1)
     return shifted if model.is_member(shifted) else rational_above(x)

@@ -30,7 +30,8 @@ that are required to agree:
 
 * ``DOUBLE_ORTHOGONAL``: complement gaps are covered by the unions of the
   basic window sets they contain (a window [a, b) covers the ideals
-  admitting a nonzero map from the interval module [a, b)); the closure is
+  admitting a nonzero map from the interval module [a, b), the stretch
+  between the end ideals of ``order_core.window_ends``); the closure is
   the complement of the covered parts.
 * ``SUP_INF_SATURATION``: each component absorbs the supremum of its
   members when that is a strict-flavor limit from below, and the infimum
@@ -57,13 +58,12 @@ from .order_core import (
     Flavor,
     FpInterval,
     IndexModel,
-    Ordering,
-    cmp_d_unchecked,
     member_above,
     member_below,
     member_between,
     require_dense,
     validate_dpoint,
+    window_ends,
 )
 
 
@@ -429,8 +429,8 @@ def upper_endpoint_of_cut(model: IndexModel, c: Cut) -> DEndpoint:
 
 
 class Window(Value):
-    """The D interval [(a, P), (b, S)]: ideals admitting a nonzero map from
-    the interval module [a, b)."""
+    """The D interval [(a, P), (b, S)] of ``order_core.window_ends``: ideals
+    admitting a nonzero map from the interval module [a, b)."""
 
     __slots__ = ("a", "b")
 
@@ -442,8 +442,9 @@ class Window(Value):
 
 
 def _window_cuts(model: IndexModel, a: Coord, b: ExtCoord) -> tuple[Cut, Cut]:
-    """The cuts of the window [a, b): just above (a, S) and just above (b, S)."""
-    return finite_cut(model, a, 1), TOP if is_inf(b) else finite_cut(model, b, 1)
+    """The cuts of the window of [a, b), around its end ideals (``window_ends``)."""
+    lo, hi = window_ends(a, b)
+    return cut_below(model, lo), cut_above(model, hi)
 
 
 def window_set(model: IndexModel, w: Window) -> SymbolicSet:
@@ -652,10 +653,9 @@ def separate(model: IndexModel, p: DPoint, q: DPoint):
     require_dense(model, _SUBJECT)
     validate_dpoint(model, p)
     validate_dpoint(model, q)
-    order = cmp_d_unchecked(p, q)
-    if order is Ordering.EQUAL:
+    if p == q:
         raise DomainError("equal_points", "cannot separate an ideal from itself")
-    if order is Ordering.GREATER:
+    if q < p:
         around_q, around_p = separate(model, q, p)
         return around_p, around_q
     if is_inf(q.coord):

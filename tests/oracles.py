@@ -346,6 +346,16 @@ def brutal_hom_interval_to_ideal(x, ideal_coord, principal: bool) -> int:
     )
 
 
+def hom_to_injective_by_membership(x, p) -> int:
+    """dim Hom([a,b), E(p)) by the two-compare rule: a lies in p, and b is
+    infinite or does not lie in p.  Membership is read off the definition of
+    the downset; no order of ideals and no window takes part."""
+    principal = p.flavor.value == "principal"
+    if not ideal_alive(p.coord, principal, x.start):
+        return 0
+    return int(is_inf(x.end) or not ideal_alive(p.coord, principal, x.end))
+
+
 # ---------------------------------------------------------------------------
 # Brute-force interleaving on a sample grid
 

@@ -264,6 +264,45 @@ def test_every_subcommand_checks_intervals_against_the_model(model, args):
     assert run_cli([*args, "--model", "dense"])[0] == 0
 
 
+@pytest.mark.parametrize(
+    "model, position",
+    [
+        # 1/2 and 7 are no elements of the chain 0..2
+        ("chain:3", ["1/2", "7"]),
+        # sqrt(2) is a cut of dense-surd, not an element
+        ("dense-surd", [{"surd": {"q": "1", "d": 2}}]),
+    ],
+    ids=["chain:3", "dense-surd"],
+)
+def test_reduce_gens_checks_positions_against_the_model(model, position):
+    gens = json.dumps([{"position": x, "coeffs": ["1"]} for x in position])
+    args = ["reduce-gens", "--ambient", '{"summands":["[0,inf)"]}', "--gens", gens]
+    code, out = run_cli([*args, "--model", model])
+    assert code == 1 and json.loads(out)["error"]["kind"] == "bad_generator"
+    assert run_cli([*args, "--model", "dense"]) == (0, '{"retained":[0]}\n')
+
+
+def test_hom_on_a_chain_compares_the_window_ends_unchecked():
+    # the window's upper end (2, strict) is no ideal of a chain; it is compared, not checked
+    args = ["hom", "--model", "chain:5", "--interval", "[0,2)", "--ideal", '{"coord":"1","flavor":"principal"}']
+    assert run_cli(args) == (0, '{"dim":1}\n')
+
+
+def test_outputs_match_the_spectrum_golden_file():
+    """The subcommands that decide on the double line print, byte for byte and
+    with the same exit code, what they printed when
+    tests/data/spectrum_golden.json was recorded (by
+    tests/data/make_spectrum_golden.py)."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "spectrum_golden.json")
+    with open(path, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    assert {c["argv"][0] for c in cases} == {
+        "hom", "separate", "interleaved", "distance-oracle", "ball", "set", "orthogonal",
+    }
+    for case in cases:
+        assert run_cli(case["argv"]) == (case["code"], case["stdout"]), case["argv"]
+
+
 def test_a_bad_interval_reports_before_a_later_malformed_flag():
     code, out = run_cli(["compose", "--model", "dense-surd", "--f", _SURD_ENDO, "--g", "{"])
     assert code == 1 and json.loads(out)["error"]["kind"] == "bad_interval"

@@ -32,6 +32,7 @@ from ordspec import (
     strict_at,
     zero_morphism,
     DENSE_REAL,
+    FiniteChain,
     TOP_IDEAL,
 )
 from ordspec.fp_category import _iv_key, _lift_bar, critical_grid
@@ -43,6 +44,7 @@ from oracles import (
     circuit_deletion,
     frac_nullspace,
     frac_rank,
+    hom_to_injective_by_membership,
     in_span,
     interval_alive,
     modp_rank,
@@ -83,6 +85,21 @@ def test_hom_to_injective_examples():
     assert hom_to_injective(m, iv(0, 1), principal_at(0)) == 1
     assert hom_to_injective(m, iv(0, 1), principal_at(1)) == 0
     assert hom_to_injective(m, iv(0, "inf"), TOP_IDEAL) == 1
+
+
+def test_hom_to_injective_on_a_chain_follows_the_membership_rule():
+    """Every interval and every ideal of the chain 0..4: [a, b) maps to E(p)
+    exactly when a lies in p and b does not.  The window's upper end ideal
+    (b, strict) is no ideal of a chain, and is compared, not checked."""
+    chain = FiniteChain(5)
+    for a in range(5):
+        for b in [*range(a + 1, 5), "inf"]:
+            x = iv(a, b)
+            for k in range(5):
+                p = principal_at(k)
+                want = hom_to_injective_by_membership(x, p)
+                assert want == int(a <= k and (b == "inf" or k < b))
+                assert hom_to_injective(chain, x, p) == want, (a, b, k)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,15 @@ def test_cmp_examples():
     assert cmp_d(m, principal_at(10**6), TOP_IDEAL) is Ordering.LESS
 
 
+def _operators_agree_with_cmp(p, q, pq):
+    """The comparison operators of DPoint say what cmp_d says."""
+    assert (p < q) is (pq is Ordering.LESS)
+    assert (p <= q) is (pq is not Ordering.GREATER)
+    assert (p > q) is (pq is Ordering.GREATER)
+    assert (p >= q) is (pq is not Ordering.LESS)
+    assert (p == q) is (pq is Ordering.EQUAL)
+
+
 def test_cmp_total_order_on_random_triples():
     m = DENSE_RATIONAL_WITH_CUTS
     rng = subseed(20)
@@ -64,7 +73,17 @@ def test_cmp_total_order_on_random_triples():
         qr, pr = cmp_d(m, q, r), cmp_d(m, p, r)
         if pq is not Ordering.GREATER and qr is not Ordering.GREATER:
             assert pr is not Ordering.GREATER  # transitivity
-        assert pq in (Ordering.LESS, Ordering.EQUAL, Ordering.GREATER)  # totality
+        # totality, and the answer is a member itself, not an equal value
+        assert any(pq is o for o in (Ordering.LESS, Ordering.EQUAL, Ordering.GREATER))
+        _operators_agree_with_cmp(p, q, pq)
+    # on a finite chain every ideal is principal, ordered as its element
+    chain = FiniteChain(5)
+    for a in range(5):
+        for b in range(5):
+            p, q = principal_at(a), principal_at(b)
+            pq = cmp_d(chain, p, q)
+            assert pq is (Ordering.LESS if a < b else Ordering.GREATER if a > b else Ordering.EQUAL)
+            _operators_agree_with_cmp(p, q, pq)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from ordspec.order_core import Ordering
 from ordspec.spectrum import BELOW_ALL
 
 from conftest import subseed
-from oracles import random_fraction, random_symbolic_set
+from oracles import hom_to_injective_by_membership, random_fraction, random_symbolic_set
 
 M = DENSE_REAL
 MQ = DENSE_RATIONAL_WITH_CUTS
@@ -85,7 +85,8 @@ def test_window_matches_hom_to_injective():
             iv = FpInterval(Coord(a), INF if b == "inf" else Coord(b))
             w = window_set(M, Window(iv.start, iv.end))
             for p in sample_points(M):
-                assert member(M, w, p) == (hom_to_injective(M, iv, p) == 1), (a, b, p)
+                dim = hom_to_injective_by_membership(iv, p)
+                assert member(M, w, p) == (hom_to_injective(M, iv, p) == 1) == (dim == 1), (a, b, p)
 
 
 def test_window_matches_hom_on_surd_cuts():
@@ -93,7 +94,31 @@ def test_window_matches_hom_on_surd_cuts():
         iv = FpInterval(Coord(a), INF if b == "inf" else Coord(b))
         w = window_set(MQ, Window(iv.start, iv.end))
         for p in sample_points(MQ, surds=True):
-            assert member(MQ, w, p) == (hom_to_injective(MQ, iv, p) == 1), (a, b, p)
+            dim = hom_to_injective_by_membership(iv, p)
+            assert member(MQ, w, p) == (hom_to_injective(MQ, iv, p) == 1) == (dim == 1), (a, b, p)
+
+
+@pytest.mark.parametrize("model", [M, MQ], ids=["dense", "dense-surd"])
+def test_window_and_hom_follow_the_membership_rule(model):
+    """hom_to_injective and membership in window_set both say what the
+    two-compare rule of the oracle says, on random intervals and ideals
+    whose coordinates often coincide: all three ideal types (type 3 at surd
+    cuts under dense-surd, where surds are no members) and the top."""
+    rng = subseed(41 if model is M else 42)
+    coords = [Coord(Fraction(n, 2)) for n in range(-6, 7)]
+    coords += [Coord(Fraction(n, 2), Fraction(1, 4), rng.choice((2, 3))) for n in range(-6, 7)]
+    members = [c for c in coords if model.is_member(c)]
+    for _ in range(1500):
+        a, b = sorted(rng.sample(members, 2))
+        iv = FpInterval(a, INF if rng.random() < 0.2 else b)
+        if rng.random() < 0.1:
+            p = TOP_IDEAL
+        else:
+            c = rng.choice(coords)
+            p = P(c) if model.is_member(c) and rng.random() < 0.5 else S(c)
+        dim = hom_to_injective_by_membership(iv, p)
+        assert hom_to_injective(model, iv, p) == dim, (iv, p)
+        assert member(model, window_set(model, Window(iv.start, iv.end)), p) == (dim == 1), (iv, p)
 
 
 # ---------------------------------------------------------------------------
