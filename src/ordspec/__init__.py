@@ -72,7 +72,6 @@ _EXPORTS = {
         "SerreRegion",
         "Strategy",
         "SymbolicSet",
-        "Window",
         "closure",
         "closure_all_strategies",
         "complement",

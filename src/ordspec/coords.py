@@ -19,8 +19,8 @@ from .errors import DomainError, Value
 _SQUAREFREE_CACHE: dict[int, tuple[int, int]] = {}
 
 
-def _square_split(n: int) -> tuple[int, int]:
-    """Return (s, f) with n = s*s*f and f squarefree.
+def split_radicand(n: int) -> tuple[int, int]:
+    """Return (s, f) with n = s*s*f and f squarefree, for a radicand n >= 2.
 
     Trial division runs only while d**3 <= m for the cofactor m; what is left
     then has at most two prime factors, all above d, so it is 1, a prime, a
@@ -28,6 +28,8 @@ def _square_split(n: int) -> tuple[int, int]:
     """
     if n in _SQUAREFREE_CACHE:
         return _SQUAREFREE_CACHE[n]
+    if n < 2:
+        raise DomainError("bad_radicand", f"radicand must be >= 2, got {n}")
     if n.bit_length() > 64:
         raise DomainError(
             "radicand_too_large", f"radicands are limited to 64 bits, got {n.bit_length()}"
@@ -106,9 +108,7 @@ class Coord(Value):
         if coef.__class__ is not Fraction:
             coef = Fraction(coef)
         if coef:
-            if rad < 2:
-                raise DomainError("bad_radicand", f"radicand must be >= 2, got {rad}")
-            s, f = _square_split(rad)
+            s, f = split_radicand(rad)
             if f == 1:
                 rat += coef * s
                 coef, rad = _ZERO_COEF, 0

@@ -165,22 +165,20 @@ def compose(f: FpMorphism, g: FpMorphism) -> FpMorphism:
         raise DomainError("field_mismatch", "morphisms over different base fields")
     if g.target != f.source:
         raise DomainError("shape_mismatch", "compose needs target(g) = source(f)")
-    field = f.field
-    acc: dict[tuple[int, int], object] = {}
-    for (i, j), gv in g.entries.items():
-        for k in range(len(f.target.summands)):
-            fv = f.entries.get((j, k))
-            if fv is None:
-                continue
-            prev = acc.get((i, k), field.zero)
-            acc[(i, k)] = field.add(prev, field.mul(fv, gv))
+    # row i of the product is row i of g applied to the rows of f
+    f_rows: dict = {}
+    for (j, k), v in f.entries.items():
+        f_rows.setdefault(j, {})[k] = v
+    g_rows: dict = {}
+    for (i, j), v in g.entries.items():
+        if j in f_rows:
+            g_rows.setdefault(i, {})[j] = v
     out = {}
-    for (i, k), v in acc.items():
-        if field.is_zero(v):
-            continue
-        if hom_dim(g.source.summands[i], f.target.summands[k]) == 1:
-            out[(i, k)] = v
-    return FpMorphism(g.source, f.target, out, field)
+    for i, row in g_rows.items():
+        for k, v in linalg.combine(f.field, row, f_rows).items():
+            if hom_dim(g.source.summands[i], f.target.summands[k]) == 1:
+                out[(i, k)] = v
+    return FpMorphism(g.source, f.target, out, f.field)
 
 
 # ---------------------------------------------------------------------------

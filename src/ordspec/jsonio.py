@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coords import Coord, ExtCoord, INF, is_inf
+from .coords import Coord, ExtCoord, INF, is_inf, split_radicand
 from .errors import DomainError, SchemaError
 from .fields import Field, parse_rational
 from .order_core import DPoint, Flavor, FpInterval, IndexModel
@@ -74,6 +74,7 @@ def decode_coord(obj) -> Coord:
         d = surd.get("d")
         if not _is_int(d):
             raise SchemaError("surd radicand must be an integer")
+        split_radicand(d)  # checked whatever the coefficient: Coord skips it at zero
         return Coord(rat, coef, d)
     raise SchemaError(f"cannot read a coordinate from {obj!r}")
 

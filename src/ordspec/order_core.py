@@ -28,16 +28,7 @@ from __future__ import annotations
 
 import enum
 
-from .coords import (
-    Coord,
-    ExtCoord,
-    INF,
-    as_coord,
-    is_inf,
-    rational_above,
-    rational_below,
-    rational_between,
-)
+from .coords import Coord, ExtCoord, INF, as_coord, is_inf
 from .errors import DomainError, Value
 
 
@@ -241,19 +232,3 @@ def classify_ideal(model: IndexModel, p: DPoint) -> IdealType:
         return IdealType.TYPE3
     return IdealType.TYPE2 if model.is_member(p.coord) else IdealType.TYPE3
 
-
-def member_between(model: DenseLine, a: Coord, b: Coord) -> Coord:
-    """An element of the dense line strictly between a and b."""
-    return rational_between(a, b)
-
-
-def member_below(model: DenseLine, x: Coord) -> Coord:
-    """An element of the dense line strictly below x.  Prefers x - 1 when that is a member."""
-    shifted = x - Coord(1)
-    return shifted if model.is_member(shifted) else rational_below(x)
-
-
-def member_above(model: DenseLine, x: Coord) -> Coord:
-    """An element of the dense line strictly above x.  Prefers x + 1 when that is a member."""
-    shifted = x + Coord(1)
-    return shifted if model.is_member(shifted) else rational_above(x)

@@ -29,14 +29,15 @@ The closure of a symbolic set is computed by three independent algorithms
 that are required to agree:
 
 * ``DOUBLE_ORTHOGONAL``: complement gaps are covered by the unions of the
-  basic window sets they contain (a window [a, b) covers the ideals
-  admitting a nonzero map from the interval module [a, b), the stretch
-  between the end ideals of ``order_core.window_ends``); the closure is
-  the complement of the covered parts.
+  basic window sets they contain (the window of the interval module
+  [a, b), ``window_set``, is its support: the ideals admitting a nonzero
+  map from it, the stretch between the end ideals of
+  ``order_core.window_ends``); the closure is the complement of the
+  covered parts.
 * ``SUP_INF_SATURATION``: each component absorbs the supremum of its
   members when that is a strict-flavor limit from below, and the infimum
-  when its members approach a missing least element from above; iterated
-  to a fixpoint.
+  when its members approach a missing least element from above; one pass
+  is the fixpoint.
 * ``ORDER_TOPOLOGY``: literal limit-point analysis in the order topology
   with open rays as subbasis, using immediate predecessor/successor
   reasoning; the limit points all sit at component boundaries, so one
@@ -51,18 +52,17 @@ from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from weakref import WeakValueDictionary
 
-from .coords import Coord, ExtCoord, INF, is_inf
+from .coords import Coord, INF, is_inf, rational_above, rational_below, rational_between
 from .errors import DomainError, Value
 from .order_core import (
+    TOP_IDEAL,
     DPoint,
     Flavor,
     FpInterval,
     IndexModel,
-    member_above,
-    member_below,
-    member_between,
     require_dense,
     validate_dpoint,
+    validate_interval,
     window_ends,
 )
 
@@ -249,11 +249,6 @@ def _set_of(cuts: tuple) -> SymbolicSet:
 EMPTY_SET = _set_of(())
 
 
-def full_set(model: IndexModel) -> SymbolicSet:
-    require_dense(model, _SUBJECT)
-    return _set_of((BOTTOM, TOP))
-
-
 def interval_cuts(model: IndexModel, lo: DEndpoint, hi: DEndpoint) -> tuple[Cut, Cut]:
     """The lower and upper cut of the D interval between two endpoints."""
     require_dense(model, _SUBJECT)
@@ -272,32 +267,33 @@ def interval_cuts(model: IndexModel, lo: DEndpoint, hi: DEndpoint) -> tuple[Cut,
 
 
 def interval_set(model: IndexModel, lo: DEndpoint, hi: DEndpoint) -> SymbolicSet:
-    """The symbolic set of a single D interval given by two endpoints."""
+    """The symbolic set of a single D interval given by two endpoints; every
+    basic set is one."""
     return _set_of(interval_cuts(model, lo, hi))
 
 
+_FROM_BOTTOM = DEndpoint(BELOW_ALL, False)
+_TO_TOP = DEndpoint(TOP_IDEAL, True)
+
+
+def full_set(model: IndexModel) -> SymbolicSet:
+    return interval_set(model, _FROM_BOTTOM, _TO_TOP)
+
+
 def singleton(model: IndexModel, p: DPoint) -> SymbolicSet:
-    require_dense(model, _SUBJECT)
-    validate_dpoint(model, p)
-    return _set_of((cut_below(model, p), cut_above(model, p)))
+    return interval_set(model, DEndpoint(p, True), DEndpoint(p, True))
 
 
 def ray_upward(model: IndexModel, p: DPoint, included: bool = True) -> SymbolicSet:
+    """The ideals above p; above the top ideal there is none."""
+    if included or p != TOP_IDEAL:
+        return interval_set(model, DEndpoint(p, included), _TO_TOP)
     require_dense(model, _SUBJECT)
-    validate_dpoint(model, p)
-    lo = cut_below(model, p) if included else cut_above(model, p)
-    if not lo < TOP:
-        return EMPTY_SET
-    return _set_of((lo, TOP))
+    return EMPTY_SET
 
 
 def ray_downward(model: IndexModel, p: DPoint, included: bool = True) -> SymbolicSet:
-    require_dense(model, _SUBJECT)
-    validate_dpoint(model, p)
-    hi = cut_above(model, p) if included else cut_below(model, p)
-    if not BOTTOM < hi:
-        return EMPTY_SET
-    return _set_of((BOTTOM, hi))
+    return interval_set(model, _FROM_BOTTOM, DEndpoint(p, included))
 
 
 def _place(cuts: tuple, lo: Cut, hi: Cut, start: int):
@@ -428,32 +424,19 @@ def upper_endpoint_of_cut(model: IndexModel, c: Cut) -> DEndpoint:
 # Windows and the orthogonality engine
 
 
-class Window(Value):
-    """The D interval [(a, P), (b, S)] of ``order_core.window_ends``: ideals
-    admitting a nonzero map from the interval module [a, b)."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: Coord, b: ExtCoord):
-        if not a < b:
-            raise DomainError("bad_window", "need a < b")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-
-def _window_cuts(model: IndexModel, a: Coord, b: ExtCoord) -> tuple[Cut, Cut]:
-    """The cuts of the window of [a, b), around its end ideals (``window_ends``)."""
-    lo, hi = window_ends(a, b)
+def _window_cuts(model: IndexModel, iv: FpInterval) -> tuple[Cut, Cut]:
+    """The cuts of the window of iv, around its end ideals (``window_ends``)."""
+    lo, hi = window_ends(iv.start, iv.end)
     return cut_below(model, lo), cut_above(model, hi)
 
 
-def window_set(model: IndexModel, w: Window) -> SymbolicSet:
+def window_set(model: IndexModel, iv: FpInterval) -> SymbolicSet:
+    """The window of the interval module iv, which is its support: the
+    ideals admitting a nonzero map from iv.  Both finite ends of iv must be
+    elements of T (``bad_interval``, as ``hom`` reports it)."""
     require_dense(model, _SUBJECT)
-    if not model.is_member(w.a):
-        raise DomainError("bad_window", f"{w.a} is not an element of T")
-    if not is_inf(w.b) and not model.is_member(w.b):
-        raise DomainError("bad_window", f"{w.b} is not an element of T")
-    return _set_of(_window_cuts(model, w.a, w.b))
+    validate_interval(model, iv)
+    return _set_of(_window_cuts(model, iv))
 
 
 def cover_of_gap(model: IndexModel, lo: Cut, hi: Cut):
@@ -514,7 +497,7 @@ class SerreRegion(Value):
         return _set_of(tuple(out))
 
     def contains_interval(self, model: IndexModel, iv: FpInterval) -> bool:
-        return _in_one_component(self.gaps.cuts, *_window_cuts(model, iv.start, iv.end))
+        return _in_one_component(self.gaps.cuts, *_window_cuts(model, iv))
 
 
 def left_orthogonal(model: IndexModel, u: SymbolicSet) -> SerreRegion:
@@ -550,7 +533,15 @@ def _closure_double_orthogonal(model: IndexModel, u: SymbolicSet) -> SymbolicSet
     return right_orthogonal(model, left_orthogonal(model, u))
 
 
-def _saturate_once(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
+def _closure_supinf(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
+    """Saturates each component by its supremum and infimum, in one pass.
+
+    The pass leaves every upper cut at level 1, at level 2 or at ``TOP``,
+    and every lower cut at level 0, at a member's level 1, at ``BOTTOM`` or
+    at ``INF_LOW``.  No rule applies to any of these, and merging the
+    saturated components keeps their outer cuts, so a second pass changes
+    nothing: one pass is the fixpoint.
+    """
     c = u.cuts
     parts = []
     for t in range(0, len(c), 2):
@@ -568,15 +559,6 @@ def _saturate_once(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
                 lo = finite_cut(model, lo.coord, 0)
         parts.append((lo, hi))
     return SymbolicSet(parts)
-
-
-def _closure_supinf(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
-    cur = u
-    while True:
-        nxt = _saturate_once(model, cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
 
 
 def _has_immediate_predecessor(model: IndexModel, p: DPoint) -> bool:
@@ -648,6 +630,18 @@ def is_closed(model: IndexModel, u: SymbolicSet) -> bool:
 # Separation
 
 
+def _member_below(model: IndexModel, x: Coord) -> Coord:
+    """An element of T strictly below x; x - 1 when that is one."""
+    shifted = x - Coord(1)
+    return shifted if model.is_member(shifted) else rational_below(x)
+
+
+def _member_above(model: IndexModel, x: Coord) -> Coord:
+    """An element of T strictly above x; x + 1 when that is one."""
+    shifted = x + Coord(1)
+    return shifted if model.is_member(shifted) else rational_above(x)
+
+
 def separate(model: IndexModel, p: DPoint, q: DPoint):
     """Two disjoint clopen window sets, the first containing p, the second q."""
     require_dense(model, _SUBJECT)
@@ -658,25 +652,15 @@ def separate(model: IndexModel, p: DPoint, q: DPoint):
     if q < p:
         around_q, around_p = separate(model, q, p)
         return around_p, around_q
+    x = p.coord
+    a = x if p.flavor is Flavor.PRINCIPAL else _member_below(model, x)
     if is_inf(q.coord):
-        a_p = p.coord if p.flavor is Flavor.PRINCIPAL else member_below(model, p.coord)
-        m1 = member_above(model, p.coord)
-        m2 = member_above(model, m1)
-        return (
-            window_set(model, Window(a_p, m1)),
-            window_set(model, Window(m2, INF)),
-        )
-    x, y = p.coord, q.coord
-    if x == y:
-        # p is the strict ideal just below the principal ideal q
-        a = member_below(model, x)
-        return window_set(model, Window(a, x)), window_set(model, Window(x, INF))
-    a_p = x if p.flavor is Flavor.PRINCIPAL else member_below(model, x)
-    if q.flavor is Flavor.PRINCIPAL:
-        m = y
+        m = _member_above(model, x)
+        m2 = _member_above(model, m)
     else:
-        m = member_between(model, x, y)
-    return window_set(model, Window(a_p, m)), window_set(model, Window(m, INF))
+        # q principal at x itself when p is the strict ideal just below it
+        m = m2 = q.coord if q.flavor is Flavor.PRINCIPAL else rational_between(x, q.coord)
+    return window_set(model, FpInterval(a, m)), window_set(model, FpInterval(m2, INF))
 
 
 def integer_cover_member(model: IndexModel, n: int | None) -> SymbolicSet:
@@ -688,7 +672,7 @@ def integer_cover_member(model: IndexModel, n: int | None) -> SymbolicSet:
     """
     require_dense(model, _SUBJECT)
     if n is None:
-        return window_set(model, Window(Coord(0), INF))
+        return window_set(model, FpInterval(Coord(0), INF))
     if n > 0:
         raise DomainError("bad_cover_index", "indexed pieces exist for n <= 0 only")
-    return window_set(model, Window(Coord(n - 1), Coord(n)))
+    return window_set(model, FpInterval(Coord(n - 1), Coord(n)))

@@ -685,6 +685,30 @@ def order_closure_fixpoint(model, u):
             cur = SymbolicSet(union_by_sorting(cur, singleton(model, p)))
 
 
+def supinf_closure_fixpoint(model, u):
+    """Sup/inf saturation iterated until a pass changes nothing: each
+    component's missing supremum from below and infimum from above are
+    added, as ``spectrum`` once looped it."""
+    from ordspec import SymbolicSet
+    from ordspec.spectrum import TOP, finite_cut
+
+    cur = u
+    while True:
+        parts = []
+        for lo, hi in cur.parts:
+            if hi.level == 0:
+                hi = TOP if hi.coord is None else finite_cut(model, hi.coord, 1)
+            if lo.coord is not None and lo.level == 2:
+                lo = finite_cut(model, lo.coord, 1)
+            elif lo.coord is not None and lo.level == 1 and not model.is_member(lo.coord):
+                lo = finite_cut(model, lo.coord, 0)
+            parts.append((lo, hi))
+        nxt = SymbolicSet(parts)
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
 def random_fraction(rng, lo: int, hi: int, max_den: int = 6) -> Fraction:
     den = rng.randint(1, max_den)
     num = rng.randint(lo * den, hi * den)

@@ -77,6 +77,7 @@ from oracles import (
     random_scalar,
     random_symbolic_set,
     sample_grid,
+    supinf_closure_fixpoint,
 )
 
 M = DENSE_REAL
@@ -173,6 +174,11 @@ def test_criterion_03_three_way_closure_agreement():
         results = [closure(M, u, s) for s in Strategy]
         assert results[0] == results[1] == results[2], u
     _done(3, "three-way closure agreement")
+
+
+def test_one_saturation_pass_is_the_fixpoint():
+    for u in _acceptance_corpus():
+        assert closure(M, u, Strategy.SUP_INF_SATURATION) == supinf_closure_fixpoint(M, u), u
 
 
 def test_criterion_04_kuratowski_axioms():

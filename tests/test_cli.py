@@ -237,6 +237,29 @@ def test_models_and_fields():
     assert code == 0 and json.loads(out) == {"flat": True}
 
 
+@pytest.mark.parametrize(
+    "d, kind, detail",
+    [
+        (-5, "bad_radicand", "radicand must be >= 2, got -5"),
+        (0, "bad_radicand", "radicand must be >= 2, got 0"),
+        (1, "bad_radicand", "radicand must be >= 2, got 1"),
+        (2**200 + 1, "radicand_too_large", "radicands are limited to 64 bits, got 201"),
+    ],
+    ids=["negative", "zero", "one", "201-bit"],
+)
+def test_a_radicand_is_checked_whatever_its_coefficient(d, kind, detail):
+    for q in ("0", "1"):
+        coord = {"rat": "1", "surd": {"q": q, "d": d}}
+        code, out = run_cli(["classify", "--ideal", json.dumps({"coord": coord, "flavor": "strict"})])
+        assert (code, json.loads(out)) == (1, {"error": {"kind": kind, "detail": detail}}), q
+
+
+def test_a_valid_radicand_with_a_zero_coefficient_is_a_rational():
+    ideal = '{"coord":{"rat":"1","surd":{"q":"0","d":5}},"flavor":"strict"}'
+    assert run_cli(["classify", "--ideal", ideal]) == (0, '{"type":2}\n')
+    assert run_cli(["classify", "--model", "dense-surd", "--ideal", ideal]) == (0, '{"type":2}\n')
+
+
 # [sqrt(2), inf): a start outside T under dense-surd, inside it under dense
 _SURD_RAY = {"start": {"rat": "0", "surd": {"q": "1", "d": 2}}, "end": "inf"}
 _SURD_ENDO = json.dumps({"source": {"summands": [_SURD_RAY]}, "target": {"summands": [_SURD_RAY]},
@@ -289,16 +312,20 @@ def test_hom_on_a_chain_compares_the_window_ends_unchecked():
 
 
 def test_outputs_match_the_spectrum_golden_file():
-    """The subcommands that decide on the double line print, byte for byte and
-    with the same exit code, what they printed when
-    tests/data/spectrum_golden.json was recorded (by
+    """Every subcommand but kernel and cokernel (tests/data/exact_golden.json
+    holds those) prints, byte for byte and with the same exit code, what it
+    printed when tests/data/spectrum_golden.json was recorded (by
     tests/data/make_spectrum_golden.py)."""
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "spectrum_golden.json")
     with open(path, encoding="utf-8") as fh:
         cases = json.load(fh)
     assert {c["argv"][0] for c in cases} == {
         "hom", "separate", "interleaved", "distance-oracle", "ball", "set", "orthogonal",
+        "closure", "is-closed", "classify", "distance", "shift", "hom-fp", "compose",
+        "reduce-gens", "is-flat", "decompose", "realize", "rank",
     }
+    strategies = {a[a.index("--strategy") + 1] for a in (c["argv"] for c in cases) if "--strategy" in a}
+    assert strategies == {"double-orth", "supinf", "order", "all"}
     for case in cases:
         assert run_cli(case["argv"]) == (case["code"], case["stdout"]), case["argv"]
 

@@ -18,9 +18,10 @@ from ordspec import (
     cmp_d,
     contains,
     principal_at,
+    rational_between,
     strict_at,
 )
-from ordspec.order_core import member_between, validate_dpoint
+from ordspec.order_core import validate_dpoint
 
 from conftest import subseed
 from oracles import random_fraction
@@ -143,7 +144,7 @@ def test_cmp_agrees_with_membership_sampling():
                 if not m.is_member(witness):
                     witness = Coord(p.coord.floor() + 1)
             else:
-                witness = member_between(m, p.coord, q.coord)
+                witness = rational_between(p.coord, q.coord)
             assert contains(m, q, witness) and not contains(m, p, witness)
         elif rel is Ordering.EQUAL:
             assert all(contains(m, p, t) == contains(m, q, t) for t in samples)

@@ -36,7 +36,6 @@ from ordspec import (
     Membership,
     SerreRegion,
     SymbolicSet,
-    Window,
     brute_force_distance,
     closure,
     compose,
@@ -110,15 +109,14 @@ _VALUES = [
     (lambda: ChainModule((1, 1), (((2,),),), (3,), QQ), lambda: ChainModule((1, 1), (((2,),),), (1,), QQ)),
     (lambda: Barcode(((0, 2, 1),)), lambda: Barcode(((0, 2, 2),))),
     (lambda: DEndpoint(DPoint(Coord(0), Flavor.PRINCIPAL), True), lambda: DEndpoint("below_all", False)),
-    (lambda: Window(Coord(0), Coord(1)), lambda: Window(Coord(0), INF)),
     (lambda: ExtDistance(Coord(2)), lambda: ExtDistance(None)),
     (lambda: DistanceBracket(Fraction(0), Fraction(1, 64)), lambda: DistanceBracket(None, None)),
     (
         lambda: FpModule([FpInterval(Coord(1), INF), FpInterval(Coord(0), Coord(1))]),
         lambda: FpModule([FpInterval(Coord(0), Coord(1))]),
     ),
-    (lambda: window_set(DENSE_REAL, Window(Coord(0), Coord(1))), lambda: SymbolicSet(())),
-    (lambda: SerreRegion(window_set(DENSE_REAL, Window(Coord(0), INF))), lambda: SerreRegion(EMPTY_SET)),
+    (lambda: window_set(DENSE_REAL, FpInterval(Coord(0), Coord(1))), lambda: SymbolicSet(())),
+    (lambda: SerreRegion(window_set(DENSE_REAL, FpInterval(Coord(0), INF))), lambda: SerreRegion(EMPTY_SET)),
 ]
 
 
@@ -185,9 +183,9 @@ def test_only_the_value_base_writes_the_record_contract():
 
 
 def test_equal_fields_in_two_classes_are_unequal():
-    iv, window = FpInterval(Coord(0), Coord(1)), Window(Coord(0), Coord(1))
-    assert (iv.start, iv.end) == (window.a, window.b)
-    assert iv != window and window != iv
+    bars, cuts = Barcode(()), SymbolicSet(())
+    assert bars.bars == cuts.cuts == ()
+    assert bars != cuts and cuts != bars
 
 
 def test_default_fields():
@@ -212,10 +210,10 @@ _ERRORS = [
         DENSE_REAL, DEndpoint(principal_at(0), True), DEndpoint("below_all", False)
     )),
     ("bad_cut", lambda: upper_endpoint_of_cut(DENSE_REAL, BOTTOM)),
-    # a >= b, a start outside T, an end outside T
-    ("bad_window", lambda: Window(Coord(1), Coord(1))),
-    ("bad_window", lambda: window_set(_SURD_LINE, Window(_SQRT2, INF))),
-    ("bad_window", lambda: window_set(_SURD_LINE, Window(Coord(0), _SQRT2))),
+    # the window of an interval with start >= end, a start outside T, an end outside T
+    ("bad_interval", lambda: window_set(_SURD_LINE, FpInterval(Coord(1), Coord(1)))),
+    ("bad_interval", lambda: window_set(_SURD_LINE, FpInterval(_SQRT2, INF))),
+    ("bad_interval", lambda: window_set(_SURD_LINE, FpInterval(Coord(0), _SQRT2))),
     ("bad_strategy", lambda: closure(DENSE_REAL, EMPTY_SET, "order")),
     ("bad_cover_index", lambda: integer_cover_member(DENSE_REAL, 1)),
     ("irrational_gap", lambda: brute_force_distance(DENSE_REAL, strict_at(_SQRT2), strict_at(0), 1)),

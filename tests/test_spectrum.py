@@ -15,7 +15,6 @@ from ordspec import (
     Strategy,
     SymbolicSet,
     TOP_IDEAL,
-    Window,
     closure,
     closure_all_strategies,
     cmp_d,
@@ -83,7 +82,7 @@ def test_window_matches_hom_to_injective():
             if b != "inf" and b <= a:
                 continue
             iv = FpInterval(Coord(a), INF if b == "inf" else Coord(b))
-            w = window_set(M, Window(iv.start, iv.end))
+            w = window_set(M, iv)
             for p in sample_points(M):
                 dim = hom_to_injective_by_membership(iv, p)
                 assert member(M, w, p) == (hom_to_injective(M, iv, p) == 1) == (dim == 1), (a, b, p)
@@ -92,7 +91,7 @@ def test_window_matches_hom_to_injective():
 def test_window_matches_hom_on_surd_cuts():
     for a, b in [(-2, 1), (0, 3), (1, "inf"), (-3, "inf")]:
         iv = FpInterval(Coord(a), INF if b == "inf" else Coord(b))
-        w = window_set(MQ, Window(iv.start, iv.end))
+        w = window_set(MQ, iv)
         for p in sample_points(MQ, surds=True):
             dim = hom_to_injective_by_membership(iv, p)
             assert member(MQ, w, p) == (hom_to_injective(MQ, iv, p) == 1) == (dim == 1), (a, b, p)
@@ -118,7 +117,7 @@ def test_window_and_hom_follow_the_membership_rule(model):
             p = P(c) if model.is_member(c) and rng.random() < 0.5 else S(c)
         dim = hom_to_injective_by_membership(iv, p)
         assert hom_to_injective(model, iv, p) == dim, (iv, p)
-        assert member(model, window_set(model, Window(iv.start, iv.end)), p) == (dim == 1), (iv, p)
+        assert member(model, window_set(model, iv), p) == (dim == 1), (iv, p)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +125,7 @@ def test_window_and_hom_follow_the_membership_rule(model):
 
 
 def test_set_algebra_examples():
-    w = window_set(M, Window(Coord(0), Coord(1)))
+    w = window_set(M, FpInterval(Coord(0), Coord(1)))
     assert member(M, w, S(1))
     assert member(M, w, P(0))
     assert not member(M, w, S(0))

@@ -44,6 +44,7 @@ from oracles import (
     region_subset_by_scan,
     scan_member,
     subset_by_complement,
+    supinf_closure_fixpoint,
     union_by_sorting,
 )
 
@@ -69,6 +70,7 @@ def test_merges_agree_with_pairwise_algorithms():
         inter = intersect(model, a, b)
         assert is_subset(model, inter, a) and subset_by_complement(inter, a)
         assert closure(model, a, Strategy.ORDER_TOPOLOGY).parts == order_closure_fixpoint(model, a)
+        assert closure(model, a, Strategy.SUP_INF_SATURATION) == supinf_closure_fixpoint(model, a)
         # the points at a's finite cuts, and a few others
         xs = {c.coord for c in a.cuts if c.coord is not None}
         xs.update(Coord(random_fraction(rng, -80, 80)) for _ in range(4))
