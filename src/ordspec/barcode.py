@@ -84,10 +84,7 @@ class ChainModule(Value):
                 raise DomainError(
                     "bad_chain", f"map {i} must have shape {rows}x{cols}"
                 )
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "ints", ints)
-        object.__setattr__(self, "dens", dens)
-        object.__setattr__(self, "field", field)
+        super().__init__(dims, ints, dens, field)
 
     @property
     def length(self) -> int:
@@ -141,7 +138,7 @@ class Barcode(Value):
                 raise DomainError("bad_barcode", f"bar [{s},{e}) is not a valid range")
             if m < 1:
                 raise DomainError("bad_barcode", "multiplicities must be positive")
-        object.__setattr__(self, "bars", bars)
+        super().__init__(bars)
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {(s, e): m for s, e, m in self.bars}
@@ -209,15 +206,13 @@ def _columns(m: ChainModule, t: int) -> list[dict]:
 
 
 class _Born:
-    """A carried vector: its birth step, tie-break sequence number, and its
-    value at every step since birth (``path[-1]`` is the current one)."""
+    """A carried vector: its birth step, its value then and its current value."""
 
-    __slots__ = ("birth", "path", "seq")
+    __slots__ = ("birth", "born", "vec")
 
-    def __init__(self, birth, vec, seq):
+    def __init__(self, birth, vec):
         self.birth = birth
-        self.path = [vec]
-        self.seq = seq
+        self.born = self.vec = vec
 
 
 def _sweep(field: Field, n_steps: int, carry, basis_at):
@@ -226,55 +221,48 @@ def _sweep(field: Field, n_steps: int, carry, basis_at):
     Vectors are sparse dicts without zero entries.  ``carry(s, vec)`` maps a
     vector at step s-1 to step s; ``basis_at(s)`` is a basis of the space at
     step s.  Vectors carried to zero end their bars.  The other carried
-    vectors then go into one ``linalg.Echelon`` in (birth, seq) order, so a
-    vector that reduces to zero is the youngest member of its dependency (ties
-    broken toward the newest) and dies in its place, with the recorded
-    vanishing combination, evaluated at its birth, as its vector: the vectors
-    born up to any step keep spanning that step's image, and one pass finds
-    every death.  The same form then takes vectors from ``basis_at(s)`` until
-    the survivors span the step; growth happens only at the recorded births.
-    Returns (birth, death-or-None, vector at birth) triples.
+    vectors then go into one ``linalg.Echelon`` in birth order (ties in the
+    order found), so a vector that reduces to zero is the youngest member of
+    its dependency and dies in its place: the vectors born up to any step
+    keep spanning that step's image, and one pass finds every death.  The
+    same form then takes vectors from ``basis_at(s)`` until the survivors
+    span the step.  Only current vectors are kept.  Returns (birth,
+    death-or-None, combination) triples: the recorded vanishing combination
+    {record: coefficient} of a dependency death, else {record: one}.
     """
+    one = field.one
     active: list[_Born] = []
     bars = []
-    seq = 0
     for s in range(n_steps):
         for rec in active:
-            rec.path.append(carry(s, rec.path[-1]))
-        for rec in [r for r in active if not r.path[-1]]:
-            bars.append((rec.birth, s, rec.path[0]))
+            rec.vec = carry(s, rec.vec)
+        for rec in [r for r in active if not r.vec]:
+            bars.append((rec.birth, s, {rec: one}))
             active.remove(rec)
         echelon = linalg.Echelon(field)
         survivors = []
         for rec in active:
-            comb = echelon.add(rec.path[-1], rec)
+            comb = echelon.add(rec.vec, rec)
             if comb is None:
                 survivors.append(rec)
             else:
-                bars.append((rec.birth, s, _at_birth(field, comb, rec.birth)))
+                bars.append((rec.birth, s, comb))
         active = survivors
         basis = basis_at(s)
         for vec in basis:
             if len(active) == len(basis):
                 break
-            rec = _Born(s, vec, seq)
+            rec = _Born(s, vec)
             if echelon.add(vec, rec) is None:
                 active.append(rec)
-                seq += 1
         if len(active) != len(basis):
             raise AssertionError(
                 f"dimension mismatch at step {s}: "
                 f"{len(active)} carried vs {len(basis)} expected"
             )
     for rec in active:
-        bars.append((rec.birth, None, rec.path[0]))
+        bars.append((rec.birth, None, {rec: one}))
     return bars
-
-
-def _at_birth(field: Field, comb: dict, birth: int) -> dict:
-    """The combination {carried vector: coefficient} of vectors born by step
-    birth, evaluated at that step."""
-    return linalg.combine(field, comb, {rec: rec.path[birth - rec.birth] for rec in comb})
 
 
 def decompose(m: ChainModule) -> Barcode:
@@ -282,8 +270,7 @@ def decompose(m: ChainModule) -> Barcode:
 
     Integer vectors are carried by the integer matrices of the structure
     maps, read once as sparse columns; the unit vectors of each slot are the
-    candidate births.  Only the bars are read from the sweep, since the
-    vectors it returns are scaled by ``_carry``.
+    candidate births.  Only the bars are read from the sweep.
     """
     field = m.field
     cols = [_columns(m, t) for t in range(m.length - 1)]

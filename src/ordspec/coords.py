@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError, Value
 
-_SQUAREFREE_CACHE: dict[int, tuple[int, int]] = {}
 
-
+# bounded, so that distinct radicands cannot grow it; a refusal is not cached
+@lru_cache(maxsize=4096)
 def split_radicand(n: int) -> tuple[int, int]:
     """Return (s, f) with n = s*s*f and f squarefree, for a radicand n >= 2.
 
@@ -26,8 +27,6 @@ def split_radicand(n: int) -> tuple[int, int]:
     then has at most two prime factors, all above d, so it is 1, a prime, a
     product of two distinct primes (all squarefree) or a prime square.
     """
-    if n in _SQUAREFREE_CACHE:
-        return _SQUAREFREE_CACHE[n]
     if n < 2:
         raise DomainError("bad_radicand", f"radicand must be >= 2, got {n}")
     if n.bit_length() > 64:
@@ -51,7 +50,6 @@ def split_radicand(n: int) -> tuple[int, int]:
         s *= r
     else:
         f *= m
-    _SQUAREFREE_CACHE[n] = (s, f)
     return s, f
 
 

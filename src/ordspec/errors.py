@@ -27,8 +27,11 @@ class SchemaError(Exception):
 class Value:
     """An immutable record whose fields are the ``__slots__`` of its class.
 
-    Instances have no ``__dict__`` and refuse every attribute assignment and
-    deletion; constructors store their fields with ``object.__setattr__``.
+    The base stores the fields: ``Value(*values)`` takes exactly one value
+    per field, in ``__slots__`` order, and a class with a rule checks or
+    normalises its arguments and then calls ``super().__init__`` (``Coord``,
+    built on every coordinate add, stores its own).  Instances have no
+    ``__dict__`` and refuse every attribute assignment and deletion.
     Two values are equal when they are of the same class and their fields
     are equal, a value hashes as the tuple of its fields, and its repr is
     ``Name(field=value!r, ...)``.  ``Coord`` and ``Cut`` use this equality
@@ -42,6 +45,15 @@ class Value:
         cls._fields = tuple(n for n in cls.__slots__ if n != "__weakref__")
         # over one name attrgetter returns the value, over several a tuple
         cls._get = attrgetter(*cls._fields)
+        # the slots' own setters, past the __setattr__ that refuses them
+        cls._set = tuple(getattr(cls, n).__set__ for n in cls._fields)
+
+    def __init__(self, *values):
+        setters = self._set
+        if len(values) != len(setters):
+            raise TypeError(f"{self.__class__.__name__} takes {len(setters)} values, got {len(values)}")
+        for set_value, value in zip(setters, values):
+            set_value(self, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{self.__class__.__name__} is immutable")

@@ -1,11 +1,12 @@
-"""Base fields for module coefficients: exact rationals or a prime field."""
+"""Base fields for module coefficients, exact rationals or a prime field: values
+that parse scalars and leave the arithmetic to the code that runs it."""
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, Value
 
 
 # Miller-Rabin with the primes up to 41 as bases decides primality exactly
@@ -58,48 +59,30 @@ def parse_rational(s) -> Fraction:
     return Fraction(s)
 
 
-# Fractions are immutable, so the rational field hands out these two shared.
-_ZERO, _ONE = Fraction(0), Fraction(1)
+# Fractions are immutable, so the rational field hands out this one shared.
+_ONE = Fraction(1)
 
 
-class Field:
-    """Arithmetic for scalars: Fraction when rational, int mod p otherwise."""
+class Field(Value):
+    """A base field for module coefficients, a value: the rationals when ``p``
+    is None, whose scalars are Fractions (or ints), else F_p, whose scalars
+    are ints reduced mod p.  It does no arithmetic; callers compute on the
+    scalars themselves and branch on ``p``."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int | None = None):
         if p is not None and not _is_prime(p):
             raise DomainError("not_prime", f"{p} is not prime")
-        self.p = p
+        super().__init__(p)
 
     @property
     def is_rational(self) -> bool:
         return self.p is None
 
     @property
-    def zero(self):
-        return _ZERO if self.p is None else 0
-
-    @property
     def one(self):
         return _ONE if self.p is None else 1
-
-    def of_int(self, n: int):
-        return Fraction(n) if self.p is None else n % self.p
-
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero")
-        return _ONE / a if self.p is None else pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def parse(self, s: str):
         """Parse a scalar from its string form ("p/q" or an integer)."""
@@ -115,18 +98,6 @@ class Field:
         if den == 0:
             raise DomainError("bad_scalar", f"{s} has no image in F_{self.p}")
         return (num * pow(den, self.p - 2, self.p)) % self.p
-
-    def fmt(self, a) -> str:
-        return str(a)
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("ordspec.Field", self.p))
-
-    def __repr__(self):
-        return "Field(QQ)" if self.p is None else f"Field(F_{self.p})"
 
 
 QQ = Field()

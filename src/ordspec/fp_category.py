@@ -68,7 +68,7 @@ class FpModule(Value):
     __slots__ = ("summands",)
 
     def __init__(self, summands=()):
-        object.__setattr__(self, "summands", tuple(sorted(summands, key=_iv_key)))
+        super().__init__(tuple(sorted(summands, key=_iv_key)))
 
     def __len__(self):
         return len(self.summands)
@@ -115,16 +115,19 @@ _PAIRS: dict = {}
 
 class FpMorphism(Value):
     """A scalar matrix between fp modules; entry (i -> j) maps source summand i
-    into target summand j."""
+    into target summand j.  Over F_p each entry is reduced mod p."""
 
     __slots__ = ("source", "target", "entries", "field")
     # entries is a dict, which has no hash
     __hash__ = None
 
     def __init__(self, source: FpModule, target: FpModule, entries, field: Field = QQ):
+        p = field.p
         clean = {}
         for (i, j), v in dict(entries).items():
-            if field.is_zero(v):
+            if p is not None:
+                v %= p
+            if not v:
                 continue
             if not (0 <= i < len(source.summands)) or not (0 <= j < len(target.summands)):
                 raise DomainError("bad_entry_index", f"entry ({i},{j}) out of range")
@@ -137,10 +140,7 @@ class FpMorphism(Value):
             if i.__class__ is j.__class__ is int and i < _SHARED and j < _SHARED:
                 key = _PAIRS.setdefault(key, key)
             clean[key] = v
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "field", field)
+        super().__init__(source, target, clean, field)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -276,15 +276,21 @@ def _exact(op: str, f: FpMorphism) -> tuple[FpModule, FpMorphism]:
         f_cols.setdefault(c, {})[r] = v
     order = range(n - 1, -1, -1) if transposed else range(n)
     alive_sets = [frozenset(alive_dom[t]) for t in order]
+    def restrict(s, vec):
+        return {i: v for i, v in vec.items() if i in alive_sets[s]}
     bars = _sweep(
-        field,
-        n,
-        lambda s, vec: {i: v for i, v in vec.items() if i in alive_sets[s]},
+        field, n, restrict,
         lambda s: _null_basis(field, f_cols, alive_dom[order[s]], alive_cod[order[s]]),
     )
     lifted = []
-    for birth, death, vec in bars:
+    for birth, death, comb in bars:
         p, q = sorted((order[birth], order[n - 1 if death is None else death - 1]))
+        # the combination at the bar's birth: carrying is restriction, and a
+        # summand alive at two steps is alive between them
+        if len(comb) == 1:
+            vec = next(iter(comb)).born
+        else:
+            vec = linalg.combine(field, comb, {rec: restrict(birth, rec.born) for rec in comb})
         lifted.append((_lift_bar(ends, p, q), vec))
     lifted.sort(key=lambda pair: _iv_key(pair[0]))
     mod = FpModule(iv for iv, _ in lifted)
@@ -361,10 +367,6 @@ class GeneratorElement(Value):
 
     __slots__ = ("position", "coeffs")
 
-    def __init__(self, position: Coord, coeffs: tuple):
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "coeffs", coeffs)
-
 
 def reduce_generators(ambient: FpModule, gens, field: Field = QQ) -> list[int]:
     """Prune a generating set of a submodule of a projective module.
@@ -375,26 +377,30 @@ def reduce_generators(ambient: FpModule, gens, field: Field = QQ) -> list[int]:
     nontrivial relation, while one is left, leaves (the matroid greedy
     argument): that member depends on the generators before it, so the pass
     drops it too; deleting it keeps the span, and both end at a basis of the
-    span of all generators, so at the same one.  Returns the retained
-    indices in their original order.
+    span of all generators, so at the same one.  Coefficients are reduced
+    mod p over F_p.  Returns the retained indices in their original order.
     """
     for iv in ambient.summands:
         if not is_inf(iv.end):
             raise DomainError("not_projective", f"summand {iv} has a finite end")
     gens = list(gens)
+    p = field.p
+    vecs = []
     for g in gens:
         if len(g.coeffs) != len(ambient.summands):
             raise DomainError("bad_generator", "coefficient count must match summands")
-        for i, v in enumerate(g.coeffs):
-            if not field.is_zero(v) and not ambient.summands[i].start <= g.position:
+        coeffs = g.coeffs if p is None else [v % p for v in g.coeffs]
+        vec = {i: v for i, v in enumerate(coeffs) if v}
+        for i in vec:
+            if not ambient.summands[i].start <= g.position:
                 raise DomainError(
                     "bad_generator",
                     f"summand {ambient.summands[i]} is not alive at position {g.position}",
                 )
+        vecs.append(vec)
     echelon = linalg.Echelon(field)
     kept = []
     for k in sorted(range(len(gens)), key=lambda k: (gens[k].position, k)):
-        vec = {i: v for i, v in enumerate(gens[k].coeffs) if not field.is_zero(v)}
-        if echelon.add(vec, k) is None:
+        if echelon.add(vecs[k], k) is None:
             kept.append(k)
     return sorted(kept)

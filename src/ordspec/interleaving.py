@@ -34,10 +34,7 @@ def eps_value(value) -> Fraction:
 class ExtDistance(Value):
     """A non-negative exact distance or the infinite value."""
 
-    __slots__ = ("value",)
-
-    def __init__(self, value: Coord | None):  # None encodes infinity
-        object.__setattr__(self, "value", value)
+    __slots__ = ("value",)  # None encodes infinity
 
     @property
     def is_infinite(self) -> bool:
@@ -117,10 +114,6 @@ class DistanceBracket(Value):
     """Result of the grid scan: a bracket of width <= step, or infinity."""
 
     __slots__ = ("lower", "upper")
-
-    def __init__(self, lower: Fraction | None, upper: Fraction | None):
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
     @property
     def is_infinite(self) -> bool:

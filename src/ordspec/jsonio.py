@@ -140,7 +140,7 @@ def decode_module(obj) -> FpModule:
 
 def encode_morphism(f: FpMorphism):
     entries = [
-        {"from": i, "to": j, "value": f.field.fmt(v)}
+        {"from": i, "to": j, "value": str(v)}
         for (i, j), v in sorted(f.entries.items())
     ]
     return {
@@ -172,7 +172,7 @@ def decode_morphism(obj, field: Field) -> FpMorphism:
 def encode_chain(m: ChainModule):
     return {
         "dims": list(m.dims),
-        "maps": [[[m.field.fmt(v) for v in row] for row in mat] for mat in m.maps],
+        "maps": [[[str(v) for v in row] for row in mat] for mat in m.maps],
     }
 
 

@@ -115,9 +115,17 @@ class Echelon:
         if not rem:
             return comb
         pivot = min(rem)
-        inv = field.inv(rem[pivot])
-        row = {i: field.mul(inv, v) for i, v in rem.items()}
-        self.rows.append((pivot, row, {t: field.mul(inv, v) for t, v in comb.items()}))
+        # scale to 1 at the pivot; over QQ entries may be ints, one is Fraction(1)
+        p = field.p
+        if p is None:
+            inv = field.one / rem[pivot]
+            row = {i: inv * v for i, v in rem.items()}
+            comb = {t: inv * v for t, v in comb.items()}
+        else:
+            inv = pow(rem[pivot], p - 2, p)
+            row = {i: inv * v % p for i, v in rem.items()}
+            comb = {t: inv * v % p for t, v in comb.items()}
+        self.rows.append((pivot, row, comb))
         return None
 
 

@@ -62,7 +62,7 @@ class FiniteChain(Value):
     def __init__(self, length: int):
         if length < 1:
             raise DomainError("bad_model", "chain length must be positive")
-        object.__setattr__(self, "length", length)
+        super().__init__(length)
 
     def is_valid_coord(self, c: Coord) -> bool:
         if not c.is_rational or c.rat.denominator != 1:
@@ -78,7 +78,7 @@ class DenseLine(Value):
     __slots__ = ("membership",)
 
     def __init__(self, membership: Membership = Membership.ALL_COORDS):
-        object.__setattr__(self, "membership", membership)
+        super().__init__(membership)
 
     def is_valid_coord(self, c: Coord) -> bool:
         return True
@@ -105,8 +105,7 @@ class DPoint(Value):
     def __init__(self, coord: ExtCoord, flavor: Flavor):
         if is_inf(coord) and flavor is not Flavor.STRICT:
             raise DomainError("bad_dpoint", "the infinite ideal must have strict flavor")
-        object.__setattr__(self, "coord", coord)
-        object.__setattr__(self, "flavor", flavor)
+        super().__init__(coord, flavor)
 
     def _cmp(self, other: "DPoint") -> int:
         """The sign of the inclusion order; strict-at-x sits just below principal-at-x."""
@@ -135,8 +134,7 @@ class FpInterval(Value):
     def __init__(self, start: Coord, end: ExtCoord):
         if not start < end:
             raise DomainError("bad_interval", f"need start < end, got [{start},{end})")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        super().__init__(start, end)
 
     def __str__(self):
         return f"[{self.start},{self.end})"

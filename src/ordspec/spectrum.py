@@ -95,11 +95,6 @@ class Cut(Value):
 
     __slots__ = ("kind", "coord", "level", "__weakref__")
 
-    def __init__(self, kind: int, coord: Coord | None, level: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "coord", coord)
-        object.__setattr__(self, "level", level)
-
     def __lt__(self, other: "Cut") -> bool:
         # the kind decides first; at most one Coord compare follows
         if self is other:
@@ -192,8 +187,7 @@ class DEndpoint(Value):
     def __init__(self, point: DPoint | str, included: bool):
         if point == BELOW_ALL and included:
             raise DomainError("bad_endpoint", "there is no least ideal to include")
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "included", included)
+        super().__init__(point, included)
 
 
 def _merged(parts):
@@ -226,7 +220,7 @@ class SymbolicSet(Value):
         cuts = _merged(parts)
         if cuts is None:
             cuts = _merged(sorted(parts, key=itemgetter(0)))
-        object.__setattr__(self, "cuts", cuts)
+        super().__init__(cuts)
 
     @property
     def parts(self) -> tuple:
@@ -481,9 +475,6 @@ class SerreRegion(Value):
     """
 
     __slots__ = ("gaps",)
-
-    def __init__(self, gaps: SymbolicSet):
-        object.__setattr__(self, "gaps", gaps)
 
     def covered_set(self, model: IndexModel) -> SymbolicSet:
         """The union of the covers, the ideals some interval of the region

@@ -78,7 +78,7 @@ def mat_mul(field, a, b):
     for row in a:
         nr = []
         for j in range(len(b[0]) if b else 0):
-            s = field.zero
+            s = 0
             for t, x in enumerate(row):
                 if x:
                     s += x * b[t][j]
@@ -411,7 +411,7 @@ def certify_dense(op, ends, pos, alive_dom, alive_cod, f_entries, mod, g_entries
     from ordspec.fp_category import _alive_lists, _position_name
 
     def matrix(entries, cols, rows):
-        return [[entries.get((c, r), field.zero) for c in cols] for r in rows]
+        return [[entries.get((c, r), 0) for c in cols] for r in rows]
 
     def rank(rows):
         return frac_rank(rows) if field.p is None else modp_rank(rows, field.p)

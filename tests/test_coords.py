@@ -38,6 +38,21 @@ def test_large_radicands_split_or_refuse():
     assert exc.value.kind == "radicand_too_large"
 
 
+def test_the_radicand_cache_is_bounded():
+    """More distinct radicands than the cache holds leave it at its bound,
+    and a refused radicand is not cached."""
+    from ordspec.coords import split_radicand
+
+    bound = split_radicand.cache_info().maxsize
+    for n in range(10**6, 10**6 + bound + 100):
+        split_radicand(n)
+    assert split_radicand.cache_info().currsize <= bound
+    split_radicand.cache_clear()
+    with pytest.raises(DomainError):
+        split_radicand(1)
+    assert split_radicand.cache_info().currsize == 0
+
+
 def test_surd_comparisons_match_floats():
     rng = subseed(1)
     rads = [2, 3, 5, 7]

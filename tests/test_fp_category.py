@@ -194,7 +194,7 @@ def _pointwise(f, t):
     src_alive = [i for i, s in enumerate(f.source.summands) if interval_alive(s.start, s.end, t)]
     tgt_alive = [j for j, s in enumerate(f.target.summands) if interval_alive(s.start, s.end, t)]
     mat = [
-        [f.entries.get((i, j), f.field.zero) for i in src_alive]
+        [f.entries.get((i, j), 0) for i in src_alive]
         for j in tgt_alive
     ]
     return mat, src_alive, tgt_alive
@@ -270,6 +270,11 @@ def test_kernel_invariant_under_grid_refinement():
         assert i1 == i2 and p1 == p2
 
 
+def _doubled(field, v):
+    """Twice the scalar v of field."""
+    return 2 * v if field.p is None else 2 * v % field.p
+
+
 def _corrupt_first_pair(real):
     """Wrap a pointwise nullspace basis so that its first vector with two
     entries has one entry doubled.  The support, and so every entry's
@@ -281,7 +286,7 @@ def _corrupt_first_pair(real):
         for k, vec in enumerate(vecs):
             if len(vec) > 1:
                 i = max(vec)
-                vecs[k] = {**vec, i: field.add(vec[i], vec[i])}
+                vecs[k] = {**vec, i: _doubled(field, vec[i])}
                 break
         return vecs
 
@@ -452,7 +457,7 @@ def _corrupted(rng, args):
     summands = mod.summands
     if g_entries:
         key = rng.choice(sorted(g_entries))
-        variant(summands, {**g_entries, key: field.add(g_entries[key], g_entries[key])})
+        variant(summands, {**g_entries, key: _doubled(field, g_entries[key])})
         variant(summands, {k: v for k, v in g_entries.items() if k != key})
     n_dom = 1 + max((i for dom in alive_dom for i in dom), default=-1)
     if summands and n_dom:
@@ -573,13 +578,13 @@ def test_reduce_generators_equals_circuit_deletion():
                     continue
                 pos = Coord(rng.randint(starts[0], 4))
                 coeffs = tuple(
-                    field.of_int(rng.randint(-3, 3))
+                    rng.randint(-3, 3)
                     if amb.summands[i].start <= pos and rng.random() < 0.7
-                    else field.zero
+                    else 0
                     for i in range(n_sum)
                 )
                 gens.append(GeneratorElement(pos, coeffs))
-            if all(field.is_zero(v) for g in gens for v in g.coeffs):
+            if all(v == 0 for g in gens for v in g.coeffs):
                 continue
             assert reduce_generators(amb, gens, field) == circuit_deletion(gens, p), gens
             done += 1
@@ -645,7 +650,7 @@ def test_kernel_cokernel_over_prime_field():
     f7 = Field(7)
     src = FpModule((iv(1, 3), iv(2, 4)))
     tgt = FpModule((iv(0, 3),))
-    f = FpMorphism(src, tgt, {(0, 0): f7.of_int(3), (1, 0): f7.of_int(10)}, f7)
+    f = FpMorphism(src, tgt, {(0, 0): 3, (1, 0): 10}, f7)
     K, iota = kernel(f)
     C, pi = cokernel(f)
     assert K == FpModule((iv(2, 4),))
@@ -653,15 +658,38 @@ def test_kernel_cokernel_over_prime_field():
     assert compose(f, iota).is_zero()
     assert compose(pi, f).is_zero()
     # an entry that is nonzero over the rationals but vanishes mod 7
-    g = FpMorphism(src, tgt, {(0, 0): f7.of_int(7)}, f7)
+    g = FpMorphism(src, tgt, {(0, 0): 7}, f7)
     assert g.is_zero()
 
 
+def test_prime_field_scalars_are_reduced_where_they_enter():
+    """Int entries of a morphism and generator coefficients over F_p are
+    reduced mod p before the zero test, as chain module entries are."""
+    f7 = Field(7)
+    src = FpModule((iv(1, 3),))
+    tgt = FpModule((iv(0, 3),))
+    # 7 is zero in F_7, so the kernel is the whole source
+    K, iota = kernel(FpMorphism(src, tgt, {(0, 0): 7}, f7))
+    assert K == src and iota == identity_morphism(src, f7)
+    assert FpMorphism(src, tgt, {(0, 0): 10}, f7) == FpMorphism(src, tgt, {(0, 0): 3}, f7)
+    amb = FpModule((iv(0, "inf"), iv(0, "inf")))
+    assert reduce_generators(amb, [GeneratorElement(Coord(1), (7, 0))], f7) == []
+    gens = [GeneratorElement(Coord(1), (7, 0)), GeneratorElement(Coord(1), (-6, 14))]
+    assert reduce_generators(amb, gens, f7) == [1]
+    # a coefficient that vanishes mod p may sit on a summand not yet alive
+    late = FpModule((iv(0, "inf"), iv(2, "inf")))
+    assert reduce_generators(late, [GeneratorElement(Coord(1), (1, 7))], f7) == [0]
+
+
 def test_int_entries_over_rationals_match_fractions():
-    """An int entry over QQ is the rational it names: its inverse is an exact
-    Fraction, so kernel and cokernel do not depend on the entries' type."""
-    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
-    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2) and type(QQ.inv(Fraction(-2, 3))) is Fraction
+    """An int entry over QQ is the rational it names: the nullspace of integer
+    columns is made of exact Fractions, so kernel and cokernel do not depend
+    on the entries' type."""
+    from ordspec import linalg
+
+    (vec,) = linalg.nullspace(QQ, {0: {0: 3}, 1: {0: 2}})
+    assert vec == {0: Fraction(-2, 3), 1: 1}
+    assert all(type(v) is Fraction for v in vec.values())
     src = FpModule((iv(0, "inf"), iv(0, "inf")))
     tgt = FpModule((iv(0, "inf"),))
     ints = FpMorphism(src, tgt, {(0, 0): 3, (1, 0): 2}, QQ)

@@ -117,6 +117,7 @@ _VALUES = [
     ),
     (lambda: window_set(DENSE_REAL, FpInterval(Coord(0), Coord(1))), lambda: SymbolicSet(())),
     (lambda: SerreRegion(window_set(DENSE_REAL, FpInterval(Coord(0), INF))), lambda: SerreRegion(EMPTY_SET)),
+    (lambda: Field(7), lambda: QQ),
 ]
 
 
@@ -144,6 +145,30 @@ def test_value_classes_are_immutable_and_compare_by_class_then_fields(make, make
     assert repr(value) == f"{cls.__name__}({args})"
 
 
+def test_the_value_base_takes_exactly_one_value_per_field():
+    for make in (
+        lambda: DistanceBracket(1),
+        lambda: GeneratorElement(Coord(0)),
+        lambda: GeneratorElement(Coord(0), (1,), 2),
+        lambda: SerreRegion(),
+    ):
+        with pytest.raises(TypeError):
+            make()
+
+
+def test_the_shared_fields_cannot_change():
+    # were Field mutable, QQ.p = 7 would make the default field of every call
+    # F_7; the finally keeps such a failure from spreading to other tests
+    try:
+        for field, p in ((QQ, 7), (Field(7), 5)):
+            with pytest.raises(AttributeError):
+                field.p = p
+    finally:
+        object.__setattr__(QQ, "p", None)
+    assert QQ == Field() and QQ.p is None
+    assert repr(QQ) == "Field(p=None)" and repr(Field(7)) == "Field(p=7)"
+
+
 def test_morphisms_are_immutable_unhashable_and_compare_by_class_then_fields():
     # the entries are a dict, so a morphism has no hash
     module = FpModule([FpInterval(Coord(0), Coord(2))])
@@ -163,9 +188,8 @@ def test_morphisms_are_immutable_unhashable_and_compare_by_class_then_fields():
 
 def test_only_the_value_base_writes_the_record_contract():
     """No class but ``Value`` guards its own attributes, and only the ordered
-    classes, whose compares are hot paths, and the mutable ``Field`` compare
-    and hash by hand."""
-    own_order = {"Coord", "Cut", "_Infinity", "Field"}
+    classes, whose compares are hot paths, compare and hash by hand."""
+    own_order = {"Coord", "Cut", "_Infinity"}
     seen = set()
     for info in pkgutil.iter_modules(ordspec.__path__):
         if info.name == "__main__":
@@ -179,7 +203,8 @@ def test_only_the_value_base_writes_the_record_contract():
             assert "__setattr__" not in own and "__delattr__" not in own, cls
             if cls.__name__ not in own_order:
                 assert "__eq__" not in own and own.get("__hash__") is None, cls
-    assert own_order | {"FpMorphism", "SerreRegion"} <= seen
+    assert own_order | {"FpMorphism", "SerreRegion", "Field"} <= seen
+    assert issubclass(Field, Value)
 
 
 def test_equal_fields_in_two_classes_are_unequal():
