@@ -239,6 +239,10 @@ class _Infinity:
     def __repr__(self):
         return "INF"
 
+    def __reduce__(self):
+        # pickled by name, so a copy or an unpickled INF is INF itself
+        return "INF"
+
 
 INF = _Infinity()
 ZERO = Coord(0)

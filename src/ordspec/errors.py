@@ -30,8 +30,10 @@ class Value:
     The base stores the fields: ``Value(*values)`` takes exactly one value
     per field, in ``__slots__`` order, and a class with a rule checks or
     normalises its arguments and then calls ``super().__init__`` (``Coord``,
-    built on every coordinate add, stores its own).  Instances have no
-    ``__dict__`` and refuse every attribute assignment and deletion.
+    built on every coordinate add, stores its own).  ``cls._make(*values)``
+    stores values already in the class's form without its rule; pickling and
+    copying rebuild every record through it.  Instances have no ``__dict__``
+    and refuse every attribute assignment and deletion.
     Two values are equal when they are of the same class and their fields
     are equal, a value hashes as the tuple of its fields, and its repr is
     ``Name(field=value!r, ...)``.  ``Coord`` and ``Cut`` use this equality
@@ -54,6 +56,15 @@ class Value:
             raise TypeError(f"{self.__class__.__name__} takes {len(setters)} values, got {len(values)}")
         for set_value, value in zip(setters, values):
             set_value(self, value)
+
+    @classmethod
+    def _make(cls, *values):
+        self = object.__new__(cls)
+        Value.__init__(self, *values)
+        return self
+
+    def __reduce__(self):
+        return self.__class__._make, self._values()
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{self.__class__.__name__} is immutable")

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 
 from .barcode import _sweep
-from .coords import Coord, ExtCoord, INF, is_inf, rational_above, rational_between
+from .coords import Coord, INF, is_inf, rational_above, rational_between
 from .errors import DomainError, Value
 from .fields import Field, QQ
 from . import linalg

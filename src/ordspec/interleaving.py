@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coords import Coord, INF, is_inf
+from .coords import Coord, is_inf
 from .errors import DomainError, Value
 from .order_core import DPoint, Flavor, FpInterval, IndexModel, require_dense, validate_dpoint
 

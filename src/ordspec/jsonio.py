@@ -165,6 +165,8 @@ def decode_morphism(obj, field: Field) -> FpMorphism:
         i, j = e["from"], e["to"]
         if not _is_int(i) or not _is_int(j):
             raise SchemaError("entry indices must be integers")
+        if (i, j) in entries:
+            raise SchemaError(f"entry ({i}, {j}) is given twice")
         entries[(i, j)] = field.parse(e["value"])
     return FpMorphism(source, target, entries, field)
 

@@ -190,37 +190,27 @@ class DEndpoint(Value):
         super().__init__(point, included)
 
 
-def _merged(parts):
-    """The flat canonical cuts of the union of (lo, hi) pairs given in order
-    of lo, or None when a pair comes out of that order.  Linear."""
-    out = []
-    for lo, hi in parts:
-        if not out or out[-1] < lo:
-            if lo < hi:
-                out += (lo, hi)
-        elif lo < out[-2]:
-            return None
-        elif out[-1] < hi:
-            out[-1] = hi
-    return tuple(out)
-
-
 class SymbolicSet(Value):
     """A finite union of D intervals in canonical cut form.
 
     ``cuts`` is one flat tuple lo0, hi0, lo1, hi1, ... of strictly increasing
     cuts: every component is nonempty and no two components touch, so the
-    form is unique.  ``parts`` views it as (lo, hi) pairs.
+    form is unique.  ``parts`` views it as (lo, hi) pairs.  The set
+    operations build their results, already canonical, by ``_make(cuts)``.
     """
 
     __slots__ = ("cuts",)
 
     def __init__(self, parts):
-        parts = list(parts)
-        cuts = _merged(parts)
-        if cuts is None:
-            cuts = _merged(sorted(parts, key=itemgetter(0)))
-        super().__init__(cuts)
+        # one linear merge in order of lo, after a sort (k - 1 compares in order)
+        out = []
+        for lo, hi in sorted(parts, key=itemgetter(0)):
+            if not out or out[-1] < lo:
+                if lo < hi:
+                    out += (lo, hi)
+            elif out[-1] < hi:
+                out[-1] = hi
+        super().__init__(tuple(out))
 
     @property
     def parts(self) -> tuple:
@@ -233,14 +223,7 @@ class SymbolicSet(Value):
         return " u ".join(f"({lo.kind},{lo.coord},{lo.level})..({hi.kind},{hi.coord},{hi.level})" for lo, hi in self.parts)
 
 
-def _set_of(cuts: tuple) -> SymbolicSet:
-    """The set of cuts already in canonical form."""
-    s = object.__new__(SymbolicSet)
-    object.__setattr__(s, "cuts", cuts)
-    return s
-
-
-EMPTY_SET = _set_of(())
+EMPTY_SET = SymbolicSet._make(())
 
 
 def interval_cuts(model: IndexModel, lo: DEndpoint, hi: DEndpoint) -> tuple[Cut, Cut]:
@@ -263,7 +246,7 @@ def interval_cuts(model: IndexModel, lo: DEndpoint, hi: DEndpoint) -> tuple[Cut,
 def interval_set(model: IndexModel, lo: DEndpoint, hi: DEndpoint) -> SymbolicSet:
     """The symbolic set of a single D interval given by two endpoints; every
     basic set is one."""
-    return _set_of(interval_cuts(model, lo, hi))
+    return SymbolicSet._make(interval_cuts(model, lo, hi))
 
 
 _FROM_BOTTOM = DEndpoint(BELOW_ALL, False)
@@ -313,11 +296,11 @@ def union(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     compares for sets of m <= n components."""
     big, small = (a.cuts, b.cuts) if len(a.cuts) >= len(b.cuts) else (b.cuts, a.cuts)
     if not small:
-        return _set_of(big)
+        return SymbolicSet._make(big)
     if len(small) == 2:
         # one splice; a whole-tuple slice or an empty tail costs no copy
         i, j, lo, hi = _place(big, small[0], small[1], 0)
-        return _set_of(big[:i] + (lo, hi) + big[j:])
+        return SymbolicSet._make(big[:i] + (lo, hi) + big[j:])
     out = []
     pos = 0  # big[:pos] is already in out
     for t in range(0, len(small), 2):
@@ -331,17 +314,17 @@ def union(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
             out += (lo, hi)
         pos = j
     out += big[pos:]
-    return _set_of(tuple(out))
+    return SymbolicSet._make(tuple(out))
 
 
 def complement(model: IndexModel, a: SymbolicSet) -> SymbolicSet:
     c = a.cuts
     if not c:
-        return _set_of((BOTTOM, TOP))
+        return SymbolicSet._make((BOTTOM, TOP))
     gaps = (BOTTOM, *c, TOP)
     first = 0 if BOTTOM < c[0] else 2
     last = len(gaps) if c[-1] < TOP else len(gaps) - 2
-    return _set_of(gaps[first:last])
+    return SymbolicSet._make(gaps[first:last])
 
 
 def intersect(model: IndexModel, a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
@@ -360,7 +343,7 @@ def intersect(model: IndexModel, a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
             j += 2
         if lo < hi:
             out += (lo, hi)
-    return _set_of(tuple(out))
+    return SymbolicSet._make(tuple(out))
 
 
 def _in_one_component(cuts: tuple, lo: Cut, hi: Cut) -> bool:
@@ -430,7 +413,7 @@ def window_set(model: IndexModel, iv: FpInterval) -> SymbolicSet:
     elements of T (``bad_interval``, as ``hom`` reports it)."""
     require_dense(model, _SUBJECT)
     validate_interval(model, iv)
-    return _set_of(_window_cuts(model, iv))
+    return SymbolicSet._make(_window_cuts(model, iv))
 
 
 def cover_of_gap(model: IndexModel, lo: Cut, hi: Cut):
@@ -485,7 +468,7 @@ class SerreRegion(Value):
             cover = cover_of_gap(model, c[t], c[t + 1])
             if cover is not None:
                 out += cover
-        return _set_of(tuple(out))
+        return SymbolicSet._make(tuple(out))
 
     def contains_interval(self, model: IndexModel, iv: FpInterval) -> bool:
         return _in_one_component(self.gaps.cuts, *_window_cuts(model, iv))

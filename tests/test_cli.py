@@ -153,6 +153,11 @@ def test_exit_codes():
         ["decompose", "--module", '{"dims":[1,1],"maps":[[[null]]]}'],
         ["kernel", "--f", '{"source":{"summands":["[0,1)"]},"target":{"summands":["[0,1)"]},'
          '"entries":[{"from":0,"to":0,"value":null}]}'],
+        # one matrix entry given twice, whichever value comes last
+        ["kernel", "--f", '{"source":{"summands":["[0,1)"]},"target":{"summands":["[0,1)"]},'
+         '"entries":[{"from":0,"to":0,"value":"1"},{"from":0,"to":0,"value":"0"}]}'],
+        ["kernel", "--f", '{"source":{"summands":["[0,1)"]},"target":{"summands":["[0,1)"]},'
+         '"entries":[{"from":0,"to":0,"value":"0"},{"from":0,"to":0,"value":"1"}]}'],
         # JSON booleans are not integers
         ["decompose", "--module", '{"dims":[true,1],"maps":[[[true]]]}'],
         ["realize", "--barcode", '{"bars":[{"start":0,"end":1,"mult":true}]}', "--length", "1"],

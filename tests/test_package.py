@@ -1,8 +1,12 @@
 """The public namespace of the package, the immutable value classes and the
 error kinds."""
 
+import copy
 import importlib
+import inspect
 import os
+import pathlib
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -42,6 +46,7 @@ from ordspec import (
     identity_morphism,
     integer_cover_member,
     interval_set,
+    kernel,
     principal_at,
     reduce_generators,
     strict_at,
@@ -143,6 +148,9 @@ def test_value_classes_are_immutable_and_compare_by_class_then_fields(make, make
     assert value == twin
     args = ", ".join(f"{f}={getattr(value, f)!r}" for f in fields)
     assert repr(value) == f"{cls.__name__}({args})"
+    # rebuilt through the base, without the class's rule
+    for rebuilt in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(rebuilt) is cls and rebuilt == value
 
 
 def test_the_value_base_takes_exactly_one_value_per_field():
@@ -184,6 +192,12 @@ def test_morphisms_are_immutable_unhashable_and_compare_by_class_then_fields():
         with pytest.raises(AttributeError):
             delattr(f, name)
     assert f == twin
+    for rebuilt in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert type(rebuilt) is FpMorphism and rebuilt == f
+    assert copy.deepcopy(INF) is INF and pickle.loads(pickle.dumps(INF)) is INF
+    # an answer can be sent to another process and back
+    answer = kernel(FpMorphism(module, module, {(0, 0): Fraction(0)}))
+    assert pickle.loads(pickle.dumps(answer)) == answer
 
 
 def test_only_the_value_base_writes_the_record_contract():
@@ -205,6 +219,13 @@ def test_only_the_value_base_writes_the_record_contract():
                 assert "__eq__" not in own and own.get("__hash__") is None, cls
     assert own_order | {"FpMorphism", "SerreRegion", "Field"} <= seen
     assert issubclass(Field, Value)
+    # the base alone makes a record without its class's rule, and only
+    # Coord, built on every coordinate add, stores its own fields
+    for path in sorted(pathlib.Path(ordspec.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        assert ("object.__new__" in source) == (path.stem == "errors"), path.name
+        assert source.count("object.__setattr__") == (3 if path.stem == "coords" else 0), path.name
+    assert inspect.getsource(Coord.__init__).count("object.__setattr__") == 3
 
 
 def test_equal_fields_in_two_classes_are_unequal():
