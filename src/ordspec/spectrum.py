@@ -20,10 +20,10 @@ cuts, and there is one shared object per finite cut (``finite_cut``), so
 sets built apart share their cuts.  Equal coordinates are found by
 comparing their stored triples ``(rat, coef, rad)``, which is exact because
 the form of a coordinate with a squarefree radicand is unique; two sets are
-equal exactly when their cut tuples are.  The Boolean operations are merges
-over the sorted cuts: ``intersect``, ``is_subset`` and ``complement`` are
-linear, and ``union`` bisects the larger set for each component of the
-smaller one.
+equal exactly when their cut tuples are.  The constructor's sort and sweep
+is the one merge of the Boolean algebra: ``union`` splices in a one-component
+operand by bisection and otherwise calls the constructor, ``intersect`` goes
+through complements, which make no compares, and ``is_subset`` bisects.
 
 The closure of a symbolic set is computed by three independent algorithms
 that are required to agree:
@@ -90,10 +90,14 @@ class Cut(Value):
     BOTTOM and the two cuts around the top ideal carry coord=None.  Finite
     cuts are made by ``finite_cut``, which keeps one object per equal
     (coord, level), so most comparisons of equal cuts end at identity.
-    Equality and hash are the value base's, of (kind, coord, level).
+    Equality and hash are the value base's, of (kind, coord, level).  A
+    copied or unpickled cut is the shared object again (``_shared_cut``).
     """
 
     __slots__ = ("kind", "coord", "level", "__weakref__")
+
+    def __reduce__(self):
+        return _shared_cut, self._values()
 
     def __lt__(self, other: "Cut") -> bool:
         # the kind decides first; at most one Coord compare follows
@@ -122,16 +126,23 @@ INF_LOW = Cut(_INF_KIND, None, 0)
 _FINITE_CUTS = (WeakValueDictionary(), WeakValueDictionary(), WeakValueDictionary())
 
 
+def _shared_cut(kind: int, coord: Coord | None, level: int) -> Cut:
+    """The shared object of a cut whose level is already normalised:
+    ``BOTTOM``, ``INF_LOW`` or ``TOP``, or the finite cut from its table."""
+    if kind != _FINITE_KIND:
+        return BOTTOM if kind == _BOTTOM_KIND else (INF_LOW, TOP)[level]
+    cut = _FINITE_CUTS[level].get(coord)
+    if cut is None:
+        cut = _FINITE_CUTS[level][coord] = Cut(kind, coord, level)
+    return cut
+
+
 def finite_cut(model: IndexModel, coord: Coord, level: int) -> Cut:
     """The cut (coord, level), one shared object per equal pair; level 2 at a
     coordinate outside T is level 1."""
     if level == 2 and not model.is_member(coord):
         level = 1
-    table = _FINITE_CUTS[level]
-    cut = table.get(coord)
-    if cut is None:
-        cut = table[coord] = Cut(_FINITE_KIND, coord, level)
-    return cut
+    return _shared_cut(_FINITE_KIND, coord, level)
 
 
 def cut_below(model: IndexModel, p: DPoint) -> Cut:
@@ -273,11 +284,17 @@ def ray_downward(model: IndexModel, p: DPoint, included: bool = True) -> Symboli
     return interval_set(model, _FROM_BOTTOM, DEndpoint(p, included))
 
 
-def _place(cuts: tuple, lo: Cut, hi: Cut, start: int):
-    """Where the component (lo, hi) goes into cuts[start:], which begins with
-    a lower cut: the run cuts[i:j] that it overlaps or touches, and the one
-    component (lo, hi) that replaces that run.  O(log n) cut compares."""
-    i = bisect_left(cuts, lo, start)
+def union(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
+    """A one-component operand is spliced into the other set by bisection,
+    O(log n) cut compares; any other union is the constructor's merge of
+    both sets' components, whose sort merges the two sorted runs, O(m + n)."""
+    if len(a.cuts) == 2:
+        a, b = b, a
+    if len(b.cuts) != 2:
+        return SymbolicSet(a.parts + b.parts)
+    cuts, (lo, hi) = a.cuts, b.cuts
+    # the run cuts[i:j] that (lo, hi) overlaps or touches becomes one component
+    i = bisect_left(cuts, lo)
     if i & 1:
         # lo falls in (or ends) the component cuts[i-1:i+1]
         i -= 1
@@ -287,63 +304,22 @@ def _place(cuts: tuple, lo: Cut, hi: Cut, start: int):
         # hi falls in (or starts) the component cuts[j-1:j+1]
         hi = cuts[j]
         j += 1
-    return i, j, lo, hi
-
-
-def union(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
-    """Each component of the smaller set is placed into the larger one by
-    bisection, and the runs between them are copied whole: O(m log n) cut
-    compares for sets of m <= n components."""
-    big, small = (a.cuts, b.cuts) if len(a.cuts) >= len(b.cuts) else (b.cuts, a.cuts)
-    if not small:
-        return SymbolicSet._make(big)
-    if len(small) == 2:
-        # one splice; a whole-tuple slice or an empty tail costs no copy
-        i, j, lo, hi = _place(big, small[0], small[1], 0)
-        return SymbolicSet._make(big[:i] + (lo, hi) + big[j:])
-    out = []
-    pos = 0  # big[:pos] is already in out
-    for t in range(0, len(small), 2):
-        i, j, lo, hi = _place(big, small[t], small[t + 1], pos)
-        out += big[pos:i]
-        if out and not out[-1] < lo:
-            # joins the last component, which an earlier piece extended
-            if out[-1] < hi:
-                out[-1] = hi
-        else:
-            out += (lo, hi)
-        pos = j
-    out += big[pos:]
-    return SymbolicSet._make(tuple(out))
+    # a whole-tuple slice or an empty tail costs no copy
+    return SymbolicSet._make(cuts[:i] + (lo, hi) + cuts[j:])
 
 
 def complement(model: IndexModel, a: SymbolicSet) -> SymbolicSet:
-    c = a.cuts
-    if not c:
-        return SymbolicSet._make((BOTTOM, TOP))
-    gaps = (BOTTOM, *c, TOP)
-    first = 0 if BOTTOM < c[0] else 2
-    last = len(gaps) if c[-1] < TOP else len(gaps) - 2
+    gaps = (BOTTOM, *a.cuts, TOP)
+    # the gap at an end is empty when a reaches BOTTOM or TOP
+    first = 2 if gaps[1] == BOTTOM else 0
+    last = len(gaps) - 2 if gaps[-2] == TOP else len(gaps)
     return SymbolicSet._make(gaps[first:last])
 
 
 def intersect(model: IndexModel, a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
-    """Two-pointer merge: a piece per overlapping pair of components, in
-    order; pieces never touch, since components of one set do not."""
-    x, y = a.cuts, b.cuts
-    out = []
-    i = j = 0
-    while i < len(x) and j < len(y):
-        lo = x[i] if y[j] < x[i] else y[j]
-        if x[i + 1] < y[j + 1]:
-            hi = x[i + 1]
-            i += 2
-        else:
-            hi = y[j + 1]
-            j += 2
-        if lo < hi:
-            out += (lo, hi)
-    return SymbolicSet._make(tuple(out))
+    """The complement of the union of the complements: one ``union``, since
+    complements make no compares, O(m + n)."""
+    return complement(model, union(complement(model, a), complement(model, b)))
 
 
 def _in_one_component(cuts: tuple, lo: Cut, hi: Cut) -> bool:
@@ -360,17 +336,9 @@ def member(model: IndexModel, a: SymbolicSet, p: DPoint) -> bool:
 
 
 def is_subset(model: IndexModel, a: SymbolicSet, b: SymbolicSet) -> bool:
-    """One forward scan: each component of a must lie in the first component
-    of b that does not end below it."""
-    x, y = a.cuts, b.cuts
-    j = 0
-    for t in range(0, len(x), 2):
-        hi = x[t + 1]
-        while j < len(y) and y[j + 1] < hi:
-            j += 2
-        if j == len(y) or x[t] < y[j]:
-            return False
-    return True
+    """Each component of a lies in one component of b, found by bisection:
+    O(m log n) cut compares for a of m and b of n components."""
+    return all(_in_one_component(b.cuts, lo, hi) for lo, hi in a.parts)
 
 
 def lower_endpoint_of_cut(model: IndexModel, c: Cut) -> DEndpoint:
@@ -486,7 +454,7 @@ def right_orthogonal(model: IndexModel, r: SerreRegion) -> SymbolicSet:
 
 
 def region_subset(model: IndexModel, r1: SerreRegion, r2: SerreRegion) -> bool:
-    """Whether every interval of r1 belongs to r2, by one merge.
+    """Whether every interval of r1 belongs to r2, by one ``is_subset``.
 
     The windows inside one gap of r1 form a connected cover, so they all fit
     into r2 exactly when that cover fits inside a single gap of r2; since the
@@ -516,10 +484,8 @@ def _closure_supinf(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
     saturated components keeps their outer cuts, so a second pass changes
     nothing: one pass is the fixpoint.
     """
-    c = u.cuts
     parts = []
-    for t in range(0, len(c), 2):
-        lo, hi = c[t], c[t + 1]
+    for lo, hi in u.parts:
         if hi.level == 0:
             # no greatest element: the union of the members is the strict
             # ideal at the boundary coordinate (the full ideal at infinity)
@@ -555,17 +521,19 @@ def _closure_order_topology(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
     successors.  The new boundary of a component is then a principal ideal
     above, the strict ideal at a member below, or no point at all, so the
     added points bring no further limit points and one pass is the fixpoint.
+    Each component grows by its limit points, in order, and one constructor
+    call merges the components that now meet.
     """
-    c = u.cuts
-    limits = []
-    for t in range(0, len(c), 2):
-        q = point_ending_at(model, c[t])
+    parts = []
+    for lo, hi in u.parts:
+        q = point_ending_at(model, lo)
         if q is not None and not _has_immediate_successor(model, q):
-            limits.append((cut_below(model, q), c[t]))
-        p = point_starting_at(model, c[t + 1])
+            lo = cut_below(model, q)
+        p = point_starting_at(model, hi)
         if p is not None and not _has_immediate_predecessor(model, p):
-            limits.append((c[t + 1], cut_above(model, p)))
-    return union(u, SymbolicSet(limits))
+            hi = cut_above(model, p)
+        parts.append((lo, hi))
+    return SymbolicSet(parts)
 
 
 def closure(model: IndexModel, u: SymbolicSet, strategy: Strategy) -> SymbolicSet:
@@ -586,10 +554,10 @@ def closure_all_strategies(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
         from . import jsonio  # jsonio imports this module
 
         witness = {k: jsonio.encode_set(model, v) for k, v in {"input": u, **results}.items()}
-        raise DomainError(
-            "strategy_disagreement",
+        # a broken invariant, which the command line reports with exit code 3
+        raise AssertionError(
             "the three closure algorithms disagree; this is a bug witness: "
-            + json.dumps(witness, sort_keys=True, separators=(",", ":")),
+            + json.dumps(witness, sort_keys=True, separators=(",", ":"))
         )
     return first
 

@@ -458,9 +458,9 @@ def test_strategy_disagreement_carries_its_witness(monkeypatch):
         spectrum.DEndpoint(principal_at(Coord(1)), False),
     )
     code, out = run_cli(["closure", "--strategy", "all", "--set", json.dumps(encode_set(DENSE_REAL, u))])
-    assert code == 1
+    assert code == 3
     error = json.loads(out)["error"]
-    assert error["kind"] == "strategy_disagreement"
+    assert error["kind"] == "internal_invariant"
     witness = json.loads(error["detail"].split(": ", 1)[1])
     assert set(witness) == {"input", "double-orth", "supinf", "order"}
     assert witness["input"] == witness["supinf"] == encode_set(DENSE_REAL, u)

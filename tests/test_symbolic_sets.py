@@ -1,8 +1,10 @@
 """The merge-based set algebra: agreement with the old algorithms, compare
 counts that grow like k log k, and the lean memory layout."""
 
+import copy
 import gc
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,7 @@ from ordspec import (
     region_eq,
     region_subset,
     union,
+    window_set,
 )
 from ordspec import coords, jsonio, spectrum
 from ordspec.interleaving import INFINITE_BRACKET, DistanceBracket, ExtDistance
@@ -183,8 +186,10 @@ def test_set_operations_make_k_log_k_compares(model, count_compares):
     r = left_orthogonal(model, u)
     costs = {
         "union": n,
+        "union_of_two_sets": count_compares(union, u, v)[0],
         "intersect": count_compares(intersect, model, u, v)[0],
         "is_subset": count_compares(is_subset, model, w, u)[0],
+        "is_subset_of_itself": count_compares(is_subset, model, u, u)[0],
         "decode_set": count_compares(jsonio.decode_set, model, doc)[0],
         "complement": count_compares(complement, model, u)[0],
         "left_orthogonal": count_compares(left_orthogonal, model, u)[0],
@@ -229,6 +234,24 @@ def test_equal_finite_cuts_are_one_object():
     a = interval_set(model, DEndpoint(DPoint(x, Flavor.STRICT), True), DEndpoint(DPoint(Coord(5), Flavor.STRICT), False))
     b = interval_set(model, DEndpoint(DPoint(y, Flavor.STRICT), True), DEndpoint(DPoint(Coord(5), Flavor.STRICT), False))
     assert a.cuts[0] is b.cuts[0] and a.cuts[1] is b.cuts[1]
+
+
+def test_copies_and_pickles_keep_the_shared_cuts():
+    s = window_set(DENSE_REAL, FpInterval(Coord(0), Coord(1)))
+    surd = finite_cut(DENSE_REAL, Coord(Fraction(7, 3), 1, 2), 2)
+    fixed = (spectrum.BOTTOM, spectrum.INF_LOW, spectrum.TOP)
+    for rebuild in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        t = rebuild(s)
+        assert t == s and t.cuts[0] is s.cuts[0] and t.cuts[1] is s.cuts[1]
+        assert rebuild(surd) is surd
+        for cut in fixed:
+            assert rebuild(cut) is cut
+    # a cut that no set holds any more comes back into the table
+    x = Coord(Fraction(98765, 1000), Fraction(2, 9), 13)
+    data = pickle.dumps(finite_cut(DENSE_REAL, x, 1))
+    gc.collect()
+    assert x not in spectrum._FINITE_CUTS[1]
+    assert pickle.loads(data) is spectrum._FINITE_CUTS[1].get(x)
 
 
 def test_shared_cut_table_drops_unheld_cuts():
