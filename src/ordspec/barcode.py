@@ -287,7 +287,10 @@ def decompose(m: ChainModule) -> Barcode:
 
 
 def realize(b: Barcode, length: int, field: Field = QQ) -> ChainModule:
-    """Block-diagonal chain module whose summands are exactly the given bars."""
+    """Block-diagonal chain module whose summands are exactly the given bars,
+    one block per unit of multiplicity, in the order of the bars.  One sweep
+    keeps the blocks alive at each slot, so the cost is linear in the length
+    plus the size of the maps."""
     if length < 1:
         raise DomainError("bad_length", "length must be positive")
     if length > _MAX_CHAIN_SIZE:
@@ -301,13 +304,19 @@ def realize(b: Barcode, length: int, field: Field = QQ) -> ChainModule:
     dims = list(accumulate(change[:-1]))
     _check_size(dims)
     blocks = [(s, e) for s, e, m in b for _ in range(m)]
+    starting = [[] for _ in range(length)]
+    for ix, (s, e) in enumerate(blocks):
+        starting[s].append(ix)
     maps = []
+    alive = starting[0]
     for t in range(length - 1):
-        rows = [ix for ix, (s, e) in enumerate(blocks) if s <= t + 1 < e]
-        cols = [ix for ix, (s, e) in enumerate(blocks) if s <= t < e]
-        mat = [[0] * len(cols) for _ in rows]
-        for ri, block_ix in enumerate(rows):
-            if block_ix in cols:
-                mat[ri][cols.index(block_ix)] = 1
+        # both runs are in block order, so the sort is one merge
+        nxt = sorted([ix for ix in alive if blocks[ix][1] > t + 1] + starting[t + 1])
+        column = {ix: c for c, ix in enumerate(alive)}
+        mat = [[0] * len(alive) for _ in nxt]
+        for row, ix in zip(mat, nxt):
+            if ix in column:
+                row[column[ix]] = 1
         maps.append(mat)
+        alive = nxt
     return chain_module(dims, maps, field)

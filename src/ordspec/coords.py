@@ -6,7 +6,9 @@ integer radicand ``rad >= 2``.  All comparisons are decided exactly by sign
 analysis; no floating point enters any decision.
 
 ``INF`` is the single point at positive infinity used for extended
-coordinates; it compares strictly greater than every ``Coord``.
+coordinates.  ``Coord`` and ``INF`` share one order (``errors.Ordered``), the
+extended line: ``Coord._cmp`` answers -1 against ``INF``, which ``INF._cmp``
+negates.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, Value
+from .errors import DomainError, Ordered, Value
 
 
 # bounded, so that distinct radicands cannot grow it; a refusal is not cached
@@ -90,7 +92,7 @@ def _sign_two_radicals(a: int, b: int, d: int, c: int, e: int) -> int:
 _ZERO_COEF = Fraction(0)
 
 
-class Coord(Value):
+class Coord(Ordered, Value):
     """Immutable exact coordinate ``rat + coef*sqrt(rad)``.
 
     Equality is the value base's, of ``(rat, coef, rad)``; it is exact, as a
@@ -123,12 +125,15 @@ class Coord(Value):
     def is_rational(self) -> bool:
         return not self.rad
 
-    def _cmp(self, other: "Coord") -> int:
+    def _cmp(self, other: "ExtCoord") -> int:
         """The sign of self - other; the one entry point of every order compare.
 
-        The difference is scaled by a positive common denominator, so the
-        sign analysis runs on integers and no Fraction arithmetic happens.
+        Every coordinate lies below ``INF``.  Otherwise the difference is
+        scaled by a positive common denominator, so the sign analysis runs on
+        integers and no Fraction arithmetic happens.
         """
+        if other is INF:
+            return -1
         p, q = self.rat.as_integer_ratio()
         r, s = other.rat.as_integer_ratio()
         d, e = self.rad, other.rad
@@ -151,19 +156,6 @@ class Coord(Value):
         if d == e:
             return _sign_one_radical(a, b + c, d)
         return _sign_two_radicals(a, b, d, c, e)
-
-    # against INF these return NotImplemented, and INF's reflected compare answers
-    def __lt__(self, other):
-        return self._cmp(other) < 0 if isinstance(other, Coord) else NotImplemented
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0 if isinstance(other, Coord) else NotImplemented
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0 if isinstance(other, Coord) else NotImplemented
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0 if isinstance(other, Coord) else NotImplemented
 
     def __hash__(self):
         # the triple that equality compares, hashed through its integers
@@ -210,25 +202,17 @@ class Coord(Value):
         return f"Coord({self})"
 
 
-class _Infinity:
+class _Infinity(Ordered):
     """The point at positive infinity.  A singleton; use ``INF``."""
 
     __slots__ = ()
 
+    def _cmp(self, other: "ExtCoord") -> int:
+        # above every coordinate, as Coord._cmp answers
+        return 0 if isinstance(other, _Infinity) else -other._cmp(self)
+
     def __eq__(self, other):
         return isinstance(other, _Infinity)
-
-    def __lt__(self, other):
-        return False if isinstance(other, (_Infinity, Coord)) else NotImplemented
-
-    def __le__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __gt__(self, other):
-        return isinstance(other, Coord) if isinstance(other, (_Infinity, Coord)) else NotImplemented
-
-    def __ge__(self, other):
-        return True if isinstance(other, (_Infinity, Coord)) else NotImplemented
 
     def __hash__(self):
         return hash("ordspec.INF")

@@ -1,7 +1,6 @@
-"""Error types and the immutable value base shared across the library.
-
-Every layer imports this module, so the base of its record classes lives
-here too and adds no module to any import.
+"""Error types and the immutable value base and order mixin shared across
+the library.  Every layer imports this module, so the bases of its record
+classes live here too and add no module to any import.
 """
 
 from operator import attrgetter
@@ -36,8 +35,8 @@ class Value:
     and refuse every attribute assignment and deletion.
     Two values are equal when they are of the same class and their fields
     are equal, a value hashes as the tuple of its fields, and its repr is
-    ``Name(field=value!r, ...)``.  ``Coord`` and ``Cut`` use this equality
-    and write only their order compares (and ``Coord`` an integer hash).
+    ``Name(field=value!r, ...)``.  The ordered values (``Ordered``) use this
+    equality and write only their ``_cmp`` (and ``Coord`` an integer hash).
     """
 
     __slots__ = ()
@@ -87,3 +86,24 @@ class Value:
     def __repr__(self):
         args = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
         return f"{self.__class__.__name__}({args})"
+
+
+class Ordered:
+    """A totally ordered value: its class writes ``_cmp(other)``, the sign
+    (-1, 0 or 1) of self - other, and gets its four compares from here.  An
+    operand that is not ``Ordered`` makes them return ``NotImplemented``, so
+    Python raises ``TypeError`` in either operand order."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0 if isinstance(other, Ordered) else NotImplemented
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0 if isinstance(other, Ordered) else NotImplemented
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0 if isinstance(other, Ordered) else NotImplemented
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0 if isinstance(other, Ordered) else NotImplemented

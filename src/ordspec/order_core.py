@@ -13,9 +13,10 @@ a surd coordinate is a valid cut position without being an element of T,
 which is what makes bounded ideals without a supremum representable.
 
 Each double-line decision is written here once: the order of ideals by
-inclusion (``DPoint._cmp``; ``cmp_d`` on checked ideals), and the window of
-[a, b), the ideals with a nonzero map from it, whose two end ideals
-``window_ends`` gives to ``hom_to_injective`` and to ``spectrum``'s cuts.
+inclusion (``DPoint._cmp``: by coordinate on the extended line, then strict
+below principal; ``cmp_d`` on checked ideals), and the window of [a, b), the
+ideals with a nonzero map from it, whose two end ideals ``window_ends``
+gives to ``hom_to_injective`` and to ``spectrum``'s cuts.
 
 ``FpInterval``, the interval module on [start, end), lives here as well,
 beside the ideals it is compared with, and so do ``validate_interval`` and
@@ -29,7 +30,7 @@ from __future__ import annotations
 import enum
 
 from .coords import Coord, ExtCoord, INF, as_coord, is_inf
-from .errors import DomainError, Value
+from .errors import DomainError, Ordered, Value
 
 
 class Flavor(enum.Enum):
@@ -93,11 +94,11 @@ DENSE_REAL = DenseLine(Membership.ALL_COORDS)
 DENSE_RATIONAL_WITH_CUTS = DenseLine(Membership.RATIONALS_ONLY)
 
 
-class DPoint(Value):
+class DPoint(Ordered, Value):
     """An ideal of T: coordinate plus flavor.  ``(INF, STRICT)`` is all of T.
 
-    Ordered by inclusion on the ideals a model checks (``validate_dpoint``);
-    ``>`` and ``>=`` reflect to ``<`` and ``<=``.  Equality is the value base's.
+    Ordered by inclusion on the ideals a model checks (``validate_dpoint``),
+    through ``_cmp``.  Equality is the value base's.
     """
 
     __slots__ = ("coord", "flavor")
@@ -108,18 +109,10 @@ class DPoint(Value):
         super().__init__(coord, flavor)
 
     def _cmp(self, other: "DPoint") -> int:
-        """The sign of the inclusion order; strict-at-x sits just below principal-at-x."""
-        pi, qi = is_inf(self.coord), is_inf(other.coord)
-        if pi or qi:
-            return pi - qi
+        """The sign of the inclusion order: the coordinates' order on the
+        extended line, then strict-at-x just below principal-at-x."""
         principal = Flavor.PRINCIPAL
         return self.coord._cmp(other.coord) or (self.flavor is principal) - (other.flavor is principal)
-
-    def __lt__(self, other: "DPoint") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "DPoint") -> bool:
-        return self._cmp(other) <= 0
 
     def __str__(self):
         tag = "P" if self.flavor is Flavor.PRINCIPAL else "S"

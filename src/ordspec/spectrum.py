@@ -11,13 +11,15 @@ cuts are
     (x, 1)   between (x, S) and (x, P)       (above (x, S) when x is no member)
     (x, 2)   just above (x, P)               (members only)
 
-plus a bottom cut and the cuts (inf, 0) / (inf, 1) around the top ideal.
-Adjacency of intervals is then literal equality of cuts, which keeps the
-canonical form unique and the Boolean algebra exact.
+and the top ideal (inf, S) lies between (inf, 0) and (inf, 1), as a strict
+ideal does; only the bottom cut, below all others, has no coordinate.  Cuts
+are ordered by coordinate on the extended line, then by level.  Adjacency
+of intervals is then literal equality of cuts, which keeps the canonical
+form unique and the Boolean algebra exact.
 
 A set stores its canonical form as one flat, strictly increasing tuple of
-cuts, and there is one shared object per finite cut (``finite_cut``), so
-sets built apart share their cuts.  Equal coordinates are found by
+cuts, and there is one shared object per cut (``finite_cut``), so sets
+built apart share their cuts.  Equal coordinates are found by
 comparing their stored triples ``(rat, coef, rad)``, which is exact because
 the form of a coordinate with a squarefree radicand is unique; two sets are
 equal exactly when their cut tuples are.  The constructor's sort and sweep
@@ -52,8 +54,8 @@ from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from weakref import WeakValueDictionary
 
-from .coords import Coord, INF, is_inf, rational_above, rational_below, rational_between
-from .errors import DomainError, Value
+from .coords import Coord, ExtCoord, INF, is_inf, rational_above, rational_below, rational_between
+from .errors import DomainError, Ordered, Value
 from .order_core import (
     TOP_IDEAL,
     DPoint,
@@ -81,106 +83,90 @@ _SUBJECT = "symbolic spectrum subsets are"
 # ---------------------------------------------------------------------------
 # Cuts
 
-_BOTTOM_KIND, _FINITE_KIND, _INF_KIND = 0, 1, 2
 
+class Cut(Ordered, Value):
+    """A position between points of D, the pair (coord, level), ordered by
+    coordinate on the extended line and then by level.
 
-class Cut(Value):
-    """A position between points of D, ordered by (kind, coord, level).
-
-    BOTTOM and the two cuts around the top ideal carry coord=None.  Finite
-    cuts are made by ``finite_cut``, which keeps one object per equal
-    (coord, level), so most comparisons of equal cuts end at identity.
-    Equality and hash are the value base's, of (kind, coord, level).  A
-    copied or unpickled cut is the shared object again (``_shared_cut``).
+    ``INF_LOW`` and ``TOP`` are (INF, 0) and (INF, 1); only ``BOTTOM``, below
+    every other cut, has coord None.  One object is kept per equal (coord,
+    level) (``_shared_cut``), so most comparisons of equal cuts end at
+    identity, and a copied or unpickled cut is that object again.  Equality
+    and hash are the value base's.
     """
 
-    __slots__ = ("kind", "coord", "level", "__weakref__")
+    __slots__ = ("coord", "level", "__weakref__")
 
     def __reduce__(self):
         return _shared_cut, self._values()
 
-    def __lt__(self, other: "Cut") -> bool:
-        # the kind decides first; at most one Coord compare follows
+    def _cmp(self, other: "Cut") -> int:
+        # at most one coordinate compare, none between shared equal cuts
         if self is other:
-            return False
-        kind = self.kind
-        if kind != other.kind:
-            return kind < other.kind
-        if kind == _FINITE_KIND and self.coord is not other.coord:
-            sign = self.coord._cmp(other.coord)
+            return 0
+        x, y = self.coord, other.coord
+        if x is not y:
+            # BOTTOM alone has no coordinate
+            sign = (y is None) - (x is None) or x._cmp(y)
             if sign:
-                return sign < 0
-        return self.level < other.level
-
-    def __le__(self, other: "Cut") -> bool:
-        # > and >= reflect to < and <=
-        return not other < self
+                return sign
+        return (self.level > other.level) - (self.level < other.level)
 
 
-BOTTOM = Cut(_BOTTOM_KIND, None, 0)
-TOP = Cut(_INF_KIND, None, 1)
-INF_LOW = Cut(_INF_KIND, None, 0)
-
-# The shared finite cuts, one table per level keyed by the coordinate.  The
-# tables hold their cuts weakly: an entry goes when no set holds its cut.
+# The shared cuts, one table per level keyed by the coordinate.  The tables
+# hold their cuts weakly: an entry goes when no set holds its cut.
 _FINITE_CUTS = (WeakValueDictionary(), WeakValueDictionary(), WeakValueDictionary())
 
 
-def _shared_cut(kind: int, coord: Coord | None, level: int) -> Cut:
-    """The shared object of a cut whose level is already normalised:
-    ``BOTTOM``, ``INF_LOW`` or ``TOP``, or the finite cut from its table."""
-    if kind != _FINITE_KIND:
-        return BOTTOM if kind == _BOTTOM_KIND else (INF_LOW, TOP)[level]
+def _shared_cut(coord: ExtCoord | None, level: int) -> Cut:
+    """The shared object of a cut whose level is already normalised, from
+    its level's table."""
     cut = _FINITE_CUTS[level].get(coord)
     if cut is None:
-        cut = _FINITE_CUTS[level][coord] = Cut(kind, coord, level)
+        cut = _FINITE_CUTS[level][coord] = Cut(coord, level)
     return cut
 
 
-def finite_cut(model: IndexModel, coord: Coord, level: int) -> Cut:
+def finite_cut(model: IndexModel, coord: ExtCoord, level: int) -> Cut:
     """The cut (coord, level), one shared object per equal pair; level 2 at a
     coordinate outside T is level 1."""
     if level == 2 and not model.is_member(coord):
         level = 1
-    return _shared_cut(_FINITE_KIND, coord, level)
+    return _shared_cut(coord, level)
+
+
+# held here, so that the table keeps them
+BOTTOM = _shared_cut(None, 0)
+INF_LOW = _shared_cut(INF, 0)
+TOP = _shared_cut(INF, 1)
 
 
 def cut_below(model: IndexModel, p: DPoint) -> Cut:
-    if is_inf(p.coord):
-        return INF_LOW
     return finite_cut(model, p.coord, 0 if p.flavor is Flavor.STRICT else 1)
 
 
 def cut_above(model: IndexModel, p: DPoint) -> Cut:
-    if is_inf(p.coord):
-        return TOP
     return finite_cut(model, p.coord, 1 if p.flavor is Flavor.STRICT else 2)
 
 
 def point_starting_at(model: IndexModel, c: Cut) -> DPoint | None:
-    """The point whose lower cut is exactly c, when one exists."""
-    if c.kind == _BOTTOM_KIND:
-        return None
-    if c.kind == _INF_KIND:
-        return DPoint(INF, Flavor.STRICT) if c.level == 0 else None
-    if c.level == 0:
-        return DPoint(c.coord, Flavor.STRICT)
-    if c.level == 1 and model.is_member(c.coord):
-        return DPoint(c.coord, Flavor.PRINCIPAL)
+    """The point whose lower cut is exactly c, when one exists; ``BOTTOM``
+    starts none."""
+    x = c.coord
+    if c.level == 0 and x is not None:
+        return DPoint(x, Flavor.STRICT)
+    # no principal ideal sits at infinity
+    if c.level == 1 and not is_inf(x) and model.is_member(x):
+        return DPoint(x, Flavor.PRINCIPAL)
     return None
 
 
 def point_ending_at(model: IndexModel, c: Cut) -> DPoint | None:
-    """The point whose upper cut is exactly c, when one exists."""
-    if c.kind == _BOTTOM_KIND:
+    """The point whose upper cut is exactly c, when one exists: none at level
+    0, which ``BOTTOM`` has too."""
+    if c.level == 0:
         return None
-    if c.kind == _INF_KIND:
-        return DPoint(INF, Flavor.STRICT) if c.level == 1 else None
-    if c.level == 1:
-        return DPoint(c.coord, Flavor.STRICT)
-    if c.level == 2:
-        return DPoint(c.coord, Flavor.PRINCIPAL)
-    return None
+    return DPoint(c.coord, Flavor.STRICT if c.level == 1 else Flavor.PRINCIPAL)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +217,7 @@ class SymbolicSet(Value):
     def __str__(self):
         if not self.cuts:
             return "{}"
-        return " u ".join(f"({lo.kind},{lo.coord},{lo.level})..({hi.kind},{hi.coord},{hi.level})" for lo, hi in self.parts)
+        return " u ".join(f"({lo.coord},{lo.level})..({hi.coord},{hi.level})" for lo, hi in self.parts)
 
 
 EMPTY_SET = SymbolicSet._make(())
@@ -391,23 +377,19 @@ def cover_of_gap(model: IndexModel, lo: Cut, hi: Cut):
     element or infinity; density of the members of T in the line determines
     how close the union creeps to the gap boundary.
     """
-    if lo == INF_LOW:
-        # the gap is the top ideal alone
-        return None
-    if lo.kind == _FINITE_KIND and lo.level == 0:
-        # the first point of the gap is a strict ideal; windows start just above
+    if lo.level == 0 and lo.coord is not None:
+        # the first point of the gap is a strict ideal; windows start just
+        # above it, past TOP when it is the top ideal
         clo = finite_cut(model, lo.coord, 1)
     else:
         clo = lo
-    if hi.kind == _INF_KIND:
-        chi = hi
-    elif hi.level == 2:
+    if hi.level == 2:
         # the gap's top point is principal; no window reaches past the strict
         # ideal below it, but the window ending exactly there is admissible
         chi = finite_cut(model, hi.coord, 1)
-    elif hi.level == 1 and not model.is_member(hi.coord):
+    elif hi.level == 1 and not is_inf(hi.coord) and not model.is_member(hi.coord):
         # a cut coordinate outside T: windows cannot end at it, so the strict
-        # ideal there is never covered
+        # ideal there is never covered; but [a, inf) reaches the top ideal
         chi = finite_cut(model, hi.coord, 0)
     else:
         chi = hi
@@ -478,9 +460,9 @@ def _closure_double_orthogonal(model: IndexModel, u: SymbolicSet) -> SymbolicSet
 def _closure_supinf(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
     """Saturates each component by its supremum and infimum, in one pass.
 
-    The pass leaves every upper cut at level 1, at level 2 or at ``TOP``,
-    and every lower cut at level 0, at a member's level 1, at ``BOTTOM`` or
-    at ``INF_LOW``.  No rule applies to any of these, and merging the
+    The pass leaves every upper cut at level 1 (``TOP`` is (inf, 1)) or 2,
+    and every lower cut at level 0 (``BOTTOM`` and (inf, 0) among them) or
+    at a member's level 1.  No rule applies to any of these, and merging the
     saturated components keeps their outer cuts, so a second pass changes
     nothing: one pass is the fixpoint.
     """
@@ -489,26 +471,25 @@ def _closure_supinf(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
         if hi.level == 0:
             # no greatest element: the union of the members is the strict
             # ideal at the boundary coordinate (the full ideal at infinity)
-            hi = TOP if hi.kind == _INF_KIND else finite_cut(model, hi.coord, 1)
-        if lo.kind == _FINITE_KIND:
-            if lo.level == 2:
-                # members shrink toward the principal ideal below the gap
-                lo = finite_cut(model, lo.coord, 1)
-            elif lo.level == 1 and not model.is_member(lo.coord):
-                # members shrink toward the strict ideal at a cut coordinate
-                lo = finite_cut(model, lo.coord, 0)
+            hi = finite_cut(model, hi.coord, 1)
+        # TOP, the one infinite cut above level 0, is never a lower cut
+        if lo.level == 2:
+            # members shrink toward the principal ideal below the gap
+            lo = finite_cut(model, lo.coord, 1)
+        elif lo.level == 1 and not model.is_member(lo.coord):
+            # members shrink toward the strict ideal at a cut coordinate
+            lo = finite_cut(model, lo.coord, 0)
         parts.append((lo, hi))
     return SymbolicSet(parts)
 
 
 def _has_immediate_predecessor(model: IndexModel, p: DPoint) -> bool:
-    return not is_inf(p.coord) and p.flavor is Flavor.PRINCIPAL
+    # the top ideal is strict
+    return p.flavor is Flavor.PRINCIPAL
 
 
 def _has_immediate_successor(model: IndexModel, p: DPoint) -> bool:
-    if is_inf(p.coord):
-        return False
-    return p.flavor is Flavor.STRICT and model.is_member(p.coord)
+    return p.flavor is Flavor.STRICT and not is_inf(p.coord) and model.is_member(p.coord)
 
 
 def _closure_order_topology(model: IndexModel, u: SymbolicSet) -> SymbolicSet:

@@ -697,7 +697,7 @@ def supinf_closure_fixpoint(model, u):
         parts = []
         for lo, hi in cur.parts:
             if hi.level == 0:
-                hi = TOP if hi.coord is None else finite_cut(model, hi.coord, 1)
+                hi = TOP if is_inf(hi.coord) else finite_cut(model, hi.coord, 1)
             if lo.coord is not None and lo.level == 2:
                 lo = finite_cut(model, lo.coord, 1)
             elif lo.coord is not None and lo.level == 1 and not model.is_member(lo.coord):

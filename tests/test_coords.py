@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,16 @@ def test_infinity_is_maximum():
     assert INF <= INF and INF == INF
     assert not INF < Coord(0)
     assert INF > Coord(0, 7, 5)
+
+
+def test_compares_with_another_kind_raise_in_both_orders():
+    for value in (INF, Coord(0), Coord(0, 1, 2)):
+        for other in (5, Fraction(1, 2), "a", None):
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                with pytest.raises(TypeError):
+                    op(value, other)
+                with pytest.raises(TypeError):
+                    op(other, value)
 
 
 def test_arithmetic_same_radicand():

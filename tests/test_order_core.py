@@ -17,11 +17,13 @@ from ordspec import (
     classify_ideal,
     cmp_d,
     contains,
+    is_inf,
     principal_at,
     rational_between,
     strict_at,
 )
 from ordspec.order_core import validate_dpoint
+from ordspec.spectrum import BOTTOM, Cut, cut_above, cut_below
 
 from conftest import subseed
 from oracles import random_fraction
@@ -85,6 +87,49 @@ def test_cmp_total_order_on_random_triples():
             pq = cmp_d(chain, p, q)
             assert pq is (Ordering.LESS if a < b else Ordering.GREATER if a > b else Ordering.EQUAL)
             _operators_agree_with_cmp(p, q, pq)
+
+
+def _random_ext_coord(rng):
+    """INF, a surd with radicand 2 or 3 or a rational, drawn from few values,
+    so that equal coordinates recur as distinct objects."""
+    r = rng.random()
+    if r < 0.15:
+        return INF
+    rat = random_fraction(rng, -2, 2, max_den=2)
+    if r < 0.45:
+        return Coord(rat, Fraction(rng.choice((-1, 1)), rng.randint(1, 2)), rng.choice((2, 3)))
+    return Coord(rat)
+
+
+def _assert_one_order(values):
+    """Each operator says what the sign of _cmp says, and _cmp is antisymmetric."""
+    for a in values:
+        for b in values:
+            s = a._cmp(b)
+            assert s in (-1, 0, 1) and b._cmp(a) == -s
+            assert (a < b, a <= b, a > b, a >= b, a == b) == (s < 0, s <= 0, s > 0, s >= 0, s == 0)
+
+
+def test_one_order_on_coordinates_ideals_and_cuts():
+    rng = subseed(23)
+    for model in (DENSE_REAL, DENSE_RATIONAL_WITH_CUTS):
+        xs = [_random_ext_coord(rng) for _ in range(30)]
+        ideals = [DPoint(x, Flavor.STRICT) for x in xs]
+        ideals += [DPoint(x, Flavor.PRINCIPAL) for x in xs if not is_inf(x) and model.is_member(x)]
+        _assert_one_order(xs)
+        _assert_one_order(ideals)
+        # cut_below and cut_above embed the ideals into the cuts, whether the
+        # cuts are the shared ones or equal ones built directly
+        for cut in (cut_below, cut_above):
+            shared = [cut(model, p) for p in ideals]
+            direct = [Cut(c.coord, c.level) for c in shared]
+            _assert_one_order(shared + direct + [BOTTOM, Cut(None, 0)])
+            for p, a, a2 in zip(ideals, shared, direct):
+                assert BOTTOM < a and a is not a2
+                for q, b, b2 in zip(ideals, shared, direct):
+                    assert a._cmp(b) == a2._cmp(b) == a._cmp(b2) == p._cmp(q)
+        for p in ideals:
+            assert cut_below(model, p) < cut_above(model, p)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def test_merges_agree_with_pairwise_algorithms():
         assert closure(model, a, Strategy.ORDER_TOPOLOGY).parts == order_closure_fixpoint(model, a)
         assert closure(model, a, Strategy.SUP_INF_SATURATION) == supinf_closure_fixpoint(model, a)
         # the points at a's finite cuts, and a few others
-        xs = {c.coord for c in a.cuts if c.coord is not None}
+        xs = {c.coord for c in a.cuts if isinstance(c.coord, Coord)}
         xs.update(Coord(random_fraction(rng, -80, 80)) for _ in range(4))
         for x in xs:
             for flavor in (Flavor.STRICT, Flavor.PRINCIPAL)[: 1 + model.is_member(x)]:
@@ -95,7 +95,7 @@ def test_region_merges_agree_with_gap_scans():
             assert region_subset(model, r1, r2) is expected
             true_cross += expected and r1 is not r2
         assert region_eq(model, ra, rb) is (region_subset_by_scan(model, ra, rb) and region_subset_by_scan(model, rb, ra))
-        xs = sorted({c.coord for c in a.cuts if c.coord is not None} | {Coord(random_fraction(rng, -80, 80))})
+        xs = sorted({c.coord for c in a.cuts if isinstance(c.coord, Coord)} | {Coord(random_fraction(rng, -80, 80))})
         for start in rng.sample(xs, min(8, len(xs))):
             for end in [x for x in xs if start < x][:2] + [INF]:
                 iv = FpInterval(start, end)
@@ -114,20 +114,30 @@ def test_union_of_pieces_agrees_with_one_constructor():
         assert acc == SymbolicSet(pieces) == union(a, b)
 
 
-def test_cut_order_is_the_order_of_kind_coord_level():
+def test_cut_order_is_the_order_of_coord_level():
     rng = subseed(74)
     xs = [Coord(random_fraction(rng, -3, 3)) for _ in range(6)] + [Coord(0, 1, 2), Coord(1, -1, 3)]
     # cuts made directly are not shared, so equal ones are distinct objects
-    cuts = [spectrum.BOTTOM, spectrum.INF_LOW, spectrum.TOP]
-    cuts += [Cut(1, Coord(x.rat, x.coef, x.rad), level) for x in xs for level in (0, 1, 2) for _ in range(2)]
+    cuts = [spectrum.BOTTOM, Cut(None, 0), spectrum.INF_LOW, spectrum.TOP]
+    cuts += [Cut(INF, level) for level in (0, 1) for _ in range(2)]
+    cuts += [Cut(Coord(x.rat, x.coef, x.rad), level) for x in xs for level in (0, 1, 2) for _ in range(2)]
+
+    def position(x):
+        """The place of a cut's coordinate: BOTTOM's None first, INF last,
+        a coordinate by its float value, which the margin below makes exact."""
+        if x is None:
+            return (0, 0.0)
+        if x is INF:
+            return (2, 0.0)
+        return (1, float(x.rat) + float(x.coef) * math.sqrt(x.rad))
+
+    values = sorted({position(x)[1] for x in xs})
+    assert len(values) == len(set(xs)) and all(b - a > 1e-9 for a, b in zip(values, values[1:]))
 
     def expected(a, b):
         """-1, 0 or 1 as a is below, at or above b."""
-        if a.kind != b.kind:
-            return -1 if a.kind < b.kind else 1
-        if a.coord is not None and a.coord != b.coord:
-            return -1 if a.coord < b.coord else 1
-        return (a.level > b.level) - (a.level < b.level)
+        ka, kb = (*position(a.coord), a.level), (*position(b.coord), b.level)
+        return (ka > kb) - (ka < kb)
 
     for a in cuts:
         for b in cuts:
