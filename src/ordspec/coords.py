@@ -230,6 +230,8 @@ class _Infinity(Ordered):
 
 INF = _Infinity()
 ZERO = Coord(0)
+# the extended line is one ordered family
+Coord._peers = _Infinity._peers = frozenset((Coord, _Infinity))
 
 ExtCoord = Coord | _Infinity
 

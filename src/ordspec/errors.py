@@ -90,20 +90,26 @@ class Value:
 
 class Ordered:
     """A totally ordered value: its class writes ``_cmp(other)``, the sign
-    (-1, 0 or 1) of self - other, and gets its four compares from here.  An
-    operand that is not ``Ordered`` makes them return ``NotImplemented``, so
-    Python raises ``TypeError`` in either operand order."""
+    (-1, 0 or 1) of self - other, and gets its four compares from here.  They
+    compare within one family, the classes in ``_peers`` (the class alone;
+    ``coords`` makes ``Coord`` and ``INF`` one), and return ``NotImplemented``
+    against any other operand, so Python raises ``TypeError`` in either
+    operand order."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._peers = frozenset((cls,))
+
     def __lt__(self, other):
-        return self._cmp(other) < 0 if isinstance(other, Ordered) else NotImplemented
+        return self._cmp(other) < 0 if other.__class__ in self._peers else NotImplemented
 
     def __le__(self, other):
-        return self._cmp(other) <= 0 if isinstance(other, Ordered) else NotImplemented
+        return self._cmp(other) <= 0 if other.__class__ in self._peers else NotImplemented
 
     def __gt__(self, other):
-        return self._cmp(other) > 0 if isinstance(other, Ordered) else NotImplemented
+        return self._cmp(other) > 0 if other.__class__ in self._peers else NotImplemented
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0 if isinstance(other, Ordered) else NotImplemented
+        return self._cmp(other) >= 0 if other.__class__ in self._peers else NotImplemented

@@ -56,7 +56,8 @@ class Membership(enum.Enum):
 
 
 class FiniteChain(Value):
-    """T = {0, ..., length-1} with the usual order."""
+    """T = {0, ..., length-1} with the usual order.  ``is_member`` answers for
+    every extended coordinate; ``INF`` is no element."""
 
     __slots__ = ("length",)
 
@@ -65,27 +66,24 @@ class FiniteChain(Value):
             raise DomainError("bad_model", "chain length must be positive")
         super().__init__(length)
 
-    def is_valid_coord(self, c: Coord) -> bool:
-        if not c.is_rational or c.rat.denominator != 1:
+    def is_member(self, c: ExtCoord) -> bool:
+        if is_inf(c) or not c.is_rational or c.rat.denominator != 1:
             return False
         return 0 <= c.rat.numerator < self.length
 
-    is_member = is_valid_coord
-
 
 class DenseLine(Value):
-    """An unbounded dense line; the stand-in for the real or rational index set."""
+    """An unbounded dense line; the stand-in for the real or rational index set.
+    ``is_member`` tells the elements of T (every coordinate, or the rationals)
+    among all extended coordinates; ``INF`` is none."""
 
     __slots__ = ("membership",)
 
     def __init__(self, membership: Membership = Membership.ALL_COORDS):
         super().__init__(membership)
 
-    def is_valid_coord(self, c: Coord) -> bool:
-        return True
-
-    def is_member(self, c: Coord) -> bool:
-        return self.membership is Membership.ALL_COORDS or c.is_rational
+    def is_member(self, c: ExtCoord) -> bool:
+        return not is_inf(c) and (self.membership is Membership.ALL_COORDS or c.is_rational)
 
 
 IndexModel = FiniteChain | DenseLine
@@ -159,23 +157,22 @@ def require_dense(model: IndexModel, subject: str) -> None:
 
 def validate_dpoint(model: IndexModel, p: DPoint) -> None:
     """Raise DomainError unless p denotes an ideal of the model's index set."""
-    if is_inf(p.coord):
-        if isinstance(model, FiniteChain):
+    if isinstance(model, FiniteChain):
+        if is_inf(p.coord):
             raise DomainError(
                 "bad_dpoint",
                 "a finite chain's full ideal is principal at its top element",
             )
-        return
-    if not model.is_valid_coord(p.coord):
-        raise DomainError("bad_coord", f"{p.coord} is not a coordinate of this model")
-    if p.flavor is Flavor.PRINCIPAL and not model.is_member(p.coord):
+        if not model.is_member(p.coord):
+            raise DomainError("bad_coord", f"{p.coord} is not a coordinate of this model")
+        if p.flavor is Flavor.STRICT:
+            raise DomainError(
+                "bad_dpoint",
+                "strict ideals of a finite chain coincide with principal ones; use the principal form",
+            )
+    elif p.flavor is Flavor.PRINCIPAL and not model.is_member(p.coord):
         raise DomainError(
             "bad_dpoint", f"{p.coord} is not an element of T, so it generates no principal ideal"
-        )
-    if p.flavor is Flavor.STRICT and isinstance(model, FiniteChain):
-        raise DomainError(
-            "bad_dpoint",
-            "strict ideals of a finite chain coincide with principal ones; use the principal form",
         )
 
 
@@ -219,7 +216,5 @@ def classify_ideal(model: IndexModel, p: DPoint) -> IdealType:
     validate_dpoint(model, p)
     if p.flavor is Flavor.PRINCIPAL:
         return IdealType.TYPE1
-    if is_inf(p.coord):
-        return IdealType.TYPE3
     return IdealType.TYPE2 if model.is_member(p.coord) else IdealType.TYPE3
 

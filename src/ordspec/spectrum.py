@@ -18,7 +18,7 @@ of intervals is then literal equality of cuts, which keeps the canonical
 form unique and the Boolean algebra exact.
 
 A set stores its canonical form as one flat, strictly increasing tuple of
-cuts, and there is one shared object per cut (``finite_cut``), so sets
+cuts, and there is one shared object per cut (``shared_cut``), so sets
 built apart share their cuts.  Equal coordinates are found by
 comparing their stored triples ``(rat, coef, rad)``, which is exact because
 the form of a coordinate with a squarefree radicand is unique; two sets are
@@ -90,7 +90,7 @@ class Cut(Ordered, Value):
 
     ``INF_LOW`` and ``TOP`` are (INF, 0) and (INF, 1); only ``BOTTOM``, below
     every other cut, has coord None.  One object is kept per equal (coord,
-    level) (``_shared_cut``), so most comparisons of equal cuts end at
+    level) (``shared_cut``), so most comparisons of equal cuts end at
     identity, and a copied or unpickled cut is that object again.  Equality
     and hash are the value base's.
     """
@@ -98,7 +98,7 @@ class Cut(Ordered, Value):
     __slots__ = ("coord", "level", "__weakref__")
 
     def __reduce__(self):
-        return _shared_cut, self._values()
+        return shared_cut, self._values()
 
     def _cmp(self, other: "Cut") -> int:
         # at most one coordinate compare, none between shared equal cuts
@@ -115,38 +115,33 @@ class Cut(Ordered, Value):
 
 # The shared cuts, one table per level keyed by the coordinate.  The tables
 # hold their cuts weakly: an entry goes when no set holds its cut.
-_FINITE_CUTS = (WeakValueDictionary(), WeakValueDictionary(), WeakValueDictionary())
+_CUTS = (WeakValueDictionary(), WeakValueDictionary(), WeakValueDictionary())
 
 
-def _shared_cut(coord: ExtCoord | None, level: int) -> Cut:
-    """The shared object of a cut whose level is already normalised, from
-    its level's table."""
-    cut = _FINITE_CUTS[level].get(coord)
+def shared_cut(coord: ExtCoord | None, level: int) -> Cut:
+    """The cut (coord, level), one shared object per equal pair, from its
+    level's table."""
+    cut = _CUTS[level].get(coord)
     if cut is None:
-        cut = _FINITE_CUTS[level][coord] = Cut(coord, level)
+        cut = _CUTS[level][coord] = Cut(coord, level)
     return cut
 
 
-def finite_cut(model: IndexModel, coord: ExtCoord, level: int) -> Cut:
-    """The cut (coord, level), one shared object per equal pair; level 2 at a
-    coordinate outside T is level 1."""
-    if level == 2 and not model.is_member(coord):
-        level = 1
-    return _shared_cut(coord, level)
-
-
 # held here, so that the table keeps them
-BOTTOM = _shared_cut(None, 0)
-INF_LOW = _shared_cut(INF, 0)
-TOP = _shared_cut(INF, 1)
+BOTTOM = shared_cut(None, 0)
+INF_LOW = shared_cut(INF, 0)
+TOP = shared_cut(INF, 1)
 
 
 def cut_below(model: IndexModel, p: DPoint) -> Cut:
-    return finite_cut(model, p.coord, 0 if p.flavor is Flavor.STRICT else 1)
+    return shared_cut(p.coord, 0 if p.flavor is Flavor.STRICT else 1)
 
 
 def cut_above(model: IndexModel, p: DPoint) -> Cut:
-    return finite_cut(model, p.coord, 1 if p.flavor is Flavor.STRICT else 2)
+    """The cut just above p.  A coordinate outside T has no level 2, so a
+    principal p there, which ``interleaving.ball`` may ask for, ends at level 1."""
+    level = 2 if p.flavor is Flavor.PRINCIPAL and model.is_member(p.coord) else 1
+    return shared_cut(p.coord, level)
 
 
 def point_starting_at(model: IndexModel, c: Cut) -> DPoint | None:
@@ -155,8 +150,7 @@ def point_starting_at(model: IndexModel, c: Cut) -> DPoint | None:
     x = c.coord
     if c.level == 0 and x is not None:
         return DPoint(x, Flavor.STRICT)
-    # no principal ideal sits at infinity
-    if c.level == 1 and not is_inf(x) and model.is_member(x):
+    if c.level == 1 and model.is_member(x):
         return DPoint(x, Flavor.PRINCIPAL)
     return None
 
@@ -380,17 +374,17 @@ def cover_of_gap(model: IndexModel, lo: Cut, hi: Cut):
     if lo.level == 0 and lo.coord is not None:
         # the first point of the gap is a strict ideal; windows start just
         # above it, past TOP when it is the top ideal
-        clo = finite_cut(model, lo.coord, 1)
+        clo = shared_cut(lo.coord, 1)
     else:
         clo = lo
     if hi.level == 2:
         # the gap's top point is principal; no window reaches past the strict
         # ideal below it, but the window ending exactly there is admissible
-        chi = finite_cut(model, hi.coord, 1)
+        chi = shared_cut(hi.coord, 1)
     elif hi.level == 1 and not is_inf(hi.coord) and not model.is_member(hi.coord):
         # a cut coordinate outside T: windows cannot end at it, so the strict
         # ideal there is never covered; but [a, inf) reaches the top ideal
-        chi = finite_cut(model, hi.coord, 0)
+        chi = shared_cut(hi.coord, 0)
     else:
         chi = hi
     if clo < chi:
@@ -471,14 +465,14 @@ def _closure_supinf(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
         if hi.level == 0:
             # no greatest element: the union of the members is the strict
             # ideal at the boundary coordinate (the full ideal at infinity)
-            hi = finite_cut(model, hi.coord, 1)
+            hi = shared_cut(hi.coord, 1)
         # TOP, the one infinite cut above level 0, is never a lower cut
         if lo.level == 2:
             # members shrink toward the principal ideal below the gap
-            lo = finite_cut(model, lo.coord, 1)
+            lo = shared_cut(lo.coord, 1)
         elif lo.level == 1 and not model.is_member(lo.coord):
             # members shrink toward the strict ideal at a cut coordinate
-            lo = finite_cut(model, lo.coord, 0)
+            lo = shared_cut(lo.coord, 0)
         parts.append((lo, hi))
     return SymbolicSet(parts)
 
@@ -489,7 +483,7 @@ def _has_immediate_predecessor(model: IndexModel, p: DPoint) -> bool:
 
 
 def _has_immediate_successor(model: IndexModel, p: DPoint) -> bool:
-    return p.flavor is Flavor.STRICT and not is_inf(p.coord) and model.is_member(p.coord)
+    return p.flavor is Flavor.STRICT and model.is_member(p.coord)
 
 
 def _closure_order_topology(model: IndexModel, u: SymbolicSet) -> SymbolicSet:

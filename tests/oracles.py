@@ -638,10 +638,10 @@ def region_subset_by_scan(model, r1, r2):
 
 def contains_interval_by_scan(model, r, iv):
     """The window of iv inside some gap of r, found by scanning every gap."""
-    from ordspec.spectrum import TOP, finite_cut
+    from ordspec.spectrum import TOP, shared_cut
 
-    w_lo = finite_cut(model, iv.start, 1)
-    w_hi = TOP if is_inf(iv.end) else finite_cut(model, iv.end, 1)
+    w_lo = shared_cut(iv.start, 1)
+    w_hi = TOP if is_inf(iv.end) else shared_cut(iv.end, 1)
     return any(lo <= w_lo and w_hi <= hi for (lo, hi), _ in _gaps_with_covers(model, r))
 
 
@@ -690,18 +690,18 @@ def supinf_closure_fixpoint(model, u):
     component's missing supremum from below and infimum from above are
     added, as ``spectrum`` once looped it."""
     from ordspec import SymbolicSet
-    from ordspec.spectrum import TOP, finite_cut
+    from ordspec.spectrum import TOP, shared_cut
 
     cur = u
     while True:
         parts = []
         for lo, hi in cur.parts:
             if hi.level == 0:
-                hi = TOP if is_inf(hi.coord) else finite_cut(model, hi.coord, 1)
+                hi = TOP if is_inf(hi.coord) else shared_cut(hi.coord, 1)
             if lo.coord is not None and lo.level == 2:
-                lo = finite_cut(model, lo.coord, 1)
+                lo = shared_cut(lo.coord, 1)
             elif lo.coord is not None and lo.level == 1 and not model.is_member(lo.coord):
-                lo = finite_cut(model, lo.coord, 0)
+                lo = shared_cut(lo.coord, 0)
             parts.append((lo, hi))
         nxt = SymbolicSet(parts)
         if nxt == cur:

@@ -93,6 +93,42 @@ def test_compares_with_another_kind_raise_in_both_orders():
                     op(other, value)
 
 
+def test_ordered_families_compare_only_with_themselves():
+    from ordspec.order_core import principal_at, strict_at
+    from ordspec.spectrum import BOTTOM, TOP, shared_cut
+
+    ops = (operator.lt, operator.le, operator.gt, operator.ge)
+    mirrored = (operator.gt, operator.ge, operator.lt, operator.le)
+    families = {
+        "Coord": [Coord(0), Coord(0, 1, 2)],
+        "INF": [INF],
+        "DPoint": [principal_at(0), strict_at(0), strict_at(INF)],
+        "Cut": [BOTTOM, shared_cut(Coord(0), 1), TOP],
+    }
+    for name, values in families.items():
+        for other_name, others in families.items():
+            if name == other_name or {name, other_name} == {"Coord", "INF"}:
+                # one family: a total order, in either operand order
+                for a in values:
+                    for b in others:
+                        assert [op(a, b) for op in ops] == [op(b, a) for op in mirrored]
+                        assert (a < b) + (a == b) + (a > b) == 1
+                continue
+            for a in values:
+                for b in others:
+                    for op in ops:
+                        with pytest.raises(TypeError):
+                            op(a, b)
+                        with pytest.raises(TypeError):
+                            op(b, a)
+    assert sorted([INF, Coord(1), Coord(0, 1, 2)]) == [Coord(1), Coord(0, 1, 2), INF]
+    assert sorted(families["DPoint"]) == [strict_at(0), principal_at(0), strict_at(INF)]
+    assert sorted(families["Cut"][::-1]) == families["Cut"]
+    for mixed in ([Coord(1), principal_at(0)], [principal_at(0), TOP], [TOP, INF], [Coord(0), INF, BOTTOM]):
+        with pytest.raises(TypeError):
+            sorted(mixed)
+
+
 def test_arithmetic_same_radicand():
     s = Coord(1, 2, 3)
     assert s - Coord(1) == Coord(0, 2, 3)

@@ -258,3 +258,29 @@ def test_dense_surd_membership():
         validate_dpoint(m, DPoint(SQRT2, Flavor.PRINCIPAL))
     with pytest.raises(DomainError):
         DPoint(INF, Flavor.PRINCIPAL)
+
+
+def test_is_member_answers_for_every_extended_coordinate():
+    # one question to every model: an element of T or not, INF never,
+    # and a principal ideal exists exactly at the elements
+    rng = subseed(24)
+    xs = [INF, Coord(-1), Coord(0), Coord(4), Coord(5), Coord(Fraction(1, 2)), Coord(0, 1, 2), Coord(1, -1, 3)]
+    xs += [Coord(rng.randint(-8, 8)) for _ in range(20)]
+    xs += [Coord(Fraction(rng.randint(-40, 40), rng.randint(2, 7))) for _ in range(20)]
+    xs += [Coord(random_fraction(rng, -5, 5), random_fraction(rng, -3, 3), rng.choice([2, 3])) for _ in range(20)]
+    for model in (FiniteChain(5), DENSE_REAL, DENSE_RATIONAL_WITH_CUTS):
+        for x in xs:
+            answer = model.is_member(x)
+            assert answer is True or answer is False, (model, x)
+            if is_inf(x):
+                assert answer is False, model
+                continue
+            try:
+                validate_dpoint(model, principal_at(x))
+            except DomainError:
+                valid = False
+            else:
+                valid = True
+            assert valid is answer, (model, x)
+    for model in (DENSE_REAL, DENSE_RATIONAL_WITH_CUTS):
+        assert classify_ideal(model, TOP_IDEAL) is IdealType.TYPE3

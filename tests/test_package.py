@@ -1,6 +1,7 @@
 """The public namespace of the package, the immutable value classes and the
 error kinds."""
 
+import ast
 import copy
 import importlib
 import inspect
@@ -73,6 +74,31 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from ordspec import *", namespace)
     assert all(namespace[name] is getattr(ordspec, name) for name in ordspec.__all__)
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads, by its syntax tree; a
+    ``from __future__`` import and a name listed in ``__all__`` count as used."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [name for name in imported if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert unused_imports("import a.b, c\nfrom d import e as f, g\nc.x(g)") == ["a", "f"]
+    # the package's re-exports are its purpose, so __init__ is not checked
+    for path in sorted(pathlib.Path(SRC, "ordspec").glob("*.py")):
+        if path.name != "__init__.py":
+            assert unused_imports(path.read_text()) == [], path.name
 
 
 def test_barcode_stays_the_function_whatever_is_imported_first():

@@ -34,7 +34,7 @@ from ordspec import (
 )
 from ordspec import coords, jsonio, spectrum
 from ordspec.interleaving import INFINITE_BRACKET, DistanceBracket, ExtDistance
-from ordspec.spectrum import Cut, DEndpoint, finite_cut
+from ordspec.spectrum import Cut, DEndpoint, cut_above, shared_cut
 
 from conftest import subseed
 from oracles import (
@@ -220,7 +220,7 @@ def test_value_objects_have_no_instance_dict():
     p = DPoint(Coord(1), Flavor.PRINCIPAL)
     u = interval_set(model, DEndpoint(p, True), DEndpoint(DPoint(Coord(2), Flavor.STRICT), False))
     values = [
-        finite_cut(model, Coord(1), 0),
+        shared_cut(Coord(1), 0),
         p,
         DEndpoint(p, True),
         u,
@@ -233,14 +233,14 @@ def test_value_objects_have_no_instance_dict():
         assert not hasattr(value, "__dict__"), type(value).__name__
 
 
-def test_equal_finite_cuts_are_one_object():
+def test_equal_cuts_are_one_object():
     model = DENSE_REAL
     x, y = Coord(Fraction(7, 3), 1, 2), Coord(Fraction(14, 6), Fraction(1, 2), 8)
     assert x is not y and x == y
     for level in (0, 1, 2):
-        assert finite_cut(model, x, level) is finite_cut(model, y, level)
+        assert shared_cut(x, level) is shared_cut(y, level)
     # a coordinate outside T has no level 2; its cut is the level-1 cut
-    assert finite_cut(DENSE_RATIONAL_WITH_CUTS, x, 2) is finite_cut(model, y, 1)
+    assert cut_above(DENSE_RATIONAL_WITH_CUTS, DPoint(x, Flavor.PRINCIPAL)) is shared_cut(y, 1)
     a = interval_set(model, DEndpoint(DPoint(x, Flavor.STRICT), True), DEndpoint(DPoint(Coord(5), Flavor.STRICT), False))
     b = interval_set(model, DEndpoint(DPoint(y, Flavor.STRICT), True), DEndpoint(DPoint(Coord(5), Flavor.STRICT), False))
     assert a.cuts[0] is b.cuts[0] and a.cuts[1] is b.cuts[1]
@@ -248,7 +248,7 @@ def test_equal_finite_cuts_are_one_object():
 
 def test_copies_and_pickles_keep_the_shared_cuts():
     s = window_set(DENSE_REAL, FpInterval(Coord(0), Coord(1)))
-    surd = finite_cut(DENSE_REAL, Coord(Fraction(7, 3), 1, 2), 2)
+    surd = shared_cut(Coord(Fraction(7, 3), 1, 2), 2)
     fixed = (spectrum.BOTTOM, spectrum.INF_LOW, spectrum.TOP)
     for rebuild in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
         t = rebuild(s)
@@ -258,15 +258,15 @@ def test_copies_and_pickles_keep_the_shared_cuts():
             assert rebuild(cut) is cut
     # a cut that no set holds any more comes back into the table
     x = Coord(Fraction(98765, 1000), Fraction(2, 9), 13)
-    data = pickle.dumps(finite_cut(DENSE_REAL, x, 1))
+    data = pickle.dumps(shared_cut(x, 1))
     gc.collect()
-    assert x not in spectrum._FINITE_CUTS[1]
-    assert pickle.loads(data) is spectrum._FINITE_CUTS[1].get(x)
+    assert x not in spectrum._CUTS[1]
+    assert pickle.loads(data) is spectrum._CUTS[1].get(x)
 
 
 def test_shared_cut_table_drops_unheld_cuts():
     model = DENSE_REAL
-    table = spectrum._FINITE_CUTS[0]
+    table = spectrum._CUTS[0]
     x = Coord(Fraction(123457, 1000), Fraction(3, 7), 11)
     s = interval_set(model, DEndpoint(DPoint(x, Flavor.STRICT), True), DEndpoint(DPoint(x, Flavor.STRICT), True))
     assert s.cuts[0] is table.get(Coord(x.rat, x.coef, x.rad))
