@@ -8,16 +8,12 @@ pseudometric, all in exact rational (optionally quadratic-surd) arithmetic.
 The public names below are loaded lazily: ``ordspec.kernel`` or ``from
 ordspec import kernel`` imports the name's home module (here
 ``fp_category``) on first use and returns that module's attribute, so a
-program, the command line included, loads only the layers it touches.  The
-one name bound eagerly is the function ``barcode``: it shares its name with
-the submodule ``ordspec.barcode``, and the first import of a submodule sets
-the package attribute of that name to the module, so the function is bound
-here before anything can import the submodule, and stays bound after.
+program, the command line included, loads only the layers it touches.
+Importing the package imports no layer, and no public name is also the name
+of a submodule: ``ordspec.barcode`` is the module, ``Barcode`` its class.
 """
 
 import importlib
-
-from .barcode import barcode
 
 # home module -> the public names it provides
 _EXPORTS = {
@@ -46,7 +42,6 @@ _EXPORTS = {
     "barcode": (
         "Barcode",
         "ChainModule",
-        "barcode",
         "chain_module",
         "decompose",
         "is_flat",
@@ -96,7 +91,6 @@ _EXPORTS = {
     ),
     "interleaving": (
         "DistanceBracket",
-        "ExtDistance",
         "ball",
         "brute_force_distance",
         "distance",

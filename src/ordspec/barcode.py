@@ -128,11 +128,14 @@ def chain_module(dims, maps, field: Field = QQ) -> ChainModule:
 class Barcode(Value):
     """Multiset of grid bars [i, j), 0 <= i < j <= L; j = L means alive to the end.
 
-    ``bars`` holds sorted (start, end, multiplicity) triples."""
+    Built from a mapping {(start, end): multiplicity}: zero multiplicities
+    are dropped, and ``bars`` holds the others as sorted (start, end,
+    multiplicity) triples."""
 
     __slots__ = ("bars",)
 
-    def __init__(self, bars: tuple[tuple[int, int, int], ...]):
+    def __init__(self, bars):
+        bars = tuple((s, e, m) for (s, e), m in sorted(dict(bars).items()) if m)
         for s, e, m in bars:
             if not (0 <= s < e):
                 raise DomainError("bad_barcode", f"bar [{s},{e}) is not a valid range")
@@ -148,14 +151,6 @@ class Barcode(Value):
 
     def __iter__(self):
         return iter(self.bars)
-
-
-def barcode(bar_dict) -> Barcode:
-    items = []
-    for (s, e), m in sorted(bar_dict.items()):
-        if m:
-            items.append((s, e, m))
-    return Barcode(tuple(items))
 
 
 def rank_invariant(m: ChainModule, i: int, j: int) -> int:
@@ -283,7 +278,7 @@ def decompose(m: ChainModule) -> Barcode:
     ):
         key = (birth, m.length if death is None else death)
         bars[key] = bars.get(key, 0) + 1
-    return barcode(bars)
+    return Barcode(bars)
 
 
 def realize(b: Barcode, length: int, field: Field = QQ) -> ChainModule:

@@ -66,8 +66,8 @@ _ONE = Fraction(1)
 class Field(Value):
     """A base field for module coefficients, a value: the rationals when ``p``
     is None, whose scalars are Fractions (or ints), else F_p, whose scalars
-    are ints reduced mod p.  It does no arithmetic; callers compute on the
-    scalars themselves and branch on ``p``."""
+    are ints reduced mod p.  It parses and checks scalars; callers compute on
+    them themselves and branch on ``p``."""
 
     __slots__ = ("p",)
 
@@ -83,6 +83,17 @@ class Field(Value):
     @property
     def one(self):
         return _ONE if self.p is None else 1
+
+    def scalar(self, v):
+        """v as a scalar of the field, reduced mod p over F_p.  Only exact
+        scalars enter a computation: an int or a Fraction over QQ, an int
+        over F_p.  Anything else, a bool or a float included, raises
+        DomainError("bad_scalar")."""
+        if v.__class__ is int:
+            return v if self.p is None else v % self.p
+        if v.__class__ is Fraction and self.p is None:
+            return v
+        raise DomainError("bad_scalar", f"{v!r} is not a scalar of {self!r}")
 
     def parse(self, s: str):
         """Parse a scalar from its string form ("p/q" or an integer)."""

@@ -115,18 +115,17 @@ _PAIRS: dict = {}
 
 class FpMorphism(Value):
     """A scalar matrix between fp modules; entry (i -> j) maps source summand i
-    into target summand j.  Over F_p each entry is reduced mod p."""
+    into target summand j.  Each entry must be a scalar of the field
+    (``Field.scalar``), and over F_p it is reduced mod p."""
 
     __slots__ = ("source", "target", "entries", "field")
     # entries is a dict, which has no hash
     __hash__ = None
 
     def __init__(self, source: FpModule, target: FpModule, entries, field: Field = QQ):
-        p = field.p
         clean = {}
         for (i, j), v in dict(entries).items():
-            if p is not None:
-                v %= p
+            v = field.scalar(v)
             if not v:
                 continue
             if not (0 <= i < len(source.summands)) or not (0 <= j < len(target.summands)):
@@ -377,20 +376,19 @@ def reduce_generators(ambient: FpModule, gens, field: Field = QQ) -> list[int]:
     nontrivial relation, while one is left, leaves (the matroid greedy
     argument): that member depends on the generators before it, so the pass
     drops it too; deleting it keeps the span, and both end at a basis of the
-    span of all generators, so at the same one.  Coefficients are reduced
-    mod p over F_p.  Returns the retained indices in their original order.
+    span of all generators, so at the same one.  Coefficients must be
+    scalars of the field and are reduced mod p over F_p.  Returns the
+    retained indices in their original order.
     """
     for iv in ambient.summands:
         if not is_inf(iv.end):
             raise DomainError("not_projective", f"summand {iv} has a finite end")
     gens = list(gens)
-    p = field.p
     vecs = []
     for g in gens:
         if len(g.coeffs) != len(ambient.summands):
             raise DomainError("bad_generator", "coefficient count must match summands")
-        coeffs = g.coeffs if p is None else [v % p for v in g.coeffs]
-        vec = {i: v for i, v in enumerate(coeffs) if v}
+        vec = {i: v for i, v in enumerate(map(field.scalar, g.coeffs)) if v}
         for i in vec:
             if not ambient.summands[i].start <= g.position:
                 raise DomainError(

@@ -10,14 +10,15 @@ in the other, decided by the exact order on the double line; the boundary
 eps equal to the coordinate distance is therefore decided rather than
 approximated.  The distance between two bounded ideals is the absolute
 coordinate difference, flavors invisible; the full ideal sits at infinite
-distance from everything else.
+distance from everything else.  The pseudometric takes values in [0, inf]:
+a distance, and each bound of a scan's bracket, is an extended coordinate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .coords import Coord, is_inf
+from .coords import INF, ZERO, Coord, ExtCoord, is_inf
 from .errors import DomainError, Value
 from .order_core import DPoint, Flavor, FpInterval, IndexModel, require_dense, validate_dpoint
 
@@ -29,22 +30,6 @@ def eps_value(value) -> Fraction:
     if eps < 0:
         raise DomainError("bad_eps", "shift amounts must be non-negative")
     return eps
-
-
-class ExtDistance(Value):
-    """A non-negative exact distance or the infinite value."""
-
-    __slots__ = ("value",)  # None encodes infinity
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __str__(self):
-        return "inf" if self.value is None else str(self.value)
-
-
-INFINITE_DISTANCE = ExtDistance(None)
 
 
 def shift_interval(model: IndexModel, iv: FpInterval, eps) -> FpInterval:
@@ -80,17 +65,18 @@ def is_interleaved(model: IndexModel, i: DPoint, j: DPoint, eps) -> bool:
     return sj <= i and si <= j
 
 
-def distance(model: IndexModel, i: DPoint, j: DPoint) -> ExtDistance:
-    """The interleaving distance: coordinate difference, flavors invisible."""
+def distance(model: IndexModel, i: DPoint, j: DPoint) -> ExtCoord:
+    """The interleaving distance, the coordinate difference with flavors
+    invisible: a ``Coord``, zero between the top ideal and itself, or ``INF``
+    between the top ideal and any other."""
     require_dense(model, _SUBJECT)
     validate_dpoint(model, i)
     validate_dpoint(model, j)
-    ii, ji = is_inf(i.coord), is_inf(j.coord)
-    if ii and ji:
-        return ExtDistance(Coord(0))
-    if ii or ji:
-        return INFINITE_DISTANCE
-    return ExtDistance(abs(i.coord - j.coord))
+    if i.coord == j.coord:
+        return ZERO
+    if is_inf(i.coord) or is_inf(j.coord):
+        return INF
+    return abs(i.coord - j.coord)
 
 
 def ball(model: IndexModel, p: DPoint, eps) -> SymbolicSet:
@@ -106,21 +92,19 @@ def ball(model: IndexModel, p: DPoint, eps) -> SymbolicSet:
         return SymbolicSet(((INF_LOW, TOP),))
     delta = Coord(eps)
     lo = cut_above(model, DPoint(p.coord - delta, Flavor.PRINCIPAL))
-    hi = cut_below(model, DPoint(p.coord + delta, Flavor.STRICT))
+    hi = cut_below(DPoint(p.coord + delta, Flavor.STRICT))
     return SymbolicSet(((lo, hi),))
 
 
 class DistanceBracket(Value):
-    """Result of the grid scan: a bracket of width <= step, or infinity."""
+    """Result of the grid scan: extended coordinates lower <= upper, at most
+    one step apart, or both ``INF``; the distance d lies in it,
+    ``lower <= d <= upper``."""
 
     __slots__ = ("lower", "upper")
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.lower is None
 
-
-INFINITE_BRACKET = DistanceBracket(None, None)
+INFINITE_BRACKET = DistanceBracket(INF, INF)
 
 # The longest scan brute_force_distance runs before it refuses.
 _MAX_SCAN_STEPS = 10**5
@@ -130,10 +114,11 @@ def brute_force_distance(model: IndexModel, i: DPoint, j: DPoint, step) -> Dista
     """Bracket the interleaving infimum by scanning eps on a uniform grid.
 
     Scans 0, step, 2*step, ... with the interleaving decision; the first hit
-    at k*step yields the bracket [(k-1)*step, k*step].  Past the documented
-    cutoff (coordinate distance plus one, or one when a coordinate is
-    infinite) the distance is reported infinite.  A scan to the cutoff of
-    more than _MAX_SCAN_STEPS steps is refused with ``scan_too_long``.
+    at k*step yields the bracket [(k-1)*step, k*step] ([0, 0] at k = 0), of
+    Coords.  Past the documented cutoff (coordinate distance plus one, or one
+    when a coordinate is infinite) the distance is reported infinite.  A scan
+    to the cutoff of more than _MAX_SCAN_STEPS steps is refused with
+    ``scan_too_long``.
     """
     require_dense(model, _SUBJECT)
     step = Fraction(step)
@@ -158,9 +143,7 @@ def brute_force_distance(model: IndexModel, i: DPoint, j: DPoint, step) -> Dista
     eps = Fraction(0)
     while eps <= cutoff:
         if is_interleaved(model, i, j, eps):
-            if k == 0:
-                return DistanceBracket(Fraction(0), Fraction(0))
-            return DistanceBracket((k - 1) * step, k * step)
+            return DistanceBracket(Coord(max(k - 1, 0) * step), Coord(eps))
         k += 1
         eps = k * step
     return INFINITE_BRACKET

@@ -198,7 +198,7 @@ def encode_barcode(b: Barcode):
 
 
 def decode_barcode(obj) -> Barcode:
-    from .barcode import barcode
+    from .barcode import Barcode
 
     _record(obj, {"bars"}, "a barcode is {'bars': [{'start':i,'end':j,'mult':m}, ...]}")
     bars = {}
@@ -211,7 +211,7 @@ def decode_barcode(obj) -> Barcode:
         if m < 1:
             raise DomainError("bad_barcode", "multiplicities must be positive")
         bars[(s, t)] = bars.get((s, t), 0) + m
-    return barcode(bars)
+    return Barcode(bars)
 
 
 def encode_endpoint(e: DEndpoint):
@@ -295,16 +295,16 @@ def decode_region(model: IndexModel, obj) -> SerreRegion:
     return SerreRegion(gaps)
 
 
-def encode_distance(d: ExtDistance):
-    if d.is_infinite:
+def encode_distance(d: ExtCoord):
+    if is_inf(d):
         return {"infinite": True}
-    return {"finite": encode_coord(d.value)}
+    return {"finite": encode_coord(d)}
 
 
 def encode_bracket(b: DistanceBracket):
-    if b.is_infinite:
+    if is_inf(b.upper):
         return {"infinite": True}
-    return {"lower": str(b.lower), "upper": str(b.upper)}
+    return {"lower": encode_coord(b.lower), "upper": encode_coord(b.upper)}
 
 
 def decode_generators(obj, n_summands: int, field: Field):

@@ -133,7 +133,7 @@ INF_LOW = shared_cut(INF, 0)
 TOP = shared_cut(INF, 1)
 
 
-def cut_below(model: IndexModel, p: DPoint) -> Cut:
+def cut_below(p: DPoint) -> Cut:
     return shared_cut(p.coord, 0 if p.flavor is Flavor.STRICT else 1)
 
 
@@ -155,7 +155,7 @@ def point_starting_at(model: IndexModel, c: Cut) -> DPoint | None:
     return None
 
 
-def point_ending_at(model: IndexModel, c: Cut) -> DPoint | None:
+def point_ending_at(c: Cut) -> DPoint | None:
     """The point whose upper cut is exactly c, when one exists: none at level
     0, which ``BOTTOM`` has too."""
     if c.level == 0:
@@ -224,11 +224,11 @@ def interval_cuts(model: IndexModel, lo: DEndpoint, hi: DEndpoint) -> tuple[Cut,
         lo_cut = BOTTOM
     else:
         validate_dpoint(model, lo.point)
-        lo_cut = cut_below(model, lo.point) if lo.included else cut_above(model, lo.point)
+        lo_cut = cut_below(lo.point) if lo.included else cut_above(model, lo.point)
     if hi.point == BELOW_ALL:
         raise DomainError("bad_endpoint", "below_all cannot be an upper endpoint")
     validate_dpoint(model, hi.point)
-    hi_cut = cut_above(model, hi.point) if hi.included else cut_below(model, hi.point)
+    hi_cut = cut_above(model, hi.point) if hi.included else cut_below(hi.point)
     if not lo_cut < hi_cut:
         raise DomainError("empty_interval", "the interval contains no ideal")
     return lo_cut, hi_cut
@@ -312,7 +312,7 @@ def _in_one_component(cuts: tuple, lo: Cut, hi: Cut) -> bool:
 def member(model: IndexModel, a: SymbolicSet, p: DPoint) -> bool:
     require_dense(model, _SUBJECT)
     validate_dpoint(model, p)
-    return _in_one_component(a.cuts, cut_below(model, p), cut_above(model, p))
+    return _in_one_component(a.cuts, cut_below(p), cut_above(model, p))
 
 
 def is_subset(model: IndexModel, a: SymbolicSet, b: SymbolicSet) -> bool:
@@ -328,7 +328,7 @@ def lower_endpoint_of_cut(model: IndexModel, c: Cut) -> DEndpoint:
     p = point_starting_at(model, c)
     if p is not None:
         return DEndpoint(p, True)
-    q = point_ending_at(model, c)
+    q = point_ending_at(c)
     return DEndpoint(BELOW_ALL if q is None else q, False)
 
 
@@ -336,7 +336,7 @@ def upper_endpoint_of_cut(model: IndexModel, c: Cut) -> DEndpoint:
     """Canonical endpoint form of a cut used as an upper interval boundary: it
     includes the point that ends at c, or else excludes the point that starts
     at c."""
-    p = point_ending_at(model, c)
+    p = point_ending_at(c)
     if p is not None:
         return DEndpoint(p, True)
     q = point_starting_at(model, c)
@@ -352,7 +352,7 @@ def upper_endpoint_of_cut(model: IndexModel, c: Cut) -> DEndpoint:
 def _window_cuts(model: IndexModel, iv: FpInterval) -> tuple[Cut, Cut]:
     """The cuts of the window of iv, around its end ideals (``window_ends``)."""
     lo, hi = window_ends(iv.start, iv.end)
-    return cut_below(model, lo), cut_above(model, hi)
+    return cut_below(lo), cut_above(model, hi)
 
 
 def window_set(model: IndexModel, iv: FpInterval) -> SymbolicSet:
@@ -477,7 +477,7 @@ def _closure_supinf(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
     return SymbolicSet(parts)
 
 
-def _has_immediate_predecessor(model: IndexModel, p: DPoint) -> bool:
+def _has_immediate_predecessor(p: DPoint) -> bool:
     # the top ideal is strict
     return p.flavor is Flavor.PRINCIPAL
 
@@ -501,11 +501,11 @@ def _closure_order_topology(model: IndexModel, u: SymbolicSet) -> SymbolicSet:
     """
     parts = []
     for lo, hi in u.parts:
-        q = point_ending_at(model, lo)
+        q = point_ending_at(lo)
         if q is not None and not _has_immediate_successor(model, q):
-            lo = cut_below(model, q)
+            lo = cut_below(q)
         p = point_starting_at(model, hi)
-        if p is not None and not _has_immediate_predecessor(model, p):
+        if p is not None and not _has_immediate_predecessor(p):
             hi = cut_above(model, p)
         parts.append((lo, hi))
     return SymbolicSet(parts)

@@ -649,7 +649,7 @@ def scan_member(model, a, p):
     """Membership by scanning every component."""
     from ordspec.spectrum import cut_above, cut_below
 
-    below, above = cut_below(model, p), cut_above(model, p)
+    below, above = cut_below(p), cut_above(model, p)
     return any(lo <= below and above <= hi for lo, hi in a.parts)
 
 
@@ -672,7 +672,7 @@ def order_closure_fixpoint(model, u):
                 and (is_inf(p.coord) or p.flavor is not Flavor.PRINCIPAL)
             ):
                 additions.append(p)
-            q = point_ending_at(model, lo)
+            q = point_ending_at(lo)
             if (
                 q is not None
                 and not scan_member(model, cur, q)

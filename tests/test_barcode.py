@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ordspec import (
-    DomainError, Field, QQ, barcode, chain_module, decompose, is_flat, rank_invariant, realize,
+    Barcode, DomainError, Field, QQ, chain_module, decompose, is_flat, rank_invariant, realize,
 )
 from ordspec.jsonio import decode_chain, encode_barcode, encode_chain
 
@@ -56,24 +56,24 @@ def test_decompose_examples():
 
 
 def test_realize_examples():
-    b = barcode({(0, 2): 1, (1, 3): 1})
+    b = Barcode({(0, 2): 1, (1, 3): 1})
     m = realize(b, 3)
     assert m.dims == (1, 2, 1)
     assert decompose(m) == b
-    empty = realize(barcode({}), 4)
+    empty = realize(Barcode({}), 4)
     assert empty.dims == (0, 0, 0, 0)
-    points = realize(barcode({(0, 1): 3}), 1)
+    points = realize(Barcode({(0, 1): 3}), 1)
     assert points.dims == (3,)
     with pytest.raises(DomainError):
-        realize(barcode({(0, 5): 1}), 3)
+        realize(Barcode({(0, 5): 1}), 3)
 
 
 def test_size_bound_refuses_huge_chains():
-    assert realize(barcode({(0, 1): 1000}), 2).dims == (1000, 0)
+    assert realize(Barcode({(0, 1): 1000}), 2).dims == (1000, 0)
     for make in (
-        lambda: realize(barcode({(0, 1): 2**64}), 1),
-        lambda: realize(barcode({(0, 1): 1001}), 2),
-        lambda: realize(barcode({}), 10**8),
+        lambda: realize(Barcode({(0, 1): 2**64}), 1),
+        lambda: realize(Barcode({(0, 1): 1001}), 2),
+        lambda: realize(Barcode({}), 10**8),
         lambda: chain_module([2**64], []),
         lambda: chain_module([1001, 0], [[]]),
     ):
@@ -85,13 +85,13 @@ def test_size_bound_refuses_huge_chains():
 def test_realize_keeps_block_order_in_time_linear_in_length_plus_output():
     # one block per unit of multiplicity, in the order of the bars:
     # [0,2), [0,3), [1,3), [1,3)
-    m = realize(barcode({(0, 2): 1, (0, 3): 1, (1, 3): 2}), 3)
+    m = realize(Barcode({(0, 2): 1, (0, 3): 1, (1, 3): 2}), 3)
     assert m.dims == (2, 4, 3)
     assert m.ints == (((1, 0), (0, 1), (0, 0), (0, 0)), ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
     # the squared dimensions sum to exactly the size bound; a scan of every
     # block at every slot takes about 20 s at this length on a 2-vCPU host
     start = time.perf_counter()
-    m = realize(barcode({(0, 1): 1000}), 2 * 10**5)
+    m = realize(Barcode({(0, 1): 1000}), 2 * 10**5)
     assert time.perf_counter() - start < 5
     assert m.dims[:2] == (1000, 0) and m.length == 2 * 10**5
 
@@ -103,7 +103,7 @@ def random_barcode(rng, max_bars=20, max_len=12):
         i = rng.randrange(length)
         j = rng.randint(i + 1, length)
         bars[(i, j)] = bars.get((i, j), 0) + rng.randint(1, 2)
-    return barcode(bars), length
+    return Barcode(bars), length
 
 
 def random_chain(rng, max_dim=4, max_len=6, field=QQ):

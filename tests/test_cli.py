@@ -470,8 +470,8 @@ def test_strategy_disagreement_carries_its_witness(monkeypatch):
 # The ordspec modules every call loads: the package (which binds the function
 # ``barcode`` and so loads its module), the front end and the codecs' layers.
 _BASE_MODULES = {
-    "ordspec", "ordspec.barcode", "ordspec.cli", "ordspec.coords", "ordspec.errors",
-    "ordspec.fields", "ordspec.jsonio", "ordspec.linalg", "ordspec.order_core",
+    "ordspec", "ordspec.cli", "ordspec.coords", "ordspec.errors",
+    "ordspec.fields", "ordspec.jsonio", "ordspec.order_core",
 }
 _IMPORT_PROBE = """
 import io, json, sys
@@ -488,7 +488,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "ord
     "args, extra",
     [
         (["classify", "--ideal", '{"coord":"0","flavor":"strict"}'], set()),
-        (["decompose", "--module", '{"dims":[1,2,1],"maps":[[["1"],["0"]],[["0","1"]]]}'], set()),
+        (["decompose", "--module", '{"dims":[1,2,1],"maps":[[["1"],["0"]],[["0","1"]]]}'],
+         {"ordspec.barcode", "ordspec.linalg"}),
         (["closure", "--set", ROW2_SET], {"ordspec.spectrum"}),
         (["distance", "--p", '{"coord":"0","flavor":"strict"}',
           "--q", '{"coord":"3","flavor":"principal"}'], {"ordspec.interleaving"}),
@@ -496,7 +497,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "ord
             "source": {"summands": ["[1,3)", "[2,4)"]},
             "target": {"summands": ["[0,3)"]},
             "entries": [{"from": 0, "to": 0, "value": "1"}, {"from": 1, "to": 0, "value": "1"}],
-        })], {"ordspec.fp_category"}),
+        })], {"ordspec.fp_category", "ordspec.barcode", "ordspec.linalg"}),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )

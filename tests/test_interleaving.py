@@ -4,7 +4,9 @@ import pytest
 
 from ordspec import (
     Coord,
+    DENSE_RATIONAL_WITH_CUTS,
     DENSE_REAL,
+    DistanceBracket,
     DomainError,
     DPoint,
     FiniteChain,
@@ -16,6 +18,7 @@ from ordspec import (
     brute_force_distance,
     complement,
     distance,
+    is_inf,
     closure_all_strategies,
     full_set,
     is_closed,
@@ -99,28 +102,29 @@ def test_is_interleaved_matches_commuting_square_oracle():
 
 
 def test_distance_examples():
-    assert distance(M, P(0), S(1)).value == Coord(1)
-    assert distance(M, TOP_IDEAL, P(0)).is_infinite
+    assert distance(M, P(0), S(1)) == Coord(1)
+    assert distance(M, TOP_IDEAL, P(0)) is INF
+    assert distance(M, P(0), TOP_IDEAL) is INF
     x = Coord(Fraction(9, 4))
-    assert distance(M, S(x), P(x)).value == Coord(0)
-    assert distance(M, TOP_IDEAL, TOP_IDEAL).value == Coord(0)
+    assert distance(M, S(x), P(x)) == Coord(0)
+    assert distance(M, TOP_IDEAL, TOP_IDEAL) == Coord(0)
 
 
 def test_distance_pseudometric_axioms():
     rng = subseed(62)
     pts = [_random_point(rng) for _ in range(40)]
     for p in pts:
-        assert distance(M, p, p).value == Coord(0)
+        assert distance(M, p, p) == Coord(0)
     for _ in range(500):
         p, q, r = (rng.choice(pts) for _ in range(3))
         dpq, dqp = distance(M, p, q), distance(M, q, p)
-        assert (dpq.value, dpq.is_infinite) == (dqp.value, dqp.is_infinite)
+        assert dpq == dqp
         dpr, dqr = distance(M, p, r), distance(M, q, r)
-        if dpq.is_infinite or dqr.is_infinite:
+        if is_inf(dpq) or is_inf(dqr):
             continue  # an infinite leg absorbs the bound
-        if dpr.is_infinite:
+        if is_inf(dpr):
             assert False, "finite legs cannot bound an infinite distance"
-        assert dpr.value <= Coord(dpq.value.rat + dqr.value.rat)
+        assert dpr <= dpq + dqr
 
 
 def test_ball_examples():
@@ -144,7 +148,7 @@ def test_ball_membership_is_distance_below_radius():
         for _ in range(5):
             q = _random_point(rng)
             d = distance(M, p, q)
-            inside = (not d.is_infinite) and d.value < Coord(eps)
+            inside = d < Coord(eps)
             assert member(M, b, q) == inside, (p, q, eps)
 
 
@@ -160,18 +164,18 @@ def test_ball_complements_and_the_top_point():
     # the failure of openness at the top, seen through the metric: distance
     # zero pairs that the order still distinguishes
     for x in (Coord(0), Coord(Fraction(5, 3))):
-        assert distance(M, S(x), P(x)).value == Coord(0)
+        assert distance(M, S(x), P(x)) == Coord(0)
         assert S(x) != P(x)
 
 
 def test_brute_force_distance_examples():
     b = brute_force_distance(M, P(0), S(1), Fraction(1, 64))
-    assert not b.is_infinite
-    assert b.upper - b.lower <= Fraction(1, 64)
-    assert b.lower <= 1 <= b.upper
+    assert not is_inf(b.upper)
+    assert b.upper - b.lower <= Coord(Fraction(1, 64))
+    assert b.lower <= Coord(1) <= b.upper
     same = brute_force_distance(M, P(3), P(3), Fraction(1, 8))
-    assert (same.lower, same.upper) == (0, 0)
-    assert brute_force_distance(M, TOP_IDEAL, P(0), Fraction(1, 8)).is_infinite
+    assert (same.lower, same.upper) == (Coord(0), Coord(0))
+    assert brute_force_distance(M, TOP_IDEAL, P(0), Fraction(1, 8)) == DistanceBracket(INF, INF)
     with pytest.raises(DomainError) as exc:
         brute_force_distance(M, P(0), P(10**6), Fraction(1, 1000))
     assert exc.value.kind == "scan_too_long"
@@ -185,9 +189,51 @@ def test_formula_within_every_bracket():
         j = _random_point(rng)
         d = distance(M, i, j)
         b = brute_force_distance(M, i, j, step)
-        if d.is_infinite:
-            assert b.is_infinite
+        assert b.lower <= d <= b.upper
+        if is_inf(d):
+            assert is_inf(b.lower)
         else:
-            assert not b.is_infinite
-            assert b.lower <= d.value.rat <= b.upper
-            assert b.upper - b.lower <= step
+            assert b.upper - b.lower <= Coord(step)
+
+
+def _surd_point(rng, model):
+    """An ideal at k/4 + c*sqrt(2)/8 (rational when c = 0) or the top ideal;
+    under the rational model an ideal at a surd is strict."""
+    if rng.random() < 0.05:
+        return TOP_IDEAL
+    c = rng.choice((0, 0, rng.randint(-4, 4)))
+    x = Coord(Fraction(rng.randint(-16, 16), 4), Fraction(c, 8), 2)
+    if model.is_member(x) and rng.random() < 0.5:
+        return P(x)
+    return S(x)
+
+
+@pytest.mark.parametrize("model", [DENSE_REAL, DENSE_RATIONAL_WITH_CUTS], ids=["dense", "dense-surd"])
+def test_surd_distances_are_extended_coordinates(model):
+    rng = subseed(66)
+    step = Fraction(1, 8)
+    brackets = 0
+    for _ in range(400):
+        p, q, r = (_surd_point(rng, model) for _ in range(3))
+        d = distance(model, p, q)
+        assert d == distance(model, q, p)
+        if is_inf(p.coord) or is_inf(q.coord):
+            assert (d is INF) == (p.coord != q.coord)
+        else:
+            x, y = p.coord, q.coord
+            assert d == max(x - y, y - x) and d >= Coord(0)
+        dpr, dqr = distance(model, p, r), distance(model, q, r)
+        assert is_inf(dpr) or is_inf(d) or is_inf(dqr) or dpr <= d + dqr
+        eps = Fraction(rng.randint(1, 24), 8)
+        assert member(model, ball(model, p, eps), q) == (d < Coord(eps)), (p, q, eps)
+        if is_inf(d) or d.is_rational:
+            b = brute_force_distance(model, p, q, step)
+            assert b.lower <= d <= b.upper
+            brackets += 1
+    assert brackets > 100
+
+
+def test_distance_across_radicands_is_refused():
+    with pytest.raises(DomainError) as exc:
+        distance(M, P(Coord(0, 1, 2)), P(Coord(0, 1, 3)))
+    assert exc.value.kind == "incompatible_radicands"

@@ -120,8 +120,8 @@ def test_one_order_on_coordinates_ideals_and_cuts():
         _assert_one_order(ideals)
         # cut_below and cut_above embed the ideals into the cuts, whether the
         # cuts are the shared ones or equal ones built directly
-        for cut in (cut_below, cut_above):
-            shared = [cut(model, p) for p in ideals]
+        for cut in (cut_below, lambda p: cut_above(model, p)):
+            shared = [cut(p) for p in ideals]
             direct = [Cut(c.coord, c.level) for c in shared]
             _assert_one_order(shared + direct + [BOTTOM, Cut(None, 0)])
             for p, a, a2 in zip(ideals, shared, direct):
@@ -129,7 +129,7 @@ def test_one_order_on_coordinates_ideals_and_cuts():
                 for q, b, b2 in zip(ideals, shared, direct):
                     assert a._cmp(b) == a2._cmp(b) == a._cmp(b2) == p._cmp(q)
         for p in ideals:
-            assert cut_below(model, p) < cut_above(model, p)
+            assert cut_below(p) < cut_above(model, p)
 
 
 # ---------------------------------------------------------------------------

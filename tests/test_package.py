@@ -9,6 +9,7 @@ import os
 import pathlib
 import pickle
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -30,7 +31,6 @@ from ordspec import (
     DenseLine,
     DistanceBracket,
     DPoint,
-    ExtDistance,
     Field,
     FiniteChain,
     Flavor,
@@ -101,19 +101,39 @@ def test_no_module_imports_a_name_it_never_uses():
             assert unused_imports(path.read_text()) == [], path.name
 
 
-def test_barcode_stays_the_function_whatever_is_imported_first():
-    # importing a submodule binds its name on the package; ``barcode`` is
-    # both a submodule and a function, and the package must keep the function
+def test_barcode_is_the_submodule_and_barcodes_build_from_a_mapping():
+    # the package imports no layer, and importing one binds the layer's name
+    # on the package: no public name is also the name of a submodule
     probe = (
-        "import ordspec.fp_category, ordspec.barcode, ordspec, types; "
-        "assert not isinstance(ordspec.barcode, types.ModuleType); "
-        "assert ordspec.barcode is ordspec.barcode.__globals__['barcode']; "
-        "assert ordspec.barcode({(0, 1): 1}).bars == ((0, 1, 1),)"
+        "import sys, types, ordspec; "
+        "assert [m for m in sys.modules if m.startswith('ordspec.')] == []; "
+        "import ordspec.fp_category; "
+        "assert isinstance(ordspec.barcode, types.ModuleType); "
+        "assert ordspec.Barcode is ordspec.barcode.Barcode"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC)
     )
     assert proc.returncode == 0, proc.stderr
+    assert not set(ordspec.__all__) & set(ordspec._EXPORTS)
+    # sorted, with zero multiplicities dropped
+    assert Barcode({(1, 2): 0, (0, 3): 2, (0, 1): 1}).bars == ((0, 1, 1), (0, 3, 2))
+    assert Barcode({(1, 2): 0}) == Barcode({}) == Barcode(())
+    for bars in ({(0, 1): -1}, {(1, 1): 1}, {(-1, 2): 1}):
+        with pytest.raises(DomainError) as err:
+            Barcode(bars)
+        assert err.value.kind == "bad_barcode"
+
+
+def test_the_readme_python_examples_run():
+    readme = pathlib.Path(SRC).parent.joinpath("README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        proc = subprocess.run(
+            [sys.executable, "-c", block], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC)
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_import_loads_neither_typing_nor_dataclasses():
@@ -138,10 +158,9 @@ _VALUES = [
     (lambda: FpInterval(Coord(0), INF), lambda: FpInterval(Coord(0), Coord(1))),
     (lambda: GeneratorElement(Coord(1), (Fraction(1), Fraction(0))), lambda: GeneratorElement(Coord(1), (Fraction(1),))),
     (lambda: ChainModule((1, 1), (((2,),),), (3,), QQ), lambda: ChainModule((1, 1), (((2,),),), (1,), QQ)),
-    (lambda: Barcode(((0, 2, 1),)), lambda: Barcode(((0, 2, 2),))),
+    (lambda: Barcode({(0, 2): 1}), lambda: Barcode({(0, 2): 2})),
     (lambda: DEndpoint(DPoint(Coord(0), Flavor.PRINCIPAL), True), lambda: DEndpoint("below_all", False)),
-    (lambda: ExtDistance(Coord(2)), lambda: ExtDistance(None)),
-    (lambda: DistanceBracket(Fraction(0), Fraction(1, 64)), lambda: DistanceBracket(None, None)),
+    (lambda: DistanceBracket(Coord(0), Coord(Fraction(1, 64))), lambda: DistanceBracket(INF, INF)),
     (
         lambda: FpModule([FpInterval(Coord(1), INF), FpInterval(Coord(0), Coord(1))]),
         lambda: FpModule([FpInterval(Coord(0), Coord(1))]),
@@ -268,6 +287,7 @@ def test_default_fields():
 _CHAIN = FiniteChain(3)
 _SURD_LINE = DENSE_RATIONAL_WITH_CUTS
 _RAY = FpModule((FpInterval(Coord(0), INF),))
+_TWO_RAYS = FpModule(_RAY.summands * 2)
 _SQRT2 = Coord(0, 1, 2)
 
 _ERRORS = [
@@ -289,6 +309,17 @@ _ERRORS = [
     ("bad_strategy", lambda: closure(DENSE_REAL, EMPTY_SET, "order")),
     ("bad_cover_index", lambda: integer_cover_member(DENSE_REAL, 1)),
     ("irrational_gap", lambda: brute_force_distance(DENSE_REAL, strict_at(_SQRT2), strict_at(0), 1)),
+    # only exact scalars enter: floats in a morphism, so in its kernel and
+    # composites, and as generator coefficients over QQ and over F_7; a bool,
+    # and a Fraction over F_7
+    ("bad_scalar", lambda: kernel(FpMorphism(_TWO_RAYS, _RAY, {(0, 0): 0.1, (1, 0): 0.2}))),
+    ("bad_scalar", lambda: compose(identity_morphism(_RAY), FpMorphism(_RAY, _RAY, {(0, 0): 0.5}))),
+    ("bad_scalar", lambda: reduce_generators(
+        _TWO_RAYS, [GeneratorElement(Coord(0), (0.1, 0.2)), GeneratorElement(Coord(0), (0.3, 0.6000000000000001))]
+    )),
+    ("bad_scalar", lambda: reduce_generators(_TWO_RAYS, [GeneratorElement(Coord(0), (0.5, 1))], Field(7))),
+    ("bad_scalar", lambda: FpMorphism(_RAY, _RAY, {(0, 0): True})),
+    ("bad_scalar", lambda: FpMorphism(_RAY, _RAY, {(0, 0): Fraction(1, 2)}, Field(7))),
 ]
 
 

@@ -33,7 +33,7 @@ from ordspec import (
     window_set,
 )
 from ordspec import coords, jsonio, spectrum
-from ordspec.interleaving import INFINITE_BRACKET, DistanceBracket, ExtDistance
+from ordspec.interleaving import INFINITE_BRACKET, DistanceBracket
 from ordspec.spectrum import Cut, DEndpoint, cut_above, shared_cut
 
 from conftest import subseed
@@ -225,12 +225,15 @@ def test_value_objects_have_no_instance_dict():
         DEndpoint(p, True),
         u,
         left_orthogonal(model, u),
-        ExtDistance(Coord(0)),
-        DistanceBracket(Fraction(0), Fraction(1)),
+        DistanceBracket(Coord(0), Coord(1)),
         INFINITE_BRACKET,
     ]
     for value in values:
         assert not hasattr(value, "__dict__"), type(value).__name__
+    # a bracket's bounds are extended coordinates, and INF comes back as INF
+    for rebuild in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        assert rebuild(values[-2]) == values[-2]
+        assert rebuild(INFINITE_BRACKET).lower is rebuild(INFINITE_BRACKET).upper is INF
 
 
 def test_equal_cuts_are_one_object():
