@@ -5,10 +5,12 @@ One elder-rule sweep (Zomorodian-Carlsson, *Computing persistent homology*,
 ``fp_category``.  It walks a chain of vector spaces carrying a basis of
 explicit vectors, each tagged by the step it was born at.  At each step one
 pass reduces the carried vectors, oldest first, into an echelon form whose
-rows record the carried vectors they came from (the R = D.V reduction of
+rows record their reduction steps (the R = D.V reduction of
 Edelsbrunner-Letscher-Zomorodian, *Topological persistence and
 simplification*, 2002).  A vector that reduces to zero is the youngest member
 of a dependency; its bar ends there, with no nullspace computed per death.
+The bars are read from the pivots alone; the dependency's combination (V)
+is built only by a caller that reads it, the kernels and cokernels.
 The same form then extends the survivors to a basis of the new step; the
 added vectors are the births.  The engine is parameterised by the map that
 carries a vector one step on and by a basis of each step: ``decompose``
@@ -34,7 +36,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import DomainError, Value
+from .errors import DomainError, Value, shared_small
 from .fields import Field, QQ
 from . import linalg
 
@@ -103,18 +105,15 @@ class ChainModule(Value):
 
 def chain_module(dims, maps, field: Field = QQ) -> ChainModule:
     """The chain module with the given dimensions and structure maps (matrices
-    of scalars of the field, each a list of rows)."""
+    of scalars of the field, each a list of rows).  Each entry must be a
+    scalar of the field (``Field.scalar``: a float or a bool raises
+    DomainError("bad_scalar")), and over F_p it is reduced mod p."""
     ints, dens = [], []
     for m in maps:
-        rows = [tuple(row) for row in m]
+        rows = [tuple(map(field.scalar, row)) for row in m]
         den = 1
-        if not field.is_rational:
-            rows = [tuple(v % field.p for v in row) for row in rows]
-        else:
-            try:
-                den = math.lcm(*{v.denominator for row in rows for v in row})
-            except AttributeError:
-                raise DomainError("bad_chain", "entries over QQ must be rationals") from None
+        if field.is_rational:
+            den = math.lcm(*{v.denominator for row in rows for v in row})
             # integral maps, the common case, skip the scaling
             if den == 1:
                 rows = [tuple(v.numerator for v in row) for row in rows]
@@ -130,7 +129,8 @@ class Barcode(Value):
 
     Built from a mapping {(start, end): multiplicity}: zero multiplicities
     are dropped, and ``bars`` holds the others as sorted (start, end,
-    multiplicity) triples."""
+    multiplicity) triples, those of small ints shared between barcodes
+    (``errors.shared_small``)."""
 
     __slots__ = ("bars",)
 
@@ -141,7 +141,7 @@ class Barcode(Value):
                 raise DomainError("bad_barcode", f"bar [{s},{e}) is not a valid range")
             if m < 1:
                 raise DomainError("bad_barcode", "multiplicities must be positive")
-        super().__init__(bars)
+        super().__init__(tuple(map(shared_small, bars)))
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {(s, e): m for s, e, m in self.bars}
@@ -222,26 +222,26 @@ def _sweep(field: Field, n_steps: int, carry, basis_at):
     keep spanning that step's image, and one pass finds every death.  The
     same form then takes vectors from ``basis_at(s)`` until the survivors
     span the step.  Only current vectors are kept.  Returns (birth,
-    death-or-None, combination) triples: the recorded vanishing combination
-    {record: coefficient} of a dependency death, else {record: one}.
+    death-or-None, record, combination) for each bar: for a dependency
+    death, the callable of ``Echelon.add`` that builds the vanishing
+    combination {record: coefficient}, passed through uncalled; else None.
     """
-    one = field.one
     active: list[_Born] = []
     bars = []
     for s in range(n_steps):
         for rec in active:
             rec.vec = carry(s, rec.vec)
         for rec in [r for r in active if not r.vec]:
-            bars.append((rec.birth, s, {rec: one}))
+            bars.append((rec.birth, s, rec, None))
             active.remove(rec)
         echelon = linalg.Echelon(field)
         survivors = []
         for rec in active:
-            comb = echelon.add(rec.vec, rec)
-            if comb is None:
+            combination = echelon.add(rec.vec, rec)
+            if combination is None:
                 survivors.append(rec)
             else:
-                bars.append((rec.birth, s, comb))
+                bars.append((rec.birth, s, rec, combination))
         active = survivors
         basis = basis_at(s)
         for vec in basis:
@@ -256,7 +256,7 @@ def _sweep(field: Field, n_steps: int, carry, basis_at):
                 f"{len(active)} carried vs {len(basis)} expected"
             )
     for rec in active:
-        bars.append((rec.birth, None, {rec: one}))
+        bars.append((rec.birth, None, rec, None))
     return bars
 
 
@@ -265,12 +265,13 @@ def decompose(m: ChainModule) -> Barcode:
 
     Integer vectors are carried by the integer matrices of the structure
     maps, read once as sparse columns; the unit vectors of each slot are the
-    candidate births.  Only the bars are read from the sweep.
+    candidate births.  Only the bars are read from the sweep, so no
+    vanishing combination is ever built.
     """
     field = m.field
     cols = [_columns(m, t) for t in range(m.length - 1)]
     bars = {}
-    for birth, death, _ in _sweep(
+    for birth, death, _, _ in _sweep(
         field,
         m.length,
         lambda s, vec: _carry(field, vec, cols[s - 1]),

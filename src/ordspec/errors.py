@@ -1,6 +1,7 @@
 """Error types and the immutable value base and order mixin shared across
 the library.  Every layer imports this module, so the bases of its record
-classes live here too and add no module to any import.
+classes, and the table that lets kept records share their small tuples,
+live here too and add no module to any import.
 """
 
 from operator import attrgetter
@@ -86,6 +87,24 @@ class Value:
     def __repr__(self):
         args = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
         return f"{self.__class__.__name__}({args})"
+
+
+# Tuples of small ints that kept answers hold many of (a morphism's entry
+# keys, a barcode's bars) come from one table, as CPython shares small ints:
+# such tuples are the largest part of those answers' memory, and a program
+# that keeps many answers then holds one tuple per distinct small tuple, not
+# one per entry or bar.  The bound keeps the table finite.
+SHARED_BELOW = 64
+_SHARED: dict = {}
+
+
+def shared_small(key: tuple) -> tuple:
+    """The one stored tuple equal to key when each of its members is an int
+    (not a bool) in 0 <= v < SHARED_BELOW, else key itself."""
+    for v in key:
+        if v.__class__ is not int or not 0 <= v < SHARED_BELOW:
+            return key
+    return _SHARED.setdefault(key, key)
 
 
 class Ordered:

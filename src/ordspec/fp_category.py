@@ -44,7 +44,7 @@ import math
 
 from .barcode import _sweep
 from .coords import Coord, INF, is_inf, rational_above, rational_between
-from .errors import DomainError, Value
+from .errors import DomainError, Value, shared_small
 from .fields import Field, QQ
 from . import linalg
 from .order_core import DPoint, FpInterval, IndexModel, validate_dpoint, validate_interval, window_ends
@@ -105,18 +105,11 @@ def hom_to_injective(model: IndexModel, x: FpInterval, p: DPoint) -> int:
     return int(lo <= p <= hi)
 
 
-# Entry keys (i, j) of two ints below _SHARED come from one table, as CPython
-# shares small ints: the key tuple is the largest part of a morphism's
-# memory, and a program that keeps many answers (kernels, cokernels) then
-# holds one tuple per distinct small pair, not one per entry.
-_SHARED = 64
-_PAIRS: dict = {}
-
-
 class FpMorphism(Value):
     """A scalar matrix between fp modules; entry (i -> j) maps source summand i
     into target summand j.  Each entry must be a scalar of the field
-    (``Field.scalar``), and over F_p it is reduced mod p."""
+    (``Field.scalar``), and over F_p it is reduced mod p.  Entry keys of
+    small ints are shared between morphisms (``errors.shared_small``)."""
 
     __slots__ = ("source", "target", "entries", "field")
     # entries is a dict, which has no hash
@@ -135,10 +128,7 @@ class FpMorphism(Value):
                     "illegal_entry",
                     f"no nonzero maps {source.summands[i]} -> {target.summands[j]}",
                 )
-            key = (i, j)
-            if i.__class__ is j.__class__ is int and i < _SHARED and j < _SHARED:
-                key = _PAIRS.setdefault(key, key)
-            clean[key] = v
+            clean[shared_small((i, j))] = v
         super().__init__(source, target, clean, field)
 
     def is_zero(self) -> bool:
@@ -281,16 +271,21 @@ def _exact(op: str, f: FpMorphism) -> tuple[FpModule, FpMorphism]:
         field, n, restrict,
         lambda s: _null_basis(field, f_cols, alive_dom[order[s]], alive_cod[order[s]]),
     )
+    # a summand equal to one of the domain's, or to one lifted before it, is
+    # that object, so a kept answer holds no copy of it
+    known = {iv: iv for iv in dom.summands}
     lifted = []
-    for birth, death, comb in bars:
+    for birth, death, rec, combination in bars:
         p, q = sorted((order[birth], order[n - 1 if death is None else death - 1]))
-        # the combination at the bar's birth: carrying is restriction, and a
-        # summand alive at two steps is alive between them
-        if len(comb) == 1:
-            vec = next(iter(comb)).born
+        # a dependency death's combination at the bar's birth: carrying is
+        # restriction, and a summand alive at two steps is alive between them
+        if combination is None:
+            vec = rec.born
         else:
-            vec = linalg.combine(field, comb, {rec: restrict(birth, rec.born) for rec in comb})
-        lifted.append((_lift_bar(ends, p, q), vec))
+            comb = combination()
+            vec = linalg.combine(field, comb, {r: restrict(birth, r.born) for r in comb})
+        iv = _lift_bar(ends, p, q)
+        lifted.append((known.setdefault(iv, iv), vec))
     lifted.sort(key=lambda pair: _iv_key(pair[0]))
     mod = FpModule(iv for iv, _ in lifted)
     emb = {(ell, i): v for ell, (_, vec) in enumerate(lifted) for i, v in vec.items()}

@@ -4,9 +4,13 @@ Linear maps on the way through a computation are sparse: a vector is a dict
 without zero entries, and a map is given by its columns, one such vector
 per key.  ``combine`` applies a map to a vector (the sum of coefficient
 times column).  ``Echelon`` is a sparse echelon form grown one vector at a
-time whose rows record the combinations of added vectors they came from; it
-computes nullspaces, the deaths and births of the elder-rule sweep in
-``barcode`` and generator reduction in ``fp_category``.  ``rank`` is the
+time whose rows record their reduction steps, the earlier rows each was
+reduced against; it computes nullspaces, the deaths and births of the
+elder-rule sweep in ``barcode`` and generator reduction in ``fp_category``.
+The combination of added vectors that a dependent vector vanishes with is
+built from those steps only where it is read: for nullspaces and for the
+dying kernel and cokernel bars, not for barcodes, whose bars are read from
+the pivots alone.  ``rank`` is the
 one dense routine, on rows of integers: it serves the kernel and cokernel
 certificate, and the rank invariant and flatness of chain modules, whose
 callers scale their rational rows to integers first (scaling a row leaves
@@ -88,45 +92,67 @@ class Echelon:
     """A sparse echelon form grown one vector at a time.
 
     Vectors are dicts without zero entries.  Each row is 1 at its pivot, the
-    least key where it is nonzero, and 0 at the pivots of the rows before it;
-    it also records itself as a combination ``{tag: coefficient}`` of the
-    vectors added so far.  ``add(vec, tag)`` reduces vec against the rows in
-    order.  A nonzero remainder joins the form and add returns None.
-    Otherwise add returns the vanishing combination of vec and the vectors
-    that joined before it, with coefficient 1 at tag; it is unique, because
-    the vectors that joined are independent.
+    least key where it is nonzero, and 0 at the pivots of the rows before it.
+    ``add(vec, tag)`` reduces vec against the rows in order.  A nonzero
+    remainder joins the form, with the tag, the inverse of its pivot entry
+    and its reduction steps ``{earlier row: coefficient}``, and add returns
+    None.  Otherwise add returns a zero-argument callable that builds the
+    vanishing combination ``{tag: coefficient}`` of vec and the vectors that
+    joined before it, with coefficient 1 at tag; it is unique, because the
+    vectors that joined are independent.  Only the pivots decide what joins,
+    so a caller that reads no combination (the barcode sweep of
+    ``decompose``, generator reduction) never pays for one.
     """
 
     __slots__ = ("field", "rows")
 
     def __init__(self, field: Field):
         self.field = field
-        self.rows = []  # (pivot, row, combination)
+        self.rows = []  # (pivot, row, tag, pivot inverse, steps)
 
     def add(self, vec: dict, tag):
         field = self.field
         rem = dict(vec)
-        comb = {tag: field.one}
-        for pivot, row, row_comb in self.rows:
+        steps = {}
+        for k, (pivot, row, _, _, _) in enumerate(self.rows):
             c = rem.get(pivot)
             if c is not None:
                 _sub_multiple(field, rem, c, row)
-                _sub_multiple(field, comb, c, row_comb)
+                steps[k] = c
         if not rem:
-            return comb
+            return lambda: self._combination(tag, steps)
         pivot = min(rem)
         # scale to 1 at the pivot; over QQ entries may be ints, one is Fraction(1)
         p = field.p
         if p is None:
             inv = field.one / rem[pivot]
             row = {i: inv * v for i, v in rem.items()}
-            comb = {t: inv * v for t, v in comb.items()}
         else:
             inv = pow(rem[pivot], p - 2, p)
             row = {i: inv * v % p for i, v in rem.items()}
-            comb = {t: inv * v % p for t, v in comb.items()}
-        self.rows.append((pivot, row, comb))
+        self.rows.append((pivot, row, tag, inv, steps))
         return None
+
+    def _combination(self, tag, steps: dict) -> dict:
+        """The vanishing combination of a vector added with tag that reduced
+        to zero by steps: vec = sum of c * row k over steps.  Row k is inv_k
+        times its vector minus its own steps, and these name only earlier
+        rows, so the pending coefficients of the rows are expanded in
+        decreasing row order, each row once, with no recursion."""
+        field = self.field
+        p = field.p
+        out = {tag: field.one}
+        pending: dict = {}
+        _sub_multiple(field, pending, 1, steps)
+        for k in range(max(pending, default=-1), -1, -1):
+            a = pending.pop(k, None)
+            if a is None:
+                continue
+            _, _, row_tag, inv, row_steps = self.rows[k]
+            a = a * inv if p is None else a * inv % p
+            _sub_multiple(field, out, -a, {row_tag: 1})
+            _sub_multiple(field, pending, a, row_steps)
+        return out
 
 
 def _sub_multiple(field: Field, acc: dict, c, vec: dict) -> None:
@@ -159,10 +185,10 @@ def nullspace(field: Field, cols: dict) -> list:
 
     The columns are added to an ``Echelon`` in order; each column that
     depends on the ones before it gives the vector of its vanishing
-    combination.  That is the basis read off the reduced row echelon form,
-    one vector per free column, since both are 1 at the free column and 0
-    at the other free columns.
+    combination, built as it is found.  That is the basis read off the
+    reduced row echelon form, one vector per free column, since both are 1
+    at the free column and 0 at the other free columns.
     """
     echelon = Echelon(field)
-    combs = (echelon.add(col, key) for key, col in cols.items())
-    return [comb for comb in combs if comb is not None]
+    found = (echelon.add(col, key) for key, col in cols.items())
+    return [combination() for combination in found if combination is not None]

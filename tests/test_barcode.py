@@ -127,6 +127,30 @@ def test_round_trip_random():
         assert decompose(realize(b, length)) == b
 
 
+def test_decompose_builds_no_combination(monkeypatch):
+    """Bars are read from the pivots alone: with the method that builds
+    vanishing combinations refusing, decompose returns the barcodes it
+    returns without the fault, over QQ and F_p and with deaths by
+    dependency, while a kernel, which reads its combinations, still calls
+    it."""
+    from ordspec import FpInterval, FpModule, FpMorphism, INF, Coord, kernel, linalg
+
+    def refuse(*args):
+        raise AssertionError("a combination was built")
+
+    rng = subseed(38)
+    ms = [random_chain(rng, field=field) for field in (QQ, Field(5)) for _ in range(30)]
+    ms.append(chain_module([2, 1], [_mat([[1, 1]])]))
+    expected = [decompose(m) for m in ms]
+    ray = FpInterval(Coord(0), INF)
+    summing = FpMorphism(FpModule((ray, ray)), FpModule((ray,)), {(0, 0): F(1), (1, 0): F(1)})
+    monkeypatch.setattr(linalg.Echelon, "_combination", refuse)
+    assert [decompose(m) for m in ms] == expected
+    assert expected[-1] == Barcode({(0, 1): 1, (0, 2): 1})
+    with pytest.raises(AssertionError, match="^a combination was built$"):
+        kernel(summing)
+
+
 def test_dimension_conservation_and_monotonicity():
     rng = subseed(31)
     for _ in range(60):
@@ -329,6 +353,7 @@ def test_prime_field_entries_are_reduced():
 
 
 def test_entries_that_are_not_rationals_are_refused():
+    """Entries enter as every scalar does, through ``Field.scalar``."""
     with pytest.raises(DomainError) as exc:
         chain_module([1, 1], [[[0.5]]], QQ)
-    assert exc.value.kind == "bad_chain"
+    assert exc.value.kind == "bad_scalar"

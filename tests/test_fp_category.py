@@ -304,6 +304,36 @@ def test_small_entry_keys_are_shared_between_morphisms():
     assert type(next(iter(flagged.entries))[0]) is bool
 
 
+def test_small_bars_are_shared_between_barcodes():
+    """The bars of a kept barcode come from the same table as a morphism's
+    entry keys: equal (start, end, multiplicity) triples of small ints are
+    one object, and a bar with an end at or above the bound keeps its own
+    triple."""
+    from ordspec import Barcode
+    from ordspec.errors import SHARED_BELOW, shared_small
+
+    a, b = (Barcode({(0, 3): 2, (1, SHARED_BELOW): 1}) for _ in range(2))
+    assert a.bars[0] == (0, 3, 2) and a.bars[0] is b.bars[0]
+    assert a.bars[1] == b.bars[1] and a.bars[1] is not b.bars[1]
+    assert shared_small((0, 3, 2)) is a.bars[0]
+    m = FpModule((iv(0, "inf"),) * 4)
+    assert shared_small((0, 3)) is next(iter(FpMorphism(m, m, {(0, 3): F(1)}).entries))
+
+
+def test_lifted_summands_are_shared():
+    """A kernel or cokernel summand equal to a summand of the domain, or to
+    one lifted before it, is that object: a kept answer holds no copy."""
+    source = FpModule((iv(0, 3), iv(1, "inf")))
+    target = FpModule((iv(2, "inf"),))
+    K, _ = kernel(zero_morphism(source, target))
+    assert K == source and all(a is b for a, b in zip(K.summands, source.summands))
+    C, _ = cokernel(zero_morphism(target, source))
+    assert C == source and all(a is b for a, b in zip(C.summands, source.summands))
+    rays = FpModule((iv(0, "inf"),) * 2)
+    K, _ = kernel(FpMorphism(rays, FpModule((iv(0, 1),) * 2), {(0, 0): F(1), (1, 1): F(1)}))
+    assert K == FpModule((iv(1, "inf"),) * 2) and K.summands[0] is K.summands[1]
+
+
 def _summing_and_diagonal():
     """[0,inf)^2 -> [0,inf) adding the summands, and [0,inf) -> [0,inf)^2."""
     two = FpModule((iv(0, "inf"), iv(0, "inf")))
@@ -337,9 +367,8 @@ def test_shared_echelon_fault_is_caught(monkeypatch):
     real = linalg.Echelon.add
 
     def add(self, vec, tag):
-        comb = real(self, vec, tag)
-        if comb is not None:
-            self.rows.append((None, {}, comb))
+        if real(self, vec, tag) is not None:
+            self.rows.append((None, {}, tag, self.field.one, {}))
         return None
 
     def kernel_of_summing():

@@ -7,7 +7,7 @@ from ordspec.errors import SchemaError
 from ordspec import linalg
 
 from conftest import subseed
-from oracles import frac_nullspace, frac_rank, integer_rows, mat_mul, modp_rank
+from oracles import frac_nullspace, frac_rank, integer_rows, mat_mul, modp_nullspace, modp_rank
 
 
 def _random_matrix(rng, m, n, frac=True):
@@ -83,6 +83,62 @@ def test_nullspace_is_the_reduced_echelon_basis():
         basis = linalg.nullspace(QQ, _columns(a, n, keys))
         assert [_dense(v, n, keys) for v in basis] == want, (a, keys)
         assert all(0 not in v.values() for v in basis)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5), Field(2**31 - 1)], ids=["QQ", "F5", "F2^31-1"])
+def test_echelon_combinations_vanish_and_match_the_oracle(field):
+    """``Echelon.add`` returns None for a vector independent of those before
+    it, else a callable that builds its vanishing combination: coefficient 1
+    at the vector's tag, a combination of the vectors added so far that
+    sums to zero, and the reduced-echelon nullspace vector of the oracle
+    for that free column.  Building it later, after more vectors joined,
+    gives the same combination.  Over QQ the entries have denominators of
+    20 digits."""
+    rng = subseed(14)
+    p = field.p
+    if p is None:
+        def entry():
+            return Fraction(rng.randint(-10**20, 10**20), rng.randint(10**19, 10**20))
+    else:
+        def entry():
+            return rng.randrange(p)
+    for _ in range(40):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        a = _rank_deficient(rng, m, n, rng.randint(0, min(m, n)), entry)
+        if p is not None:
+            a = [[v % p for v in row] for row in a]
+        cols = _columns(a, n)
+        tags = [("column", j) for j in range(n)]
+        vectors = {tag: cols[j] for j, tag in enumerate(tags)}
+        echelon = linalg.Echelon(field)
+        found = []
+        for j, tag in enumerate(tags):
+            build = echelon.add(cols[j], tag)
+            if build is not None:
+                found.append((tag, build, build()))
+        want = frac_nullspace(a, n) if p is None else modp_nullspace(a, n, p)
+        assert len(found) == len(want), a
+        for (tag, build, early), vec in zip(found, want):
+            comb = build()
+            assert comb == early and comb[tag] == 1 and 0 not in comb.values()
+            assert linalg.combine(field, comb, vectors) == {}
+            assert [comb.get(t, 0) for t in tags] == vec, (a, tag)
+
+
+def test_deep_combination_builds_without_recursion():
+    """A combination whose rows each reduced against the row before it,
+    1300 rows deep, is built with no RecursionError: vector k is
+    e_{k-1} + e_{k+1} (e_0 + e_1 for k = 0), so row k reduces against row
+    k - 1, and their sum reduces to zero with coefficient -1 at every one
+    of them."""
+    field = Field(2**31 - 1)
+    n = 1300
+    vectors = {k: {max(k - 1, 0): 1, k + 1: 1} for k in range(n)}
+    echelon = linalg.Echelon(field)
+    assert all(echelon.add(vec, k) is None for k, vec in vectors.items())
+    total = linalg.combine(field, dict.fromkeys(vectors, 1), vectors)
+    comb = echelon.add(total, "sum")()
+    assert comb == {"sum": 1, **dict.fromkeys(vectors, field.p - 1)}
 
 
 def test_rank_prime_field_matches_modp_oracle():

@@ -42,6 +42,7 @@ from ordspec import (
     SerreRegion,
     SymbolicSet,
     brute_force_distance,
+    chain_module,
     closure,
     compose,
     identity_morphism,
@@ -311,7 +312,8 @@ _ERRORS = [
     ("irrational_gap", lambda: brute_force_distance(DENSE_REAL, strict_at(_SQRT2), strict_at(0), 1)),
     # only exact scalars enter: floats in a morphism, so in its kernel and
     # composites, and as generator coefficients over QQ and over F_7; a bool,
-    # and a Fraction over F_7
+    # and a Fraction over F_7; a float chain-map entry over F_7 and a bool one
+    # over QQ
     ("bad_scalar", lambda: kernel(FpMorphism(_TWO_RAYS, _RAY, {(0, 0): 0.1, (1, 0): 0.2}))),
     ("bad_scalar", lambda: compose(identity_morphism(_RAY), FpMorphism(_RAY, _RAY, {(0, 0): 0.5}))),
     ("bad_scalar", lambda: reduce_generators(
@@ -320,6 +322,8 @@ _ERRORS = [
     ("bad_scalar", lambda: reduce_generators(_TWO_RAYS, [GeneratorElement(Coord(0), (0.5, 1))], Field(7))),
     ("bad_scalar", lambda: FpMorphism(_RAY, _RAY, {(0, 0): True})),
     ("bad_scalar", lambda: FpMorphism(_RAY, _RAY, {(0, 0): Fraction(1, 2)}, Field(7))),
+    ("bad_scalar", lambda: chain_module([1, 1], [[[0.5]]], Field(7))),
+    ("bad_scalar", lambda: chain_module([1, 1], [[[True]]])),
 ]
 
 
