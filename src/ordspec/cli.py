@@ -192,21 +192,12 @@ def _closure(r, strategy: str):
     return {"closed": closed == u, "closure": jsonio.encode_set(r.model, closed)}
 
 
-_SHIFTS = {
-    "interval": lambda r, eps: jsonio.encode_interval(
-        _lib("interleaving").shift_interval(r.model, r("interval"), eps)
-    ),
-    "ideal": lambda r, eps: jsonio.encode_dpoint(
-        _lib("interleaving").shift_ideal(r.model, r("ideal"), eps)
-    ),
-}
-
-
 def _shift(r):
     eps = r("eps")  # read first: a bad --eps is reported before a bad shape
-    for flag, call in _SHIFTS.items():
-        if getattr(r.args, flag) is not None:
-            return call(r, eps)
+    if r.args.interval is not None:  # --interval wins over --ideal
+        return jsonio.encode_interval(_lib("interleaving").shift_interval(r.model, r("interval"), eps))
+    if r.args.ideal is not None:
+        return jsonio.encode_dpoint(_lib("interleaving").shift_ideal(r.model, r("ideal"), eps))
     raise SchemaError("shift needs --interval or --ideal")
 
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, Ordered, Value
+from .fields import QQ
 
 
 # bounded, so that distinct radicands cannot grow it; a refusal is not cached
@@ -95,6 +96,12 @@ _ZERO_COEF = Fraction(0)
 class Coord(Ordered, Value):
     """Immutable exact coordinate ``rat + coef*sqrt(rad)``.
 
+    The rational parts are exact numbers, an int or a Fraction, as
+    ``Field.scalar`` of QQ admits: anything else, a float, a bool or a
+    string included, raises ``bad_scalar``.  Only a part that is not already
+    a Fraction is checked, so the arithmetic, which passes Fractions, pays
+    nothing for it.
+
     Equality is the value base's, of ``(rat, coef, rad)``; it is exact, as a
     squarefree radicand makes the form unique (1, sqrt(d) and sqrt(e) are
     linearly independent over the rationals for distinct squarefree d, e).
@@ -102,11 +109,11 @@ class Coord(Ordered, Value):
 
     __slots__ = ("rat", "coef", "rad")
 
-    def __init__(self, rat, coef=0, rad: int = 0):
+    def __init__(self, rat, coef=_ZERO_COEF, rad: int = 0):
         if rat.__class__ is not Fraction:
-            rat = Fraction(rat)
+            rat = Fraction(QQ.scalar(rat))
         if coef.__class__ is not Fraction:
-            coef = Fraction(coef)
+            coef = Fraction(QQ.scalar(coef))
         if coef:
             s, f = split_radicand(rad)
             if f == 1:
@@ -241,11 +248,9 @@ def is_inf(x: ExtCoord) -> bool:
 
 
 def as_coord(x) -> Coord:
-    if isinstance(x, Coord):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Coord(x)
-    raise DomainError("not_a_coordinate", f"cannot interpret {x!r} as a coordinate")
+    """x itself when it is a ``Coord``, else the rational coordinate of the
+    exact number x, by ``Coord``'s rule (``bad_scalar`` for anything else)."""
+    return x if isinstance(x, Coord) else Coord(x)
 
 
 def _scaled_floor(x: Coord, denom: int) -> int:

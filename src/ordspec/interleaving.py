@@ -20,29 +20,35 @@ from fractions import Fraction
 
 from .coords import INF, ZERO, Coord, ExtCoord, is_inf
 from .errors import DomainError, Value
-from .order_core import DPoint, Flavor, FpInterval, IndexModel, require_dense, validate_dpoint
+from .fields import QQ
+from .order_core import DPoint, Flavor, FpInterval, IndexModel, require_dense
+from .order_core import validate_dpoint, validate_interval
 
 _SUBJECT = "interleaving is"
 
 
-def eps_value(value) -> Fraction:
-    eps = Fraction(value)
+def eps_value(value) -> int | Fraction:
+    """A shift amount: an exact number, an int or a Fraction, as
+    ``Field.scalar`` of QQ admits (else ``bad_scalar``), and not negative
+    (``bad_eps``)."""
+    eps = QQ.scalar(value)
     if eps < 0:
         raise DomainError("bad_eps", "shift amounts must be non-negative")
     return eps
 
 
 def shift_interval(model: IndexModel, iv: FpInterval, eps) -> FpInterval:
+    """iv shifted down by eps; both finite ends of iv must be elements of T
+    (``bad_interval``), as ``window_set`` checks them."""
     require_dense(model, _SUBJECT)
-    eps = eps_value(eps)
-    delta = Coord(eps)
+    validate_interval(model, iv)
+    delta = Coord(eps_value(eps))
     new_end = iv.end if is_inf(iv.end) else iv.end - delta
     return FpInterval(iv.start - delta, new_end)
 
 
 def shift_ideal(model: IndexModel, p: DPoint, eps) -> DPoint:
-    require_dense(model, _SUBJECT)
-    validate_dpoint(model, p)
+    require_dense(model, _SUBJECT, p)
     eps = eps_value(eps)
     if is_inf(p.coord):
         return p
@@ -56,9 +62,7 @@ def is_interleaved(model: IndexModel, i: DPoint, j: DPoint, eps) -> bool:
     and the transition maps are never zero, so the interleaving condition
     collapses to shift(j) <= i and shift(i) <= j in the double line order.
     """
-    require_dense(model, _SUBJECT)
-    validate_dpoint(model, i)
-    validate_dpoint(model, j)
+    require_dense(model, _SUBJECT, i, j)
     eps = eps_value(eps)
     si = shift_ideal(model, i, eps)
     sj = shift_ideal(model, j, eps)
@@ -69,9 +73,7 @@ def distance(model: IndexModel, i: DPoint, j: DPoint) -> ExtCoord:
     """The interleaving distance, the coordinate difference with flavors
     invisible: a ``Coord``, zero between the top ideal and itself, or ``INF``
     between the top ideal and any other."""
-    require_dense(model, _SUBJECT)
-    validate_dpoint(model, i)
-    validate_dpoint(model, j)
+    require_dense(model, _SUBJECT, i, j)
     if i.coord == j.coord:
         return ZERO
     if is_inf(i.coord) or is_inf(j.coord):
@@ -83,8 +85,7 @@ def ball(model: IndexModel, p: DPoint, eps) -> SymbolicSet:
     """The open metric ball around p; the ball around the full ideal is itself."""
     from .spectrum import INF_LOW, TOP, SymbolicSet, cut_above, cut_below
 
-    require_dense(model, _SUBJECT)
-    validate_dpoint(model, p)
+    require_dense(model, _SUBJECT, p)
     eps = eps_value(eps)
     if eps == 0:
         raise DomainError("bad_eps", "open balls need a positive radius")
@@ -113,15 +114,18 @@ _MAX_SCAN_STEPS = 10**5
 def brute_force_distance(model: IndexModel, i: DPoint, j: DPoint, step) -> DistanceBracket:
     """Bracket the interleaving infimum by scanning eps on a uniform grid.
 
-    Scans 0, step, 2*step, ... with the interleaving decision; the first hit
-    at k*step yields the bracket [(k-1)*step, k*step] ([0, 0] at k = 0), of
-    Coords.  Past the documented cutoff (coordinate distance plus one, or one
-    when a coordinate is infinite) the distance is reported infinite.  A scan
-    to the cutoff of more than _MAX_SCAN_STEPS steps is refused with
-    ``scan_too_long``.
+    The step is an exact number, an int or a Fraction (else ``bad_scalar``),
+    and positive (``bad_step``).  The scan decides interleaving at eps =
+    k*step for k = 0, 1, ..., floor(cutoff/step) + 1, so it ends at the first
+    grid point past the cutoff: the coordinate distance plus one, or one when
+    a coordinate is infinite.  The first hit at k*step yields the bracket
+    [(k-1)*step, k*step] ([0, 0] at k = 0), of Coords.  A finite distance
+    lies below the cutoff, so it is hit by then; with no hit the distance is
+    reported infinite.  A cutoff more than _MAX_SCAN_STEPS steps away is
+    refused with ``scan_too_long``.
     """
     require_dense(model, _SUBJECT)
-    step = Fraction(step)
+    step = QQ.scalar(step)
     if step <= 0:
         raise DomainError("bad_step", "the scan step must be positive")
     validate_dpoint(model, i)
@@ -139,11 +143,8 @@ def brute_force_distance(model: IndexModel, i: DPoint, j: DPoint, step) -> Dista
         raise DomainError(
             "scan_too_long", f"the scan to {cutoff} at step {step} exceeds {_MAX_SCAN_STEPS} steps"
         )
-    k = 0
-    eps = Fraction(0)
-    while eps <= cutoff:
+    for k in range(cutoff // step + 2):
+        eps = k * step
         if is_interleaved(model, i, j, eps):
             return DistanceBracket(Coord(max(k - 1, 0) * step), Coord(eps))
-        k += 1
-        eps = k * step
     return INFINITE_BRACKET

@@ -148,11 +148,15 @@ def window_ends(a: Coord, b: ExtCoord) -> tuple[DPoint, DPoint]:
     return DPoint(a, Flavor.PRINCIPAL), DPoint(b, Flavor.STRICT)
 
 
-def require_dense(model: IndexModel, subject: str) -> None:
-    """Raise ``dense_only`` unless model is a dense line; ``subject`` opens the
-    detail, as in "interleaving is"."""
+def require_dense(model: IndexModel, subject: str, *ideals: DPoint) -> None:
+    """The one guard of the spectrum and interleaving entries that read a model:
+    raise ``dense_only`` unless model is a dense line (``subject`` opens the
+    detail, as in "interleaving is"), then ``validate_dpoint`` each ideal in
+    order."""
     if not isinstance(model, DenseLine):
         raise DomainError("dense_only", f"{subject} defined over the dense line models")
+    for p in ideals:
+        validate_dpoint(model, p)
 
 
 def validate_dpoint(model: IndexModel, p: DPoint) -> None:

@@ -310,8 +310,7 @@ def _in_one_component(cuts: tuple, lo: Cut, hi: Cut) -> bool:
 
 
 def member(model: IndexModel, a: SymbolicSet, p: DPoint) -> bool:
-    require_dense(model, _SUBJECT)
-    validate_dpoint(model, p)
+    require_dense(model, _SUBJECT, p)
     return _in_one_component(a.cuts, cut_below(p), cut_above(model, p))
 
 
@@ -406,6 +405,7 @@ class SerreRegion(Value):
     def covered_set(self, model: IndexModel) -> SymbolicSet:
         """The union of the covers, the ideals some interval of the region
         maps to; covers lie inside gaps that never touch, so it is canonical."""
+        require_dense(model, _SUBJECT)
         c = self.gaps.cuts
         out = []
         for t in range(0, len(c), 2):
@@ -415,6 +415,10 @@ class SerreRegion(Value):
         return SymbolicSet._make(tuple(out))
 
     def contains_interval(self, model: IndexModel, iv: FpInterval) -> bool:
+        """Whether iv belongs to the region: its window lies in one gap.  The
+        interval is read as its window's cuts, (start, 1) and (end, 1), and is
+        not checked against T."""
+        require_dense(model, _SUBJECT)
         return _in_one_component(self.gaps.cuts, *_window_cuts(model, iv))
 
 
@@ -561,9 +565,7 @@ def _member_above(model: IndexModel, x: Coord) -> Coord:
 
 def separate(model: IndexModel, p: DPoint, q: DPoint):
     """Two disjoint clopen window sets, the first containing p, the second q."""
-    require_dense(model, _SUBJECT)
-    validate_dpoint(model, p)
-    validate_dpoint(model, q)
+    require_dense(model, _SUBJECT, p, q)
     if p == q:
         raise DomainError("equal_points", "cannot separate an ideal from itself")
     if q < p:
@@ -583,13 +585,14 @@ def separate(model: IndexModel, p: DPoint, q: DPoint):
 def integer_cover_member(model: IndexModel, n: int | None) -> SymbolicSet:
     """The n-th piece of the clopen integer cover of the whole space.
 
-    For n <= 0 this is the window [n-1, n); ``None`` gives the unbounded top
-    piece [0, infinity).  The pieces are pairwise disjoint and jointly cover
-    every ideal.
+    For an int n <= 0 this is the window [n-1, n); ``None`` gives the
+    unbounded top piece [0, infinity).  Any other index, a bool or a float
+    included, raises ``bad_cover_index``.  The pieces are pairwise disjoint
+    and jointly cover every ideal.
     """
     require_dense(model, _SUBJECT)
     if n is None:
         return window_set(model, FpInterval(Coord(0), INF))
-    if n > 0:
-        raise DomainError("bad_cover_index", "indexed pieces exist for n <= 0 only")
+    if n.__class__ is not int or n > 0:
+        raise DomainError("bad_cover_index", f"indexed pieces exist for integers n <= 0 only, got {n!r}")
     return window_set(model, FpInterval(Coord(n - 1), Coord(n)))

@@ -176,14 +176,21 @@ def test_brute_force_distance_examples():
     same = brute_force_distance(M, P(3), P(3), Fraction(1, 8))
     assert (same.lower, same.upper) == (Coord(0), Coord(0))
     assert brute_force_distance(M, TOP_IDEAL, P(0), Fraction(1, 8)) == DistanceBracket(INF, INF)
+    # a step above 1 still reaches the first grid point past the cutoff
+    assert brute_force_distance(M, P(0), S(Fraction(1, 2)), 2) == DistanceBracket(Coord(0), Coord(2))
+    assert brute_force_distance(M, P(0), S(3), Fraction(5, 2)) == DistanceBracket(
+        Coord(Fraction(5, 2)), Coord(5)
+    )
     with pytest.raises(DomainError) as exc:
         brute_force_distance(M, P(0), P(10**6), Fraction(1, 1000))
     assert exc.value.kind == "scan_too_long"
 
 
-def test_formula_within_every_bracket():
+@pytest.mark.parametrize(
+    "step", [Fraction(1, 64), Fraction(3, 2), 2, Fraction(7, 2)], ids=["1/64", "3/2", "2", "7/2"]
+)
+def test_formula_within_every_bracket(step):
     rng = subseed(65)
-    step = Fraction(1, 64)
     for _ in range(60):
         i = _random_point(rng)
         j = _random_point(rng)

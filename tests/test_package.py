@@ -24,6 +24,7 @@ from ordspec import (
     EMPTY_SET,
     INF,
     QQ,
+    TOP_IDEAL,
     Barcode,
     ChainModule,
     Coord,
@@ -40,17 +41,35 @@ from ordspec import (
     GeneratorElement,
     Membership,
     SerreRegion,
+    Strategy,
     SymbolicSet,
+    ball,
     brute_force_distance,
     chain_module,
     closure,
+    closure_all_strategies,
     compose,
+    distance,
+    full_set,
     identity_morphism,
     integer_cover_member,
     interval_set,
+    is_closed,
+    is_interleaved,
     kernel,
+    left_orthogonal,
+    member,
     principal_at,
+    ray_downward,
+    ray_upward,
     reduce_generators,
+    region_eq,
+    region_subset,
+    right_orthogonal,
+    separate,
+    shift_ideal,
+    shift_interval,
+    singleton,
     strict_at,
     window_set,
 )
@@ -330,6 +349,94 @@ _ERRORS = [
 @pytest.mark.parametrize("kind, call", _ERRORS, ids=[kind for kind, _ in _ERRORS])
 def test_each_error_kind_is_raised(kind, call):
     """Each error kind, raised by one library call."""
+    with pytest.raises(DomainError) as err:
+        call()
+    assert err.value.kind == kind
+
+
+_P0, _P1 = principal_at(0), principal_at(1)
+_UNIT = FpInterval(Coord(0), Coord(1))
+_NO_GAPS = SerreRegion(EMPTY_SET)
+
+# Every function the package exports from spectrum and interleaving that reads
+# its model, and each SerreRegion method, called with arguments valid on the
+# chain; complement, intersect and is_subset never read their model
+_DENSE_ONLY = {
+    "interval_set": lambda m: interval_set(m, DEndpoint(_P0, True), DEndpoint(_P1, True)),
+    "full_set": full_set,
+    "singleton": lambda m: singleton(m, _P0),
+    "ray_upward": lambda m: ray_upward(m, TOP_IDEAL, False),
+    "ray_downward": lambda m: ray_downward(m, _P0),
+    "member": lambda m: member(m, EMPTY_SET, _P0),
+    "window_set": lambda m: window_set(m, _UNIT),
+    "SerreRegion.covered_set": _NO_GAPS.covered_set,
+    "SerreRegion.contains_interval": lambda m: _NO_GAPS.contains_interval(m, _UNIT),
+    "left_orthogonal": lambda m: left_orthogonal(m, EMPTY_SET),
+    "right_orthogonal": lambda m: right_orthogonal(m, _NO_GAPS),
+    "region_subset": lambda m: region_subset(m, _NO_GAPS, _NO_GAPS),
+    "region_eq": lambda m: region_eq(m, _NO_GAPS, _NO_GAPS),
+    "closure": lambda m: closure(m, EMPTY_SET, Strategy.ORDER_TOPOLOGY),
+    "closure_all_strategies": lambda m: closure_all_strategies(m, EMPTY_SET),
+    "is_closed": lambda m: is_closed(m, EMPTY_SET),
+    "separate": lambda m: separate(m, _P0, _P1),
+    "integer_cover_member": lambda m: integer_cover_member(m, 0),
+    "shift_interval": lambda m: shift_interval(m, _UNIT, 1),
+    "shift_ideal": lambda m: shift_ideal(m, _P0, 1),
+    "is_interleaved": lambda m: is_interleaved(m, _P0, _P1, 1),
+    "distance": lambda m: distance(m, _P0, _P1),
+    "ball": lambda m: ball(m, _P0, 1),
+    "brute_force_distance": lambda m: brute_force_distance(m, _P0, _P1, 1),
+}
+
+
+def test_the_dense_only_table_names_every_model_reader():
+    def takes_model(f):
+        return inspect.isfunction(f) and "model" in inspect.signature(f).parameters
+
+    readers = {
+        name for name in ordspec.__all__
+        if ordspec._HOME[name] in ("spectrum", "interleaving") and takes_model(getattr(ordspec, name))
+    }
+    readers |= {f"SerreRegion.{name}" for name, f in vars(SerreRegion).items() if takes_model(f)}
+    assert set(_DENSE_ONLY) == readers - {"complement", "intersect", "is_subset"}
+
+
+@pytest.mark.parametrize("call", _DENSE_ONLY.values(), ids=_DENSE_ONLY)
+def test_every_model_reader_refuses_a_chain(call):
+    with pytest.raises(DomainError) as err:
+        call(_CHAIN)
+    assert err.value.kind == "dense_only"
+
+
+# Each kind of argument has one check: a number (a shift amount, a scan step,
+# a coordinate's rational part) is an int or a Fraction, an ideal is an ideal
+# of T (the bad one is passed last, so a call must check all it takes), an
+# interval has its ends in T, a cover index is an int
+_NOT_NUMBERS = (0.1, True, "1/2", Coord(1))
+_NOT_AN_IDEAL = principal_at(_SQRT2)  # under _SURD_LINE, sqrt(2) is no element
+_IDEAL_READERS = {
+    "member": lambda q: member(_SURD_LINE, EMPTY_SET, q),
+    "separate": lambda q: separate(_SURD_LINE, _P0, q),
+    "shift_ideal": lambda q: shift_ideal(_SURD_LINE, q, 1),
+    "is_interleaved": lambda q: is_interleaved(_SURD_LINE, _P0, q, 1),
+    "distance": lambda q: distance(_SURD_LINE, _P0, q),
+    "ball": lambda q: ball(_SURD_LINE, q, 1),
+    "brute_force_distance": lambda q: brute_force_distance(_SURD_LINE, _P0, q, 1),
+}
+_ARGUMENTS = [
+    *((f"eps-{v!r}", "bad_scalar", lambda v=v: is_interleaved(DENSE_REAL, _P0, _P1, v)) for v in _NOT_NUMBERS),
+    *((f"step-{v!r}", "bad_scalar", lambda v=v: brute_force_distance(DENSE_REAL, _P0, _P1, v)) for v in _NOT_NUMBERS),
+    *((f"Coord-{v!r}", "bad_scalar", lambda v=v: Coord(v)) for v in _NOT_NUMBERS),
+    ("Coord-coef", "bad_scalar", lambda: Coord(0, 0.5, 2)),
+    *((f"{name}-ideal", "bad_dpoint", lambda call=call: call(_NOT_AN_IDEAL)) for name, call in _IDEAL_READERS.items()),
+    ("shift_interval", "bad_interval", lambda: shift_interval(_SURD_LINE, FpInterval(_SQRT2, INF), 1)),
+    ("cover-float", "bad_cover_index", lambda: integer_cover_member(DENSE_REAL, -0.5)),
+    ("cover-bool", "bad_cover_index", lambda: integer_cover_member(DENSE_REAL, False)),
+]
+
+
+@pytest.mark.parametrize("kind, call", [row[1:] for row in _ARGUMENTS], ids=[row[0] for row in _ARGUMENTS])
+def test_each_argument_kind_is_checked(kind, call):
     with pytest.raises(DomainError) as err:
         call()
     assert err.value.kind == kind
