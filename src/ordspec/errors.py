@@ -37,14 +37,15 @@ class Value:
     Two values are equal when they are of the same class and their fields
     are equal, a value hashes as the tuple of its fields, and its repr is
     ``Name(field=value!r, ...)``.  The ordered values (``Ordered``) use this
-    equality and write only their ``_cmp`` (and ``Coord`` an integer hash).
+    equality and write only their ``_cmp`` (and ``Coord`` an integer hash;
+    ``Cut``, one object per value, compares and hashes by identity).
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._fields = tuple(n for n in cls.__slots__ if n != "__weakref__")
+        cls._fields = cls.__slots__
         # over one name attrgetter returns the value, over several a tuple
         cls._get = attrgetter(*cls._fields)
         # the slots' own setters, past the __setattr__ that refuses them

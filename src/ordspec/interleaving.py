@@ -112,17 +112,19 @@ _MAX_SCAN_STEPS = 10**5
 
 
 def brute_force_distance(model: IndexModel, i: DPoint, j: DPoint, step) -> DistanceBracket:
-    """Bracket the interleaving infimum by scanning eps on a uniform grid.
+    """Bracket the interleaving infimum by bisecting eps on a uniform grid.
 
     The step is an exact number, an int or a Fraction (else ``bad_scalar``),
-    and positive (``bad_step``).  The scan decides interleaving at eps =
-    k*step for k = 0, 1, ..., floor(cutoff/step) + 1, so it ends at the first
-    grid point past the cutoff: the coordinate distance plus one, or one when
-    a coordinate is infinite.  The first hit at k*step yields the bracket
-    [(k-1)*step, k*step] ([0, 0] at k = 0), of Coords.  A finite distance
-    lies below the cutoff, so it is hit by then; with no hit the distance is
-    reported infinite.  A cutoff more than _MAX_SCAN_STEPS steps away is
-    refused with ``scan_too_long``.
+    and positive (``bad_step``).  The grid is eps = k*step for k = 0, 1, ...,
+    floor(cutoff/step) + 1, so it ends at the first grid point past the
+    cutoff: the coordinate distance plus one, or one when a coordinate is
+    infinite.  A finite distance lies below the cutoff, so with no
+    interleaving at the last grid point the distance is reported infinite.
+    Interleavings are monotone in eps, so the least k*step that interleaves
+    is found by bisection, in about log2 of the grid's length decisions, and
+    yields the bracket [(k-1)*step, k*step] ([0, 0] at k = 0), of Coords: the
+    one a scan of the grid from k = 0 would find.  A cutoff more than
+    _MAX_SCAN_STEPS steps away is refused with ``scan_too_long``.
     """
     require_dense(model, _SUBJECT)
     step = QQ.scalar(step)
@@ -143,8 +145,15 @@ def brute_force_distance(model: IndexModel, i: DPoint, j: DPoint, step) -> Dista
         raise DomainError(
             "scan_too_long", f"the scan to {cutoff} at step {step} exceeds {_MAX_SCAN_STEPS} steps"
         )
-    for k in range(cutoff // step + 2):
-        eps = k * step
-        if is_interleaved(model, i, j, eps):
-            return DistanceBracket(Coord(max(k - 1, 0) * step), Coord(eps))
-    return INFINITE_BRACKET
+    hi = cutoff // step + 1
+    if not is_interleaved(model, i, j, hi * step):
+        return INFINITE_BRACKET
+    # lo misses (k = -1 stands below the grid), hi interleaves
+    lo = -1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if is_interleaved(model, i, j, mid * step):
+            hi = mid
+        else:
+            lo = mid
+    return DistanceBracket(Coord(max(hi - 1, 0) * step), Coord(hi * step))

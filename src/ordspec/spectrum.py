@@ -18,11 +18,12 @@ of intervals is then literal equality of cuts, which keeps the canonical
 form unique and the Boolean algebra exact.
 
 A set stores its canonical form as one flat, strictly increasing tuple of
-cuts, and there is one shared object per cut (``shared_cut``), so sets
-built apart share their cuts.  Equal coordinates are found by
-comparing their stored triples ``(rat, coef, rad)``, which is exact because
-the form of a coordinate with a squarefree radicand is unique; two sets are
-equal exactly when their cut tuples are.  The constructor's sort and sweep
+cuts, and there is one live object per cut (``shared_cut``) and per set,
+so sets built apart share their cuts and equal sets are one object.
+Equal coordinates are found by comparing their stored triples ``(rat,
+coef, rad)``, which is exact because the form of a coordinate with a
+squarefree radicand is unique; two sets are equal exactly when their cut
+tuples are.  The constructor's sort and sweep
 is the one merge of the Boolean algebra: ``union`` splices in a one-component
 operand by bisection and otherwise calls the constructor, ``intersect`` goes
 through complements, which make no compares, and ``is_subset`` bisects.
@@ -84,24 +85,50 @@ _SUBJECT = "symbolic spectrum subsets are"
 # Cuts
 
 
-class Cut(Ordered, Value):
+class _Shared:
+    """A value kept as one live object per value, ``Cut`` and
+    ``SymbolicSet``: the class's ``_make`` finds it in a weak table or builds
+    it there, and the constructor returns what ``_make`` returns, so nothing
+    is left for ``__init__`` to do.  The weak-reference slot lives here, so
+    that the classes' ``__slots__`` stay their fields."""
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *values):
+        return cls._make(*values)
+
+    def __init__(self, *args):
+        pass
+
+
+class Cut(_Shared, Ordered, Value):
     """A position between points of D, the pair (coord, level), ordered by
     coordinate on the extended line and then by level.
 
     ``INF_LOW`` and ``TOP`` are (INF, 0) and (INF, 1); only ``BOTTOM``, below
-    every other cut, has coord None.  One object is kept per equal (coord,
-    level) (``shared_cut``), so most comparisons of equal cuts end at
-    identity, and a copied or unpickled cut is that object again.  Equality
-    and hash are the value base's.
+    every other cut, has coord None.  ``Cut(coord, level)`` is the one live
+    cut of an equal pair (``shared_cut``), and so is a copied or unpickled
+    cut.  Equal cuts are therefore one object: equality is identity, the
+    hash is the object's own, and most comparisons of equal cuts end there.
     """
 
-    __slots__ = ("coord", "level", "__weakref__")
+    __slots__ = ("coord", "level")
 
-    def __reduce__(self):
-        return shared_cut, self._values()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    @classmethod
+    def _make(cls, coord: ExtCoord | None, level: int) -> "Cut":
+        """The cut (coord, level): the one live object of an equal pair, from
+        its level's table, built through the value base on first use."""
+        table = _CUTS[level]
+        cut = table.get(coord)
+        if cut is None:
+            cut = table[coord] = super()._make(coord, level)
+        return cut
 
     def _cmp(self, other: "Cut") -> int:
-        # at most one coordinate compare, none between shared equal cuts
+        # at most one coordinate compare, none between equal cuts
         if self is other:
             return 0
         x, y = self.coord, other.coord
@@ -113,19 +140,12 @@ class Cut(Ordered, Value):
         return (self.level > other.level) - (self.level < other.level)
 
 
-# The shared cuts, one table per level keyed by the coordinate.  The tables
+# The live cuts, one table per level keyed by the coordinate.  The tables
 # hold their cuts weakly: an entry goes when no set holds its cut.
 _CUTS = (WeakValueDictionary(), WeakValueDictionary(), WeakValueDictionary())
 
-
-def shared_cut(coord: ExtCoord | None, level: int) -> Cut:
-    """The cut (coord, level), one shared object per equal pair, from its
-    level's table."""
-    cut = _CUTS[level].get(coord)
-    if cut is None:
-        cut = _CUTS[level][coord] = Cut(coord, level)
-    return cut
-
+# the constructor's lookup without its call overhead, for the hot paths
+shared_cut = Cut._make
 
 # held here, so that the table keeps them
 BOTTOM = shared_cut(None, 0)
@@ -181,18 +201,22 @@ class DEndpoint(Value):
         super().__init__(point, included)
 
 
-class SymbolicSet(Value):
+class SymbolicSet(_Shared, Value):
     """A finite union of D intervals in canonical cut form.
 
     ``cuts`` is one flat tuple lo0, hi0, lo1, hi1, ... of strictly increasing
     cuts: every component is nonempty and no two components touch, so the
     form is unique.  ``parts`` views it as (lo, hi) pairs.  The set
     operations build their results, already canonical, by ``_make(cuts)``.
+    Like a cut, a set is one live object per value: ``SymbolicSet(parts)``,
+    ``_make``, a copy and an unpickled set all return the set with those
+    cuts from a weak table, so kept answers share their sets.  Equality and
+    hash stay the value base's, over a tuple of cuts that hash by identity.
     """
 
     __slots__ = ("cuts",)
 
-    def __init__(self, parts):
+    def __new__(cls, parts):
         # one linear merge in order of lo, after a sort (k - 1 compares in order)
         out = []
         for lo, hi in sorted(parts, key=itemgetter(0)):
@@ -201,7 +225,16 @@ class SymbolicSet(Value):
                     out += (lo, hi)
             elif out[-1] < hi:
                 out[-1] = hi
-        super().__init__(tuple(out))
+        return cls._make(tuple(out))
+
+    @classmethod
+    def _make(cls, cuts: tuple) -> "SymbolicSet":
+        """The set with these canonical cuts: the one live object, from the
+        table, built through the value base on first use."""
+        s = _SETS.get(cuts)
+        if s is None:
+            s = _SETS[cuts] = super()._make(cuts)
+        return s
 
     @property
     def parts(self) -> tuple:
@@ -213,6 +246,9 @@ class SymbolicSet(Value):
             return "{}"
         return " u ".join(f"({lo.coord},{lo.level})..({hi.coord},{hi.level})" for lo, hi in self.parts)
 
+
+# The live sets, keyed by their cut tuples and held weakly, as the cuts are.
+_SETS = WeakValueDictionary()
 
 EMPTY_SET = SymbolicSet._make(())
 

@@ -399,6 +399,32 @@ def brutal_is_interleaved(i_coord, i_principal, j_coord, j_principal, eps: Fract
     return phi_ok and psi_ok
 
 
+def scan_distance(model, i, j, step):
+    """The grid search of ``brute_force_distance``, as a scan from k = 0.
+
+    It decides ``is_interleaved`` at eps = k*step for k = 0, 1, ...,
+    floor(cutoff/step) + 1, the cutoff being the coordinate distance plus one
+    (one when a coordinate is infinite), and brackets the first hit,
+    [(k-1)*step, k*step] ([0, 0] at k = 0); with no hit the bracket is
+    infinite.  It is the reference for the library's bisection, which must
+    find the same bracket on the same grid.  It checks the search alone:
+    each grid point is decided by the library's ``is_interleaved``, which
+    ``brutal_is_interleaved`` checks, and the coordinate distance must be
+    rational, as the library requires.
+    """
+    from ordspec import DistanceBracket, is_interleaved
+
+    if is_inf(i.coord) or is_inf(j.coord):
+        cutoff = Fraction(1)
+    else:
+        cutoff = abs(i.coord - j.coord).rat + 1
+    for k in range(cutoff // step + 2):
+        eps = k * step
+        if is_interleaved(model, i, j, eps):
+            return DistanceBracket(Coord(max(k - 1, 0) * step), Coord(eps))
+    return DistanceBracket(INF, INF)
+
+
 # ---------------------------------------------------------------------------
 # Kernel / cokernel certificate, the dense route
 

@@ -33,7 +33,7 @@ from ordspec import (
 )
 
 from conftest import subseed
-from oracles import brutal_is_interleaved
+from oracles import brutal_is_interleaved, scan_distance
 
 M = DENSE_REAL
 
@@ -79,6 +79,15 @@ def test_is_interleaved_monotone_in_eps():
         eps = Fraction(rng.randint(0, 16), 4)
         if is_interleaved(M, i, j, eps):
             assert is_interleaved(M, i, j, eps + Fraction(rng.randint(0, 8), 8))
+    # along a whole grid of eps, at rational and surd points under both dense
+    # models: once interleaved, always interleaved, which the bisection of
+    # brute_force_distance relies on
+    step = Fraction(1, 8)
+    for model in (DENSE_REAL, DENSE_RATIONAL_WITH_CUTS):
+        for _ in range(60):
+            i, j = _surd_pair(rng, model)
+            answers = [is_interleaved(model, i, j, k * step) for k in range(97)]
+            assert answers == sorted(answers), (i, j)
 
 
 def _random_point(rng, allow_inf=True):
@@ -213,6 +222,40 @@ def _surd_point(rng, model):
     if model.is_member(x) and rng.random() < 0.5:
         return P(x)
     return S(x)
+
+
+def _surd_pair(rng, model):
+    """Two ideals from ``_surd_point``; half the time the second sits a
+    rational distance from the first, so that surd pairs have a rational gap."""
+    i = _surd_point(rng, model)
+    if is_inf(i.coord) or rng.random() < 0.5:
+        return i, _surd_point(rng, model)
+    x = i.coord + Coord(Fraction(rng.randint(-24, 24), 8))
+    if model.is_member(x) and rng.random() < 0.5:
+        return i, P(x)
+    return i, S(x)
+
+
+@pytest.mark.parametrize(
+    "step", [Fraction(1, 64), Fraction(3, 2), 2, Fraction(7, 2)], ids=["1/64", "3/2", "2", "7/2"]
+)
+@pytest.mark.parametrize("model", [DENSE_REAL, DENSE_RATIONAL_WITH_CUTS], ids=["dense", "dense-surd"])
+def test_bisection_finds_the_bracket_of_the_scan(model, step):
+    """The bisection of brute_force_distance gives the bracket of a scan of
+    the same grid from k = 0, at rational and surd ideals of both flavors and
+    the top; a pair with an irrational gap is refused."""
+    rng = subseed(67)
+    compared = 0
+    for _ in range(80):
+        i, j = _surd_pair(rng, model)
+        if not is_inf(i.coord) and not is_inf(j.coord) and not (i.coord - j.coord).is_rational:
+            with pytest.raises(DomainError) as exc:
+                brute_force_distance(model, i, j, step)
+            assert exc.value.kind == "irrational_gap"
+            continue
+        assert brute_force_distance(model, i, j, step) == scan_distance(model, i, j, step), (i, j)
+        compared += 1
+    assert compared > 40
 
 
 @pytest.mark.parametrize("model", [DENSE_REAL, DENSE_RATIONAL_WITH_CUTS], ids=["dense", "dense-surd"])

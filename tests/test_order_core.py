@@ -118,14 +118,14 @@ def test_one_order_on_coordinates_ideals_and_cuts():
         ideals += [DPoint(x, Flavor.PRINCIPAL) for x in xs if not is_inf(x) and model.is_member(x)]
         _assert_one_order(xs)
         _assert_one_order(ideals)
-        # cut_below and cut_above embed the ideals into the cuts, whether the
-        # cuts are the shared ones or equal ones built directly
+        # cut_below and cut_above embed the ideals into the cuts, and a cut
+        # built directly is the shared one
         for cut in (cut_below, lambda p: cut_above(model, p)):
             shared = [cut(p) for p in ideals]
             direct = [Cut(c.coord, c.level) for c in shared]
             _assert_one_order(shared + direct + [BOTTOM, Cut(None, 0)])
             for p, a, a2 in zip(ideals, shared, direct):
-                assert BOTTOM < a and a is not a2
+                assert BOTTOM < a and a is a2
                 for q, b, b2 in zip(ideals, shared, direct):
                     assert a._cmp(b) == a2._cmp(b) == a._cmp(b2) == p._cmp(q)
         for p in ideals:

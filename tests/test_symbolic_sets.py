@@ -5,6 +5,7 @@ import copy
 import gc
 import math
 import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -117,7 +118,7 @@ def test_union_of_pieces_agrees_with_one_constructor():
 def test_cut_order_is_the_order_of_coord_level():
     rng = subseed(74)
     xs = [Coord(random_fraction(rng, -3, 3)) for _ in range(6)] + [Coord(0, 1, 2), Coord(1, -1, 3)]
-    # cuts made directly are not shared, so equal ones are distinct objects
+    # cuts made directly are the shared ones, so equal ones are one object
     cuts = [spectrum.BOTTOM, Cut(None, 0), spectrum.INF_LOW, spectrum.TOP]
     cuts += [Cut(INF, level) for level in (0, 1) for _ in range(2)]
     cuts += [Cut(Coord(x.rat, x.coef, x.rad), level) for x in xs for level in (0, 1, 2) for _ in range(2)]
@@ -276,3 +277,44 @@ def test_shared_cut_table_drops_unheld_cuts():
     del s
     gc.collect()
     assert Coord(x.rat, x.coef, x.rad) not in table
+
+
+def test_a_cut_built_directly_is_the_shared_cut():
+    x, y = Coord(Fraction(7, 3), 1, 2), Coord(Fraction(14, 6), Fraction(1, 2), 8)
+    for level in (0, 1, 2):
+        assert Cut(x, level) is shared_cut(y, level) is Cut(y, level)
+    assert Cut(None, 0) is spectrum.BOTTOM
+    assert Cut(INF, 0) is spectrum.INF_LOW and Cut(INF, 1) is spectrum.TOP
+
+
+@pytest.mark.parametrize("model", [DENSE_REAL, DENSE_RATIONAL_WITH_CUTS], ids=["dense", "dense-surd"])
+def test_equal_sets_are_one_object(model):
+    rng = subseed(75)
+    assert SymbolicSet(()) is EMPTY_SET
+    for _ in range(40):
+        a = random_symbolic_set(rng, model, surds=True)
+        b = random_symbolic_set(rng, model, surds=True)
+        u = union(a, b)
+        for built in (
+            SymbolicSet(u.parts),
+            SymbolicSet(a.parts + b.parts),
+            SymbolicSet._make(tuple(list(u.cuts))),
+            jsonio.decode_set(model, jsonio.encode_set(model, u)),
+            copy.copy(u),
+            copy.deepcopy(u),
+            pickle.loads(pickle.dumps(u)),
+        ):
+            assert built is u
+
+
+def test_the_share_tables_drop_what_nothing_holds():
+    x = Coord(Fraction(246913, 1000), Fraction(5, 7), 11)
+    p = DPoint(x, Flavor.PRINCIPAL)
+    s = interval_set(DENSE_REAL, DEndpoint(p, True), DEndpoint(p, True))
+    assert spectrum._SETS.get(s.cuts) is s and spectrum._CUTS[2].get(x) is s.cuts[1]
+    held = weakref.ref(s)
+    del s
+    gc.collect()
+    assert held() is None
+    assert x not in spectrum._CUTS[1] and x not in spectrum._CUTS[2]
+    assert all(c.coord != x for cuts in list(spectrum._SETS) for c in cuts)
